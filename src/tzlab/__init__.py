@@ -23,8 +23,7 @@ from .experiments import (DEFAULT_LAMBDAS, AlphaRow, SweepResult,
                           mt_threshold_scan, parallel_map)
 from .radial import (MassPair, RadialProfile, StepTooLarge,
                      TrajectoryOverflow, classify_mass_pair, dirichlet_alpha,
-                     limit_mass_relation, pohozaev_identity,
-                     pohozaev_residual, pohozaev_residual_profile,
+                     limit_mass_relation, pohozaev_residual_profile,
                      quantization_table, shoot)
 from .recipes import RecipeError, field_from_recipe, parse_recipe
 from .surface import (GridError, ScalarField, TorusGrid, build_grid,
@@ -46,7 +45,7 @@ __all__ = [
     "lambda_split", "laplacian", "limit_mass_relation", "liouville_bubble",
     "liouville_mass", "mean", "minimize", "mt_deficit", "mt_deficit_sweep",
     "mt_threshold_scan", "parallel_map", "parse_recipe",
-    "pohozaev_identity", "pohozaev_residual", "pohozaev_residual_profile",
-    "precondition_gradient", "quantization_table", "residual_J", "shoot",
-    "solve_helmholtz", "torus_distance",
+    "pohozaev_residual_profile", "precondition_gradient",
+    "quantization_table", "residual_J", "shoot", "solve_helmholtz",
+    "torus_distance",
 ]

@@ -8,7 +8,11 @@ bubble-sweep        energy of the join-bubble family against lambda
 asymptotics         the four component slopes of the bubble family
 radial-sweep        central-value sweep of the radial shooting solver
 quantization-table  admissible blow-up mass pairs
-verify-all          every check above at default scale, one exit status
+verify-all          quantization-table, mt-scan, asymptotics and bubble-sweep at
+                    their defaults, the radial-sweep Pohozaev rows for h2 in
+                    {0, 1}, plus its own oracles (RK4 order, Liouville mass,
+                    bubble divergence, coercive solve grid, gradient check);
+                    one exit status
 
 Outputs are deterministic for a fixed config and seed: CSV floats use the
 shortest round-trip decimal representation and summaries echo the full
@@ -35,9 +39,9 @@ import numpy as np
 from . import __version__
 from .descent import DescentConfig, LineSearchStall, NonConvergence, minimize
 from .energy import Params, energy_J, residual_J
-from .experiments import (DEFAULT_LAMBDAS, SweepResult, alpha_sweep,
-                          bubble_energy_sweep, component_asymptotics_sweep,
-                          default_join_config, mt_threshold_scan)
+from .experiments import (DEFAULT_LAMBDAS, alpha_sweep, bubble_energy_sweep,
+                          component_asymptotics_sweep, default_join_config,
+                          mt_threshold_scan)
 from .radial import (classify_mass_pair, limit_mass_relation,
                      pohozaev_residual_profile, quantization_table, shoot)
 from .recipes import RecipeError, field_from_recipe
@@ -144,12 +148,6 @@ def _random_start(grid, seed: float, amplitude: float = 0.1) -> ScalarField:
     return ScalarField(grid, vals - vals.mean())
 
 
-def _sweep_rows(family: str, results: list[SweepResult]):
-    for res in results:
-        yield (family, res.fitted_slope, res.predicted_slope, res.rel_error,
-               res.passed, res.skipped)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -163,15 +161,12 @@ def _solve_once(params, grid, seed, tol, max_iters):
     return sol
 
 
-def cmd_solve(args, outdir: Path):
-    if args.rho1 is None or args.rho2 is None:
-        raise ConfigError("--rho1 and --rho2 are required (flag or config file)")
-    grid = _grid_or_config_error(args.n)
-    params = _build_params(args, grid)
-    sol = _solve_once(params, grid, args.seed, args.tol, args.max_iters)
+def _write_solution(outdir: Path, args, sol):
+    """solution.csv (row-major field dump, x fastest) and solution.json."""
+    grid = sol.u.grid
     rows = zip(grid.X.ravel(), grid.Y.ravel(), sol.u.values.ravel())
     _write_csv(outdir / "solution.csv", ["x", "y", "u"], rows)
-    payload = {
+    _write_json(outdir / "solution.json", {
         "config": _config_echo(args),
         "versions": _versions(),
         "converged": bool(sol.converged),
@@ -179,9 +174,20 @@ def cmd_solve(args, outdir: Path):
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
         "field_csv": "solution.csv",
-    }
-    _write_json(outdir / "solution.json", payload)
+    })
+
+
+def cmd_solve(args, outdir: Path):
+    if args.rho1 is None or args.rho2 is None:
+        raise ConfigError("--rho1 and --rho2 are required (flag or config file)")
+    grid = _grid_or_config_error(args.n)
+    params = _build_params(args, grid)
+    sol = _solve_once(params, grid, args.seed, args.tol, args.max_iters)
+    _write_solution(outdir, args, sol)
     checks = {
+        # on a finite grid a discrete minimizer exists for any rho, so
+        # convergence alone does not back a solution outside this region
+        "coercive_regime": params.coercive,
         "converged": bool(sol.converged),
         "residual_below_tol": bool(sol.residual_norm <= args.tol),
     }
@@ -264,9 +270,8 @@ def cmd_asymptotics(args, outdir: Path):
     return checks, summary
 
 
-def cmd_radial_sweep(args, outdir: Path):
-    rows = alpha_sweep(args.alphas, args.h1_const, args.h2_const,
-                       args.r_max, args.step)
+def _report_alpha_rows(rows, outdir: Path):
+    """Write radial-sweep.csv from alpha_sweep rows; checks and summary."""
     _write_csv(outdir / "radial-sweep.csv",
                ["alpha", "sigma1", "sigma2", "pohozaev_max_rel", "relation",
                 "family", "m", "distance", "error"],
@@ -279,6 +284,12 @@ def cmd_radial_sweep(args, outdir: Path):
     }
     summary = {"rows": len(rows), "failed_rows": len(rows) - len(ok_rows)}
     return checks, summary
+
+
+def cmd_radial_sweep(args, outdir: Path):
+    rows = alpha_sweep(args.alphas, args.h1_const, args.h2_const,
+                       args.r_max, args.step)
+    return _report_alpha_rows(rows, outdir)
 
 
 def cmd_quantization_table(args, outdir: Path):
@@ -321,81 +332,40 @@ def _gradient_fd_check(grid, n_fields: int, seed: int) -> float:
     return worst
 
 
-def cmd_verify_all(args, outdir: Path):
-    checks: dict[str, bool] = {}
-    summary: dict = {}
-
-    # quantized mass lattice, exact arithmetic
-    qargs = argparse.Namespace(m_min=-6, m_max=6)
-    qchecks, qsummary = cmd_quantization_table(qargs, outdir)
-    checks.update({f"quantization.{k}": v for k, v in qchecks.items()})
-    summary["quantization"] = qsummary
-
-    # radial solver: Pohozaev identity grid + blow-up mass + convergence order
-    grid_alphas, grid_h2 = (0.0, 5.0, 8.0), (0.0, 1.0)
-    rows = []
-    poho_ok = True
-    for h2c in grid_h2:
-        for alpha in grid_alphas:
-            prof = shoot(alpha, 1.0, h2c, 1.0, 1e-4)
-            res, lhs = pohozaev_residual_profile(prof)
-            rel = float(np.max(np.abs(res[1:]) / (1.0 + np.abs(lhs[1:]))))
-            poho_ok &= rel < 1e-6
-            rows.append((alpha, float(prof.sigma1[-1]), float(prof.sigma2[-1]),
-                         rel, limit_mass_relation(prof.sigma1[-1], prof.sigma2[-1]),
-                         None, None, float("nan"), None))
-    _write_csv(outdir / "radial-sweep.csv",
-               ["alpha", "sigma1", "sigma2", "pohozaev_max_rel", "relation",
-                "family", "m", "distance", "error"], rows)
-    checks["radial.pohozaev_small"] = poho_ok
+def _verify_radial(_args, outdir: Path):
+    """The radial-sweep Pohozaev rows for h2 in {0, 1}, then the RK4 order
+    and the Liouville blow-up mass, which no command checks."""
+    rows = [row for h2c in (0.0, 1.0)
+            for row in alpha_sweep((0.0, 5.0, 8.0), 1.0, h2c, 1.0, 1e-4)]
+    checks, summary = _report_alpha_rows(rows, outdir)
 
     orders = []
-    for h2c in grid_h2:
-        res_by_step = {}
-        for step in (1e-3, 5e-4):
-            prof = shoot(8.0, 1.0, h2c, 1.0, step)
-            res, _ = pohozaev_residual_profile(prof)
-            res_by_step[step] = abs(float(res[-1]))
-        orders.append(float(np.log2(res_by_step[1e-3] / res_by_step[5e-4])))
-    checks["radial.order_at_least_3_5"] = all(o >= 3.5 for o in orders)
-    summary["radial"] = {"convergence_orders": orders}
+    for h2c in (0.0, 1.0):
+        # the residual at the boundary is pure integration error
+        res_end = [abs(float(pohozaev_residual_profile(shoot(8.0, 1.0, h2c, 1.0, step))[0][-1]))
+                   for step in (1e-3, 5e-4)]
+        orders.append(float(np.log2(res_end[0] / res_end[1])))
+    checks["order_at_least_3_5"] = all(o >= 3.5 for o in orders)
 
     prof = shoot(10.0, 1.0, 0.0, 1.0, 1e-4)
     mu2 = float(np.exp(10.0) / 8.0)
     target = 4.0 * mu2 / (1.0 + mu2)
     sigma1_end = float(prof.sigma1[-1])
     mp = classify_mass_pair(sigma1_end, float(prof.sigma2[-1]), 0.05)
-    checks["radial.liouville_mass"] = abs(sigma1_end - target) < 2e-3
-    checks["radial.liouville_class_is_type_I_1"] = (mp.family, mp.m) == ("I", 1)
-    summary["radial"]["liouville_sigma1"] = sigma1_end
+    checks["liouville_mass"] = abs(sigma1_end - target) < 2e-3
+    checks["liouville_class_is_type_I_1"] = (mp.family, mp.m) == ("I", 1)
+    summary.update(convergence_orders=orders, liouville_sigma1=sigma1_end)
+    return checks, summary
 
-    # sharp thresholds, component asymptotics, diverging family
-    scan_args = argparse.Namespace(n=args.n, a1=list(_A1_DEFAULT), a2=list(_A2_DEFAULT),
-                                   lambdas=list(DEFAULT_LAMBDAS))
-    mchecks, msummary = cmd_mt_scan(scan_args, outdir)
-    checks.update({f"mt_scan.{k}": v for k, v in mchecks.items()})
-    summary["mt_scan"] = msummary
 
-    asy_args = argparse.Namespace(n=args.n, k=1, l=1, s=0.5, lambdas=list(DEFAULT_LAMBDAS))
-    achecks, asummary = cmd_asymptotics(asy_args, outdir)
-    checks.update({f"asymptotics.{k}": v for k, v in achecks.items()})
-    summary["asymptotics"] = asummary
-
-    bub_args = argparse.Namespace(n=args.n, k=1, l=1, s=0.5,
-                                  rho1=10.0 * np.pi, rho2=5.0 * np.pi,
-                                  h1="1", h2="1", lambdas=list(DEFAULT_LAMBDAS))
-    bchecks, bsummary = cmd_bubble_sweep(bub_args, outdir)
-    checks.update({f"bubble_sweep.{k}": v for k, v in bchecks.items()})
-    checks["bubble_sweep.diverges"] = bool(bsummary["energy_drop_first_to_last"] >= 30.0)
-    summary["bubble_sweep"] = bsummary
-
-    # coercive-regime minimization over the rho grid, three seeds each
+def _verify_solve(args, outdir: Path):
+    """Coercive-regime minimization over the rho grid, three seeds each, and
+    the finite-difference gradient check."""
     grid64 = build_grid(64)
     h1 = field_from_recipe("1+0.5*cos(2*pi*x)", grid64)
     h2 = field_from_recipe("1+0.5*sin(2*pi*y)", grid64)
     solve_rows = []
     solve_ok = True
-    sol = None
     for rho1 in _RHO1_GRID:
         for rho2 in _RHO2_GRID:
             params = Params(rho1, rho2, h1, h2)
@@ -408,20 +378,40 @@ def cmd_verify_all(args, outdir: Path):
     _write_csv(outdir / "solve.csv",
                ["rho1", "rho2", "seed", "converged", "residual_norm",
                 "energy", "iterations"], solve_rows)
-    rows = zip(grid64.X.ravel(), grid64.Y.ravel(), sol.u.values.ravel())
-    _write_csv(outdir / "solution.csv", ["x", "y", "u"], rows)
-    _write_json(outdir / "solution.json", {
-        "config": _config_echo(args), "versions": _versions(),
-        "converged": bool(sol.converged), "energy": sol.energy,
-        "residual_norm": sol.residual_norm, "iterations": sol.iterations,
-        "field_csv": "solution.csv",
-    })
-    checks["solve.coercive_grid_converges"] = solve_ok
-
+    _write_solution(outdir, args, sol)
     worst_fd = _gradient_fd_check(grid64, 20, int(args.seed) + 5)
-    checks["solve.gradient_fd_consistent"] = worst_fd < 1e-5
-    summary["solve"] = {"worst_gradient_fd_rel_error": worst_fd}
+    checks = {"coercive_grid_converges": solve_ok,
+              "gradient_fd_consistent": worst_fd < 1e-5}
+    return checks, {"worst_gradient_fd_rel_error": worst_fd}
 
+
+def cmd_verify_all(args, outdir: Path):
+    """Run each stage in check order: a command argv, parsed by that
+    command's own subparser so its defaults live in one place, or one of
+    verify-all's own oracle groups."""
+    _, commands = build_parser()
+    n = str(args.n)
+    stages = (
+        ("quantization", ["quantization-table"]),
+        ("radial", _verify_radial),
+        ("mt_scan", ["mt-scan", "--n", n]),
+        ("asymptotics", ["asymptotics", "--n", n]),
+        ("bubble_sweep", ["bubble-sweep", "--n", n]),
+        ("solve", _verify_solve),
+    )
+    checks: dict[str, bool] = {}
+    summary: dict = {}
+    for prefix, stage in stages:
+        if callable(stage):
+            stage_checks, stage_summary = stage(args, outdir)
+        else:
+            stage_args = commands[stage[0]].parse_args(stage[1:])
+            stage_checks, stage_summary = stage_args.func(stage_args, outdir)
+        if prefix == "bubble_sweep":
+            # supercritical rho: the concentrating family must lose energy
+            stage_checks["diverges"] = bool(stage_summary["energy_drop_first_to_last"] >= 30.0)
+        checks.update({f"{prefix}.{k}": v for k, v in stage_checks.items()})
+        summary[prefix] = stage_summary
     return checks, summary
 
 

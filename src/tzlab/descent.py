@@ -97,7 +97,7 @@ def minimize(p: Params, u0: ScalarField, cfg: DescentConfig = DescentConfig()) -
     resolution).  Raises NonConvergence or LineSearchStall carrying the
     best iterate when the tolerance is not met.
     """
-    if p.rho1 >= 8.0 * np.pi or p.rho2 >= 4.0 * np.pi:
+    if not p.coercive:
         warnings.warn(
             "rho outside the coercive region (rho1 < 8*pi, rho2 < 4*pi): "
             "the energy may be unbounded below and descent may not converge",

@@ -78,6 +78,11 @@ class Params:
     def grid(self):
         return self.h1.grid
 
+    @property
+    def coercive(self) -> bool:
+        """rho1 < 8*pi and rho2 < 4*pi, where J_rho is bounded below."""
+        return bool(self.rho1 < 8.0 * np.pi and self.rho2 < 4.0 * np.pi)
+
 
 @dataclass(frozen=True)
 class MTCoefficients:

@@ -69,12 +69,6 @@ class RadialProfile:
     def r_max(self) -> float:
         return float(self.r[-1])
 
-    def index_at(self, r: float) -> int:
-        """Nearest node index for radius r; r must lie within the profile."""
-        if not -0.5 * self.step <= r <= self.r_max + 0.5 * self.step:
-            raise ValueError(f"r={r} outside profile range [0, {self.r_max}]")
-        return int(round(r / self.step))
-
 
 def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
           r_max: float = 1.0, step: float = 1e-4) -> RadialProfile:
@@ -145,25 +139,11 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     )
 
 
-def pohozaev_identity(p: RadialProfile, r: float) -> tuple[float, float]:
-    """Left and right sides of the constant-h Pohozaev identity at radius r."""
-    i = p.index_at(r)
-    ri = p.r[i]
-    lhs = 2.0 * np.pi * (2.0 * p.sigma1[i] + p.sigma2[i])
-    rhs = np.pi * ri**2 * p.du[i] ** 2 + 2.0 * np.pi * ri**2 * (
-        p.h1 * math.exp(p.u[i]) + 0.5 * p.h2 * math.exp(-2.0 * p.u[i])
-    )
-    return float(lhs), float(rhs)
-
-
-def pohozaev_residual(p: RadialProfile, r: float) -> float:
-    """LHS - RHS of the Pohozaev identity; O(step^4) along RK4 trajectories."""
-    lhs, rhs = pohozaev_identity(p, r)
-    return lhs - rhs
-
-
 def pohozaev_residual_profile(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and LHS arrays at every node (vectorized over the profile)."""
+    """LHS - RHS of the Pohozaev identity, and the LHS, at every node.
+
+    The residual is O(step^4) along RK4 trajectories.
+    """
     lhs = 2.0 * np.pi * (2.0 * p.sigma1 + p.sigma2)
     rhs = np.pi * p.r**2 * p.du**2 + 2.0 * np.pi * p.r**2 * (
         p.h1 * np.exp(p.u) + 0.5 * p.h2 * np.exp(-2.0 * p.u)

@@ -13,8 +13,8 @@ from tzlab import (Params, bubble_energy_sweep, build_grid,
                    classify_mass_pair, component_asymptotics_sweep,
                    constant_field, default_join_config, energy_J,
                    field_from_recipe, integrate, limit_mass_relation,
-                   minimize, mt_threshold_scan, pohozaev_residual,
-                   pohozaev_residual_profile, quantization_table, residual_J,
+                   minimize, mt_threshold_scan, pohozaev_residual_profile,
+                   quantization_table, residual_J,
                    shoot, DescentConfig, NonConvergence, LineSearchStall)
 from tzlab.cli import EXIT_OK, main as cli_main
 
@@ -59,7 +59,7 @@ def test_criterion_2_pohozaev_identity():
         res = {}
         for step in (1e-3, 5e-4):
             prof = shoot(8.0, 1.0, h2, 1.0, step)
-            res[step] = abs(pohozaev_residual(prof, 1.0))
+            res[step] = abs(pohozaev_residual_profile(prof)[0][-1])
         orders.append(float(np.log2(res[1e-3] / res[5e-4])))
     ok &= all(o >= 3.5 for o in orders)
     elapsed = time.perf_counter() - t0

@@ -71,6 +71,16 @@ class TestSolve:
         assert xs[:8] == pytest.approx([i / 8 for i in range(8)])  # x varies first
         assert ys[:8] == pytest.approx([0.0] * 8)
 
+    def test_outside_coercive_region_fails(self, tmp_path):
+        # a discrete minimizer exists at any rho, so convergence alone
+        # must not pass the command
+        with pytest.warns(UserWarning, match="coercive"):
+            rc = main(["solve", "--rho1", "2000", "--rho2", "0", "--n", "16",
+                       "--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"]["coercive_regime"] is False
+
 
 class TestQuantizationTable:
     def test_rows_satisfy_relation(self, tmp_path):
@@ -156,3 +166,36 @@ class TestDeterminism:
         assert rows[0] == ["lambda", "energy"]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert {"command", "config", "versions", "checks", "passed"} <= set(summary)
+
+
+VERIFY_ALL_CHECKS = [
+    "quantization.hyperbola_exact", "quantization.divisibility",
+    "quantization.origin_excluded", "radial.all_rows_computed",
+    "radial.pohozaev_small", "radial.order_at_least_3_5",
+    "radial.liouville_mass", "radial.liouville_class_is_type_I_1",
+    "mt_scan.all_cells_pass", "mt_scan.plus_crossing_at_sharp",
+    "mt_scan.minus_crossing_at_sharp", "asymptotics.gradient_slope",
+    "asymptotics.log_int_plus_slope", "asymptotics.log_int_minus_slope",
+    "asymptotics.mean_slope", "bubble_sweep.slope_matches",
+    "bubble_sweep.grid_adequate", "bubble_sweep.diverges",
+    "solve.coercive_grid_converges", "solve.gradient_fd_consistent",
+]
+VERIFY_ALL_CSVS = ["asymptotics.csv", "bubble-sweep.csv", "mt-scan.csv",
+                   "quantization-table.csv", "radial-sweep.csv", "solution.csv",
+                   "solve.csv"]
+
+
+class TestVerifyAll:
+    def test_thread_independent_csvs_and_check_order(self, tmp_path, monkeypatch, capsys):
+        outs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TZLAB_THREADS", threads)
+            outs[threads] = tmp_path / threads
+            main(["verify-all", "--n", "64", "--out", str(outs[threads])])
+            names = [line.split("verify-all: ", 1)[1]
+                     for line in capsys.readouterr().out.splitlines()]
+            assert names == VERIFY_ALL_CHECKS
+        csvs = sorted(p.name for p in outs["1"].glob("*.csv"))
+        assert csvs == VERIFY_ALL_CSVS
+        for name in csvs:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()

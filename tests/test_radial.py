@@ -3,8 +3,7 @@ import pytest
 
 from tzlab import (MassPair, StepTooLarge, TrajectoryOverflow,
                    classify_mass_pair, dirichlet_alpha, limit_mass_relation,
-                   liouville_bubble, liouville_mass, pohozaev_identity,
-                   pohozaev_residual, pohozaev_residual_profile,
+                   liouville_bubble, liouville_mass, pohozaev_residual_profile,
                    quantization_table, shoot)
 
 
@@ -72,15 +71,18 @@ class TestPohozaev:
     def test_constant_solution_algebra(self):
         # u = 0, h1 = h2 = 1 at r = 1/2: both sides equal 2 pi * 3/8
         p = shoot(0.0, 1.0, 1.0, 1.0, 1e-3)
-        lhs, rhs = pohozaev_identity(p, 0.5)
-        assert lhs == pytest.approx(2.0 * np.pi * 0.375, rel=1e-12)
-        assert rhs == pytest.approx(2.0 * np.pi * 0.375, rel=1e-12)
-        assert abs(pohozaev_residual(p, 0.5)) < 1e-12
+        res, lhs = pohozaev_residual_profile(p)
+        i = 500
+        assert p.r[i] == pytest.approx(0.5)
+        assert lhs[i] == pytest.approx(2.0 * np.pi * 0.375, rel=1e-12)
+        assert lhs[i] - res[i] == pytest.approx(2.0 * np.pi * 0.375, rel=1e-12)
+        assert abs(res[i]) < 1e-12
 
     def test_liouville_relative_residual(self):
         p = shoot(10.0, 1.0, 0.0, 1.0, 1e-4)
-        lhs, _ = pohozaev_identity(p, 1.0)
-        assert abs(pohozaev_residual(p, 1.0)) / lhs < 1e-8
+        res, lhs = pohozaev_residual_profile(p)
+        assert p.r[-1] == pytest.approx(1.0)
+        assert abs(res[-1]) / lhs[-1] < 1e-8
 
     def test_residual_small_everywhere(self):
         p = shoot(8.0, 1.0, 1.0, 1.0, 1e-4)
@@ -95,13 +97,8 @@ class TestPohozaev:
             res = {}
             for step in (1e-3, 5e-4):
                 p = shoot(8.0, 1.0, h2, 1.0, step)
-                res[step] = abs(pohozaev_residual(p, 1.0))
+                res[step] = abs(pohozaev_residual_profile(p)[0][-1])
             assert res[1e-3] / res[5e-4] >= 12.0
-
-    def test_out_of_range(self):
-        p = shoot(0.0, 1.0, 1.0, 0.5, 1e-3)
-        with pytest.raises(ValueError, match="range"):
-            pohozaev_residual(p, 0.7)
 
 
 class TestLimitMassRelation:
