@@ -17,8 +17,9 @@ verify-all          quantization-table, mt-scan, asymptotics and bubble-sweep at
 Outputs are deterministic for a fixed config and seed: CSV floats use the
 shortest round-trip decimal representation and summaries echo the full
 config.  Exit status: 0 all checks passed, 1 usage or configuration
-error, 2 at least one check failed.  TZLAB_THREADS caps internal
-parallelism (0 = auto).
+error, 2 at least one check failed, 3 a numerical failure (an
+exponential integral underflowed or a radial trajectory overflowed).
+TZLAB_THREADS caps internal parallelism (0 = auto).
 
 Config files are INI sections named after the command; keys match the
 long flag names with dashes replaced by underscores.  Flags win over the
@@ -38,17 +39,17 @@ import numpy as np
 
 from . import __version__
 from .descent import DescentConfig, LineSearchStall, NonConvergence, minimize
-from .energy import Params, energy_J, residual_J
+from .energy import ExpUnderflow, Params, energy_J, residual_J
 from .experiments import (DEFAULT_LAMBDAS, alpha_sweep, bubble_energy_sweep,
                           component_asymptotics_sweep, default_join_config,
                           mt_threshold_scan)
-from .radial import (classify_mass_pair, limit_mass_relation,
+from .radial import (TrajectoryOverflow, classify_mass_pair, limit_mass_relation,
                      pohozaev_residual_profile, quantization_table, shoot)
 from .recipes import RecipeError, field_from_recipe
 from .surface import ScalarField, build_grid, integrate
 from .surface import GridError
 
-EXIT_OK, EXIT_USAGE, EXIT_CHECKFAIL = 0, 1, 2
+EXIT_OK, EXIT_USAGE, EXIT_CHECKFAIL, EXIT_NUMERIC = 0, 1, 2, 3
 
 _A1_DEFAULT = tuple(8.0 * np.pi + d for d in (-2.0, 0.0, 2.0))
 _A2_DEFAULT = tuple(4.0 * np.pi + d for d in (-1.0, 0.0, 1.0))
@@ -162,10 +163,18 @@ def _solve_once(params, grid, seed, tol, max_iters):
 
 
 def _write_solution(outdir: Path, args, sol):
-    """solution.csv (row-major field dump, x fastest) and solution.json."""
+    """solution.csv (row-major field dump, x fastest) and solution.json.
+
+    The dump is streamed one grid row at a time; its bytes are those of
+    ``_write_csv(path, ["x", "y", "u"], rows)``.
+    """
     grid = sol.u.grid
-    rows = zip(grid.X.ravel(), grid.Y.ravel(), sol.u.values.ravel())
-    _write_csv(outdir / "solution.csv", ["x", "y", "u"], rows)
+    xs = [repr(x) for x in grid.axis_points.tolist()]
+    with open(outdir / "solution.csv", "w", newline="") as fh:
+        fh.write("x,y,u\r\n")
+        for y, row in zip(grid.axis_points.tolist(), sol.u.values):
+            y = repr(y)
+            fh.write("".join(f"{x},{y},{v!r}\r\n" for x, v in zip(xs, row.tolist())))
     _write_json(outdir / "solution.json", {
         "config": _config_echo(args),
         "versions": _versions(),
@@ -195,6 +204,8 @@ def cmd_solve(args, outdir: Path):
         "energy": sol.energy,
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
+        "energy_evals": sol.energy_evals,
+        "backtracks": sol.backtracks,
     }
     return checks, summary
 
@@ -576,12 +587,12 @@ def main(argv=None) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         checks, extra = args.func(args, outdir)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"tzlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"tzlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ExpUnderflow, TrajectoryOverflow) as exc:
+        print(f"tzlab: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     passed = all(checks.values())
     _write_json(outdir / "summary.json", {
         "command": args.command,

@@ -4,9 +4,18 @@ In the coercive regime (rho1 < 8*pi, rho2 < 4*pi) the energy J_rho is
 bounded below and a direct minimizer solves the equation; this module
 finds it by preconditioned gradient descent with an Armijo line search.
 The default preconditioner applies (-Lap + I)^{-1} spectrally (an H^1
-gradient): the raw L^2 flow is stiff on fine grids.  The iterate is
-projected to zero mean every step -- the energy is shift invariant, so
-this only removes the flat direction from the search.
+gradient): the raw L^2 flow is stiff on fine grids.  The iterate is kept
+at zero mean -- the energy is shift invariant, so this only removes the
+flat direction from the search.
+
+The iterate u is carried together with its half-spectrum transform u^, so
+one iteration costs one real transform pair: an ``rfft2`` of the density
+term g of the residual, r^ = |k|^2 u^ + g^, and an ``irfft2`` of the
+search direction d^.  Norms and the Armijo slope are Parseval sums.  Along
+u + t d the Dirichlet term 1/2 int |grad(u + t d)|^2 = 1/2 (A + 2tB + t^2 C)
+is quadratic in t with coefficients from u^ and d^, so a trial step costs
+no transform, only the two exps of the energy's potential, whose densities
+the accepted step hands on to the next residual.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Params, energy_J, residual_J
-from .surface import ScalarField, integrate, mean, solve_helmholtz
+from .energy import Params, _potential
+from .surface import ScalarField, mean, solve_helmholtz
 
 # Energy decrements below roundoff resolution cannot be certified by the
 # Armijo test; steps predicted to decrease by less than this slack are
@@ -46,13 +55,19 @@ class DescentConfig:
 
 @dataclass
 class Solution:
-    """Converged (or best-so-far) iterate, reported in the zero-mean gauge."""
+    """Converged (or best-so-far) iterate, reported in the zero-mean gauge.
+
+    ``energy_evals`` counts evaluations of the energy (the start and every
+    trial step); ``backtracks`` counts rejected trial steps.
+    """
 
     u: ScalarField
     energy: float
     residual_norm: float
     iterations: int
     converged: bool
+    energy_evals: int
+    backtracks: int
 
 
 class NonConvergence(RuntimeError):
@@ -86,10 +101,6 @@ def precondition_gradient(r: ScalarField) -> ScalarField:
     return solve_helmholtz(r, shift=1.0)
 
 
-def _l2_norm(f: ScalarField) -> float:
-    return float(np.sqrt(integrate(f * f)))
-
-
 def minimize(p: Params, u0: ScalarField, cfg: DescentConfig = DescentConfig()) -> Solution:
     """Minimize J_rho from u0; returns the zero-mean solution.
 
@@ -103,30 +114,56 @@ def minimize(p: Params, u0: ScalarField, cfg: DescentConfig = DescentConfig()) -
             "the energy may be unbounded below and descent may not converge",
             stacklevel=2,
         )
-    u = u0 - mean(u0)
-    e = energy_J(u, p)
-    r = residual_J(u, p)
-    rnorm = _l2_norm(r)
+    grid = p.grid
+    dx2 = grid.dx**2
+    k2 = grid.k2_half
+    # int f g = sum(weight * Re(conj(f^) g^)) over the half spectrum
+    weight = grid.multiplicity / float(grid.n) ** 4
+
+    def inner(fh, gh) -> float:
+        return float(np.vdot(fh, weight * gh).real)
+
+    def residual(uh, g):
+        # the residual has zero mean; its zero mode is pure roundoff
+        k2uh = k2 * uh
+        rh = k2uh + np.fft.rfft2(g)
+        rh[0, 0] = 0.0
+        return k2uh, rh, float(np.sqrt(inner(rh, rh)))
+
+    u = u0.values - mean(u0)
+    uh = np.fft.rfft2(u)
+    pot, g = _potential(u, p, dx2)
+    k2uh, rh, rnorm = residual(uh, g)
+    e = 0.5 * inner(uh, k2uh) + pot
+    evals, backtracks = 1, 0
+
+    def solution(iterations: int, converged: bool) -> Solution:
+        return Solution(ScalarField(grid, u), e, rnorm, iterations, converged,
+                        evals, backtracks)
+
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
-            return Solution(u, e, rnorm, iterations - 1, True)
-        d = -precondition_gradient(r) if cfg.precondition else -r
-        slope = integrate(r * d)
+            return solution(iterations - 1, True)
+        dh = -rh / (k2 + 1.0) if cfg.precondition else -rh
+        d = np.fft.irfft2(dh, s=u.shape)
+        slope = inner(rh, dh)
+        a, b, c = inner(uh, k2uh), inner(k2uh, dh), inner(dh, k2 * dh)
         t = cfg.step0
         guard = _ROUNDOFF_SLACK * (1.0 + abs(e))
         while True:
             u_new = u + t * d
-            u_new = u_new - mean(u_new)
-            e_new = energy_J(u_new, p)
+            pot, g = _potential(u_new, p, dx2)
+            evals += 1
+            e_new = 0.5 * (a + t * (2.0 * b + t * c)) + pot
             if e_new <= e + cfg.armijo_c * t * slope + guard:
                 break
+            backtracks += 1
             t *= cfg.armijo_backtrack
             if t < cfg.min_step:
-                raise LineSearchStall(Solution(u, e, rnorm, iterations, False))
-        u, e = u_new, e_new
-        r = residual_J(u, p)
-        rnorm = _l2_norm(r)
+                raise LineSearchStall(solution(iterations, False))
+        u, uh, e = u_new, uh + t * dh, e_new
+        k2uh, rh, rnorm = residual(uh, g)
     if rnorm <= cfg.tol_residual:
-        return Solution(u, e, rnorm, iterations, True)
-    raise NonConvergence(Solution(u, e, rnorm, iterations, False))
+        return solution(iterations, True)
+    raise NonConvergence(solution(iterations, False))

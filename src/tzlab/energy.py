@@ -12,9 +12,13 @@ whose critical points solve the Tzitzeica mean-field equation
 
 together with the single-exponent functional I_rho, the two-exponent
 Moser-Trudinger deficit (sharp constants 8*pi and 4*pi), and its
-spread-configuration improvement.  All exponential integrals go through a
-log-sum-exp with the max subtracted first: concentrating families push u
-to +-O(100) where naive doubles overflow.  The unknown additive constants
+spread-configuration improvement.  All exponential integrals go through
+one helper, ``_exp_integral``, that subtracts the max exponent before its
+single ``np.exp`` (concentrating families push u to +-O(100), where naive
+doubles overflow), sums, scales by the cell area and returns both the
+log-integral and the normalized density; no scipy is needed.  The exp
+terms of J_rho and their gradient live in ``_potential``, which the
+energy, the residual and the descent share.  The unknown additive constants
 of the inequalities are never estimated; sharpness is probed through
 slopes in log(lambda), which are constant-free.
 """
@@ -24,30 +28,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .surface import ScalarField, grad_norm_sq, laplacian, mean
+
+
+_TINY = float(np.finfo(float).tiny)
 
 
 class ExpUnderflow(ArithmeticError):
     """A stabilized exponential integral underflowed to zero."""
 
 
+def _exp_integral(exponent: np.ndarray, weight, dx2: float):
+    """From one exp: log( sum weight * e^exponent * dx2 ) and the density
+    weight * e^exponent / int weight * e^exponent.
+
+    The max exponent is subtracted before the exp and added back to the log.
+    """
+    shift = exponent.max()
+    density = weight * np.exp(exponent - shift)
+    total = density.sum() * dx2
+    if total == 0.0 or not np.isfinite(total):
+        raise ExpUnderflow("exponential integral underflowed to zero")
+    density /= total
+    return float(shift + np.log(total)), density
+
+
 def _log_integral_exp(exponent: np.ndarray, weight, dx2: float) -> float:
     """log( sum weight * e^exponent * dx2 ), stabilized by the max exponent."""
-    out = logsumexp(exponent, b=weight * dx2)
-    if not np.isfinite(out):
-        raise ExpUnderflow("exponential integral underflowed to zero")
-    return float(out)
+    return _exp_integral(exponent, weight, dx2)[0]
 
 
-def _normalized_density(exponent: np.ndarray, weight, dx2: float) -> np.ndarray:
-    """weight * e^exponent / int weight * e^exponent, computed shift-stably."""
-    w = weight * np.exp(exponent - exponent.max())
-    total = w.sum() * dx2
-    if total == 0.0 or not np.isfinite(total):
-        raise ExpUnderflow("normalizing mass underflowed to zero")
-    return w / total
+def _potential(values: np.ndarray, p: Params, dx2: float):
+    """The exp terms of J_rho at u = values and their L^2 gradient:
+
+        -rho1 (log int h1 e^u - ubar) - rho2/2 (log int h2 e^{-2u} + 2 ubar),
+        -rho1 (h1 e^u / int h1 e^u - 1) + rho2 (h2 e^{-2u} / int h2 e^{-2u} - 1).
+
+    One exp per species serves both.
+    """
+    ubar = float(values.sum() * dx2)
+    log1, f1 = _exp_integral(values, p.h1.values, dx2)
+    log2, f2 = _exp_integral(-2.0 * values, p.h2.values, dx2)
+    value = -p.rho1 * (log1 - ubar) - 0.5 * p.rho2 * (log2 + 2.0 * ubar)
+    return value, -p.rho1 * (f1 - 1.0) + p.rho2 * (f2 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -68,9 +92,13 @@ class Params:
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
         for name in ("h1", "h2"):
-            h = getattr(self, name)
-            if np.min(h.values) <= 0:
+            hmin = np.min(getattr(self, name).values)
+            if hmin <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+            if hmin < _TINY:
+                # subnormal weights lose precision in every normalized density
+                raise ValueError(f"{name} must be at least the smallest normal "
+                                 f"double ({_TINY:.6g})")
         if self.h1.grid != self.h2.grid:
             raise ValueError("h1 and h2 must share a grid")
 
@@ -108,15 +136,7 @@ def energy_J(u: ScalarField, p: Params) -> float:
     Shift invariant: constants added to u cancel between the log-integral
     and the average terms.
     """
-    dx2 = u.grid.dx**2
-    ubar = mean(u)
-    log1 = _log_integral_exp(u.values, p.h1.values, dx2)
-    log2 = _log_integral_exp(-2.0 * u.values, p.h2.values, dx2)
-    return (
-        0.5 * grad_norm_sq(u)
-        - p.rho1 * (log1 - ubar)
-        - 0.5 * p.rho2 * (log2 + 2.0 * ubar)
-    )
+    return 0.5 * grad_norm_sq(u) + _potential(u.values, p, u.grid.dx**2)[0]
 
 
 def residual_J(u: ScalarField, p: Params) -> ScalarField:
@@ -125,12 +145,8 @@ def residual_J(u: ScalarField, p: Params) -> ScalarField:
     Output has zero mean to roundoff (both normalized densities integrate
     to 1 and the Laplacian kills the zero mode).
     """
-    dx2 = u.grid.dx**2
-    f1 = _normalized_density(u.values, p.h1.values, dx2)
-    f2 = _normalized_density(-2.0 * u.values, p.h2.values, dx2)
-    lap = laplacian(u).values
-    res = -lap - p.rho1 * (f1 - 1.0) + p.rho2 * (f2 - 1.0)
-    return ScalarField(u.grid, res)
+    grad = _potential(u.values, p, u.grid.dx**2)[1]
+    return ScalarField(u.grid, grad - laplacian(u).values)
 
 
 def energy_I(u: ScalarField, rho: float, h: ScalarField) -> float:

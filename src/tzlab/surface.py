@@ -6,6 +6,12 @@ spectral: integrals are periodic trapezoid sums (exact for band-limited
 integrands), the Laplacian multiplies Fourier modes by -|k|^2, and the
 Dirichlet energy is a Parseval sum.  The FFT convention is numpy's:
 forward transform unnormalized, inverse scaled by 1/n^2.
+
+Fields are real, so transforms are the real ones (``rfft2``/``irfft2``):
+the half spectrum keeps the x-modes 0..n/2 (axis 1) and every y-mode.
+The dropped x-modes n/2+1..n-1 are complex conjugates of columns
+1..n/2-1, so a Parseval sum over the half spectrum weights each mode by
+its multiplicity: 1 for columns 0 and n/2, 2 for all others.
 """
 
 from __future__ import annotations
@@ -63,10 +69,18 @@ class TorusGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     @cached_property
-    def k2(self) -> np.ndarray:
-        """|k|^2 on the full 2-D mode grid."""
-        KX, KY = np.meshgrid(self.wavenumbers, self.wavenumbers, indexing="xy")
-        return KX**2 + KY**2
+    def k2_half(self) -> np.ndarray:
+        """|k|^2 on the rfft2 half spectrum, shape (n, n/2 + 1)."""
+        kx = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        return kx[None, :] ** 2 + self.wavenumbers[:, None] ** 2
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """How often each half-spectrum column occurs in the full spectrum:
+        1 for columns 0 and n/2, 2 for all others (shape (n/2 + 1,))."""
+        m = np.full(self.n // 2 + 1, 2.0)
+        m[0] = m[-1] = 1.0
+        return m
 
 
 def build_grid(n: int) -> TorusGrid:
@@ -157,8 +171,8 @@ def laplacian(f: ScalarField) -> ScalarField:
 
     The zero mode is annihilated, so the output has zero mean exactly.
     """
-    fh = np.fft.fft2(f.values)
-    out = np.fft.ifft2(-f.grid.k2 * fh).real
+    fh = np.fft.rfft2(f.values)
+    out = np.fft.irfft2(-f.grid.k2_half * fh, s=f.values.shape)
     return ScalarField(f.grid, out)
 
 
@@ -168,9 +182,10 @@ def grad_norm_sq(f: ScalarField) -> float:
     Equals -integrate(f * laplacian(f)) to roundoff; always >= 0 and zero
     iff f is constant.
     """
-    fh = np.fft.fft2(f.values)
-    n = f.grid.n
-    return float(np.sum(f.grid.k2 * (fh.real**2 + fh.imag**2)) / n**4)
+    grid = f.grid
+    fh = np.fft.rfft2(f.values)
+    return float(np.sum(grid.multiplicity * grid.k2_half * (fh.real**2 + fh.imag**2))
+                 / grid.n**4)
 
 
 def solve_helmholtz(f: ScalarField, shift: float = 1.0) -> ScalarField:
@@ -179,9 +194,9 @@ def solve_helmholtz(f: ScalarField, shift: float = 1.0) -> ScalarField:
     The zero mode is divided by ``shift`` (for shift=1 the mode is kept
     as is), so means transform consistently.
     """
-    fh = np.fft.fft2(f.values)
-    gh = fh / (f.grid.k2 + shift)
-    return ScalarField(f.grid, np.fft.ifft2(gh).real)
+    fh = np.fft.rfft2(f.values)
+    gh = fh / (f.grid.k2_half + shift)
+    return ScalarField(f.grid, np.fft.irfft2(gh, s=f.values.shape))
 
 
 def torus_distance(p, q, L: float = 1.0) -> float:

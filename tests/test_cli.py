@@ -1,10 +1,18 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tzlab.cli import EXIT_CHECKFAIL, EXIT_OK, EXIT_USAGE, main
+import tzlab.cli
+from tzlab import ExpUnderflow, ScalarField, Solution, build_grid
+from tzlab.cli import (EXIT_CHECKFAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                       _write_csv, _write_solution, main)
 
 
 def read_csv(path):
@@ -37,6 +45,27 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         assert "--rho1" in capsys.readouterr().err
 
+    def test_subnormal_weight_is_config_error(self, tmp_path, capsys):
+        # the weight's exponential integrals would descend on subnormals
+        rc = main(["solve", "--rho1", "5", "--rho2", "3", "--n", "64",
+                   "--h1", "1e-320", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--h1" in err and "smallest normal" in err
+        assert "Traceback" not in err
+
+    def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        def underflow(*args, **kwargs):
+            raise ExpUnderflow("exponential integral underflowed to zero")
+
+        monkeypatch.setattr(tzlab.cli, "minimize", underflow)
+        rc = main(["solve", "--rho1", "5", "--rho2", "3", "--n", "16",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tzlab: ")
+        assert "underflowed" in err[0]
+
     def test_check_failure_exits_two(self, tmp_path):
         # lambda 400 on a 64-node grid violates the adequacy rule: the sweep
         # is skipped, the check fails
@@ -60,6 +89,25 @@ class TestSolve:
         assert sol["config"]["rho1"] == 12.566
         assert "versions" in sol
 
+    def test_summary_reports_descent_counters(self, tmp_path):
+        main(["solve", "--rho1", "12.566", "--rho2", "6.283", "--n", "32",
+              "--out", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())["summary"]
+        assert summary["energy_evals"] == 1 + summary["iterations"] + summary["backtracks"]
+        assert read_csv(tmp_path / "solution.csv")[0] == ["x", "y", "u"]
+
+    def test_streamed_dump_matches_write_csv(self, tmp_path):
+        grid = build_grid(8)
+        values = np.linspace(-3.0, 3.0, 64).reshape(8, 8)
+        values[0, :5] = [-0.0, 5e-324, 1e-300, 1e300, -1e300]
+        values[3, 3] = 0.1 + 0.2
+        sol = Solution(ScalarField(grid, values), 0.0, 0.0, 0, True, 1, 0)
+        _write_solution(tmp_path, argparse.Namespace(), sol)
+        ref = tmp_path / "ref.csv"
+        _write_csv(ref, ["x", "y", "u"],
+                   zip(grid.X.ravel(), grid.Y.ravel(), values.ravel()))
+        assert (tmp_path / "solution.csv").read_bytes() == ref.read_bytes()
+
     def test_solution_csv_row_major_x_fastest(self, tmp_path):
         main(["solve", "--rho1", "1", "--rho2", "1", "--n", "8",
               "--out", str(tmp_path)])
@@ -80,6 +128,15 @@ class TestSolve:
         assert rc == EXIT_CHECKFAIL
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["checks"]["coercive_regime"] is False
+
+
+class TestImports:
+    def test_cli_import_pulls_no_scipy(self):
+        src = str(Path(tzlab.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import tzlab.cli, sys; "
+                "assert not any(m.startswith('scipy') for m in sys.modules)")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestQuantizationTable:

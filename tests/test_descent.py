@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tzlab import (DescentConfig, LineSearchStall, NonConvergence, Params,
-                   build_grid, constant_field, field_from_function, integrate,
-                   laplacian, mean, minimize, precondition_gradient,
-                   residual_J)
+                   build_grid, constant_field, energy_J, field_from_function,
+                   field_from_recipe, integrate, laplacian, mean, minimize,
+                   precondition_gradient, residual_J)
 
 from conftest import smooth_field
 
@@ -154,3 +154,57 @@ class TestMinimize:
                 u0 = smooth_field(grid, np.random.default_rng(seed), amplitude=0.2)
                 sol = minimize(p, u0, DescentConfig(tol_residual=1e-8))
                 assert sol.converged and sol.residual_norm < 1e-7
+
+
+class TestSpectralIterate:
+    """The descent's tracked transform and Dirichlet quadratic against the
+    energy layer's own evaluators."""
+
+    def test_tracked_state_matches_energy_layer(self, grid64, wavy_params, rng):
+        with pytest.raises(NonConvergence) as info:
+            minimize(wavy_params, smooth_field(grid64, rng, amplitude=0.5),
+                     DescentConfig(max_iters=5, tol_residual=1e-14))
+        sol = info.value.best
+        assert sol.energy == pytest.approx(energy_J(sol.u, wavy_params), rel=1e-12)
+        r = residual_J(sol.u, wavy_params)
+        assert sol.residual_norm == pytest.approx(np.sqrt(integrate(r * r)), rel=1e-12)
+
+    def test_one_transform_pair_per_iteration(self, grid64, wavy_params, rng, monkeypatch):
+        counts = {"rfft2": 0, "irfft2": 0}
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        # the unpreconditioned flow is stiff: most trial steps are rejected
+        with pytest.raises(NonConvergence) as info:
+            minimize(wavy_params, smooth_field(grid64, rng, amplitude=0.5),
+                     DescentConfig(max_iters=8, tol_residual=1e-14, precondition=False))
+        best = info.value.best
+        assert best.backtracks > best.iterations
+        assert best.energy_evals == 1 + best.iterations + best.backtracks
+        # set-up transforms u and the first density term; then one pair per
+        # accepted step, none per backtrack
+        assert counts == {"rfft2": best.iterations + 2, "irfft2": best.iterations}
+
+    def test_coercive_grid_iteration_counts(self):
+        # iteration counts of the 3x3 coercive grid at n=64 from one fixed
+        # start, as the full-spectrum, one-FFT-per-trial descent counted them
+        pinned = {(2, 1): 19, (2, 2): 31, (2, 3): 61, (4, 1): 28, (4, 2): 38,
+                  (4, 3): 67, (6, 1): 55, (6, 2): 71, (6, 3): 111}
+        grid = build_grid(64)
+        h1 = field_from_recipe("1+0.5*cos(2*pi*x)", grid)
+        h2 = field_from_recipe("1+0.5*sin(2*pi*y)", grid)
+        u0 = smooth_field(grid, np.random.default_rng(1000), amplitude=0.2)
+        counts = {}
+        for m1, m2 in pinned:
+            sol = minimize(Params(m1 * np.pi, m2 * np.pi, h1, h2), u0,
+                           DescentConfig(tol_residual=1e-9, max_iters=4000))
+            counts[m1, m2] = sol.iterations
+        assert counts == pinned

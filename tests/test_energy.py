@@ -22,6 +22,13 @@ class TestParams:
         with pytest.raises(ValueError, match="positive"):
             Params(1.0, 1.0, constant_field(grid64, 0.0), one)
 
+    def test_rejects_subnormal_h(self, grid64):
+        one = constant_field(grid64, 1.0)
+        tiny = np.finfo(float).tiny
+        with pytest.raises(ValueError, match="h2 must be at least the smallest normal"):
+            Params(1.0, 1.0, one, constant_field(grid64, tiny / 2))
+        Params(1.0, 1.0, one, constant_field(grid64, tiny))
+
     def test_rejects_negative_rho(self, grid64):
         one = constant_field(grid64, 1.0)
         with pytest.raises(ValueError, match="rho1"):

@@ -184,3 +184,43 @@ class TestTorusDistance:
         i, j = 5, 17
         expected = torus_distance((grid32.X[i, j], grid32.Y[i, j]), point)
         assert d[i, j] == pytest.approx(expected)
+
+
+class TestRealTransforms:
+    """The rfft2 half-spectrum operators against full-fft2 references, on
+    white noise so that the Nyquist modes take part."""
+
+    @pytest.fixture
+    def noise(self, grid64, rng):
+        return ScalarField(grid64, rng.standard_normal((64, 64)))
+
+    @staticmethod
+    def full_k2(grid):
+        kx, ky = np.meshgrid(grid.wavenumbers, grid.wavenumbers, indexing="xy")
+        return kx**2 + ky**2
+
+    def test_half_spectrum_layout(self):
+        g = build_grid(16)
+        assert g.k2_half.shape == (16, 9)
+        assert np.array_equal(g.k2_half, self.full_k2(g)[:, :9])
+        assert g.multiplicity.tolist() == [1.0] + [2.0] * 7 + [1.0]
+
+    def test_parseval_with_multiplicities(self, noise):
+        full = np.sum(np.abs(np.fft.fft2(noise.values)) ** 2)
+        half = np.sum(noise.grid.multiplicity * np.abs(np.fft.rfft2(noise.values)) ** 2)
+        assert half == pytest.approx(full, rel=1e-12)
+
+    def test_laplacian_matches_full_fft(self, noise):
+        ref = np.fft.ifft2(-self.full_k2(noise.grid) * np.fft.fft2(noise.values)).real
+        assert np.abs(laplacian(noise).values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_grad_norm_sq_matches_full_fft(self, noise):
+        fh = np.fft.fft2(noise.values)
+        ref = np.sum(self.full_k2(noise.grid) * np.abs(fh) ** 2) / 64**4
+        assert grad_norm_sq(noise) == pytest.approx(ref, rel=1e-12)
+
+    def test_solve_helmholtz_matches_full_fft(self, noise):
+        for shift in (1.0, 0.25):
+            ref = np.fft.ifft2(np.fft.fft2(noise.values) / (self.full_k2(noise.grid) + shift)).real
+            out = solve_helmholtz(noise, shift=shift).values
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
