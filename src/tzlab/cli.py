@@ -133,7 +133,8 @@ def _build_params(args, grid) -> Params:
     try:
         return Params(args.rho1, args.rho2, h1, h2)
     except ValueError as exc:
-        raise ConfigError(f"--rho1/--rho2/--h1/--h2: {exc}") from exc
+        # Params messages open with the field at fault: "h1 must be ..."
+        raise ConfigError(f"--{str(exc).split()[0]}: {exc}") from exc
 
 
 def _grid_or_config_error(n: int):

@@ -16,9 +16,11 @@ stay finite; we fix delta = 1).  Consequently the energy of the family is
 
 and the Moser-Trudinger deficit along the single-bubble families has slope
 -2 (a1 - 8 pi) (plus family) and -(a2 - 4 pi) (minus family): the sign
-flips exactly at the sharp constants.  Sweeps fit ordinary least squares
-of measured values against log(lambda + 1) and compare with these
-predictions.
+flips exactly at the sharp constants.  Every sweep measures its bubbles
+through one primitive, ``_bubble_components``; J_rho and, with unit
+weights, the deficit are one linear combination of its columns
+(``_energy_sweep``).  Sweeps fit ordinary least squares of measured values
+against log(lambda + 1) and compare with these predictions.
 
 Quadrature adequacy: a bubble core spans ~1/lambda, so sweeps require
 lambda * dx <= 2; above that the result is flagged skipped rather than
@@ -37,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bubbles import JoinConfig, build_bubble
-from .energy import (MTCoefficients, Params, _log_integral_exp, energy_J,
-                     mt_deficit)
+from .energy import Params, _log_integral_exp
 from .radial import (classify_mass_pair, limit_mass_relation,
                      pohozaev_residual_profile, shoot)
 from .surface import TorusGrid, grad_norm_sq, mean
@@ -102,7 +103,11 @@ class SweepResult:
     @classmethod
     def from_values(cls, name, lambdas, values, predicted,
                     rel_bound=REL_SLOPE_BOUND, abs_bound=ABS_SLOPE_BOUND):
+        """Fit and judge values; values None marks a skipped sweep."""
         lambdas = np.asarray(lambdas, dtype=float)
+        if values is None:
+            return cls(name, lambdas, np.full_like(lambdas, np.nan),
+                       float("nan"), float(predicted), float("nan"), False, True)
         if np.any(np.diff(lambdas) <= 0):
             raise ValueError("lambdas must be strictly increasing")
         values = np.asarray(values, dtype=float)
@@ -114,12 +119,6 @@ class SweepResult:
             rel = abs(fitted - predicted) / abs(predicted)
             ok = abs(fitted - predicted) <= max(abs_bound, rel_bound * abs(predicted))
         return cls(name, lambdas, values, fitted, float(predicted), rel, ok)
-
-    @classmethod
-    def skipped_result(cls, name, lambdas, predicted):
-        lambdas = np.asarray(lambdas, dtype=float)
-        return cls(name, lambdas, np.full_like(lambdas, np.nan),
-                   float("nan"), float(predicted), float("nan"), False, True)
 
 
 def quarter_offset_point(grid: TorusGrid, x: float, y: float) -> tuple[float, float]:
@@ -148,28 +147,47 @@ def _predicted_weights(s: float) -> tuple[float, float]:
     return (1.0 if s < 1.0 else 0.0), (1.0 if s > 0.0 else 0.0)
 
 
-def _bubble_components(zeta: JoinConfig, lam: float, grid: TorusGrid):
-    """(half Dirichlet energy, log int e^phi, log int e^{-2 phi}, mean phi)."""
-    phi = build_bubble(zeta, lam, grid)
+def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
+                       h1=1.0, h2=1.0) -> np.ndarray | None:
+    """One row per lambda: (1/2 int |grad phi|^2, log int h1 e^phi,
+    log int h2 e^{-2 phi}, mean phi) of the bubble phi; None when the grid
+    cannot resolve the cores (see grid_adequate)."""
+    if not grid_adequate(grid, lambdas):
+        return None
     dx2 = grid.dx**2
-    return (
-        0.5 * grad_norm_sq(phi),
-        _log_integral_exp(phi.values, 1.0, dx2),
-        _log_integral_exp(-2.0 * phi.values, 1.0, dx2),
-        mean(phi),
-    )
+
+    def row(lam):
+        phi = build_bubble(zeta, lam, grid)
+        return (
+            0.5 * grad_norm_sq(phi),
+            _log_integral_exp(phi.values, h1, dx2),
+            _log_integral_exp(-2.0 * phi.values, h2, dx2),
+            mean(phi),
+        )
+
+    return np.array(parallel_map(row, lambdas))
+
+
+def _energy_sweep(name: str, comps, lambdas, a1: float, a2: float,
+                  predicted: float) -> SweepResult:
+    """J_rho at rho = (a1, a2) along a family, from its component rows;
+    with unit weights this is the Moser-Trudinger deficit with
+    coefficients (a1, a2).  Skipped when comps is None."""
+    values = None
+    if comps is not None:
+        g2, lp, lm, mv = comps.T
+        # centered log integrals: log int e^{u - ubar}, log int e^{-2(u - ubar)}
+        values = g2 - a1 * (lp - mv) - 0.5 * a2 * (lm + 2.0 * mv)
+    return SweepResult.from_values(name, lambdas, values, predicted)
 
 
 def bubble_energy_sweep(zeta: JoinConfig, p: Params, lambdas=DEFAULT_LAMBDAS) -> SweepResult:
     """J_rho along the bubble family; predicted slope
     (16 k pi - 2 rho1) [s<1] + (4 l pi - rho2) [s>0]."""
-    grid = p.grid
     w1, w2 = _predicted_weights(zeta.s)
     predicted = (16.0 * zeta.k * np.pi - 2.0 * p.rho1) * w1 + (4.0 * zeta.l * np.pi - p.rho2) * w2
-    if not grid_adequate(grid, lambdas):
-        return SweepResult.skipped_result("energy", lambdas, predicted)
-    values = parallel_map(lambda lam: energy_J(build_bubble(zeta, lam, grid), p), lambdas)
-    return SweepResult.from_values("energy", lambdas, values, predicted)
+    comps = _bubble_components(zeta, p.grid, lambdas, p.h1.values, p.h2.values)
+    return _energy_sweep("energy", comps, lambdas, p.rho1, p.rho2, predicted)
 
 
 def component_asymptotics_sweep(zeta: JoinConfig, grid: TorusGrid,
@@ -183,13 +201,10 @@ def component_asymptotics_sweep(zeta: JoinConfig, grid: TorusGrid,
         "log_int_minus": 8.0 * w1 - 2.0 * w2,
         "mean": -4.0 * w1 + 2.0 * w2,
     }
-    if not grid_adequate(grid, lambdas):
-        return {name: SweepResult.skipped_result(name, lambdas, pred)
-                for name, pred in predictions.items()}
-    comps = np.array(parallel_map(lambda lam: _bubble_components(zeta, lam, grid), lambdas))
-    columns = dict(zip(("gradient", "log_int_plus", "log_int_minus", "mean"), comps.T))
-    return {name: SweepResult.from_values(name, lambdas, columns[name], pred)
-            for name, pred in predictions.items()}
+    comps = _bubble_components(zeta, grid, lambdas)
+    columns = [None] * len(predictions) if comps is None else comps.T
+    return {name: SweepResult.from_values(name, lambdas, column, pred)
+            for (name, pred), column in zip(predictions.items(), columns)}
 
 
 @dataclass
@@ -233,33 +248,14 @@ def mt_threshold_scan(a1_list, a2_list, grid: TorusGrid,
     """
     a1_list = np.asarray(a1_list, dtype=float)
     a2_list = np.asarray(a2_list, dtype=float)
-    if not grid_adequate(grid, lambdas):
-        empty_p = [[SweepResult.skipped_result("deficit_plus", lambdas, -2.0 * (a1 - 8 * np.pi))
-                    for a2 in a2_list] for a1 in a1_list]
-        empty_m = [[SweepResult.skipped_result("deficit_minus", lambdas, -(a2 - 4 * np.pi))
-                    for a2 in a2_list] for a1 in a1_list]
-        return ThresholdScan(a1_list, a2_list, empty_p, empty_m, None, None, True)
-
-    def family_components(s):
-        zeta = default_join_config(grid, 1, 1, s)
-        comps = np.array(parallel_map(lambda lam: _bubble_components(zeta, lam, grid), lambdas))
-        g2, lp, lm, mv = comps.T
-        # centered log integrals: log int e^{u - ubar}, log int e^{-2(u - ubar)}
-        return g2, lp - mv, lm + 2.0 * mv
-
-    plus_comps = family_components(0.0)
-    minus_comps = family_components(1.0)
-
-    def assemble(comps, a1, a2, name, predicted):
-        g2, log_plus_c, log_minus_c = comps
-        deficits = g2 - a1 * log_plus_c - 0.5 * a2 * log_minus_c
-        return SweepResult.from_values(name, lambdas, deficits, predicted)
-
-    plus = [[assemble(plus_comps, a1, a2, "deficit_plus", -2.0 * (a1 - 8.0 * np.pi))
+    plus_comps = _bubble_components(default_join_config(grid, 1, 1, 0.0), grid, lambdas)
+    minus_comps = _bubble_components(default_join_config(grid, 1, 1, 1.0), grid, lambdas)
+    plus = [[_energy_sweep("deficit_plus", plus_comps, lambdas, a1, a2, -2.0 * (a1 - 8.0 * np.pi))
              for a2 in a2_list] for a1 in a1_list]
-    minus = [[assemble(minus_comps, a1, a2, "deficit_minus", -(a2 - 4.0 * np.pi))
+    minus = [[_energy_sweep("deficit_minus", minus_comps, lambdas, a1, a2, -(a2 - 4.0 * np.pi))
               for a2 in a2_list] for a1 in a1_list]
 
+    # skipped cells have NaN slopes, which never cross
     plus_slopes = [float(np.mean([cell.fitted_slope for cell in row])) for row in plus]
     minus_slopes = [float(np.mean([minus[i][j].fitted_slope for i in range(len(a1_list))]))
                     for j in range(len(a2_list))]
@@ -267,6 +263,7 @@ def mt_threshold_scan(a1_list, a2_list, grid: TorusGrid,
         a1_list, a2_list, plus, minus,
         _sign_crossing(a1_list, plus_slopes),
         _sign_crossing(a2_list, minus_slopes),
+        plus_comps is None,
     )
 
 
@@ -306,18 +303,4 @@ def alpha_sweep(alphas, h1: float = 1.0, h2: float = 1.0,
             family=mp.family, m=mp.m, distance=mp.distance,
         )
 
-    return parallel_map(run, alphas)
-
-
-def mt_deficit_sweep(zeta: JoinConfig, coeffs: MTCoefficients, grid: TorusGrid,
-                     lambdas=DEFAULT_LAMBDAS,
-                     predicted: float | None = None) -> SweepResult:
-    """Deficit values along an arbitrary bubble family (utility probe)."""
-    if predicted is None:
-        w1, w2 = _predicted_weights(zeta.s)
-        predicted = (16.0 * zeta.k * np.pi - 2.0 * coeffs.a1) * w1 \
-            + (4.0 * zeta.l * np.pi - coeffs.a2) * w2
-    if not grid_adequate(grid, lambdas):
-        return SweepResult.skipped_result("deficit", lambdas, predicted)
-    values = parallel_map(lambda lam: mt_deficit(build_bubble(zeta, lam, grid), coeffs), lambdas)
-    return SweepResult.from_values("deficit", lambdas, values, predicted)
+    return [run(alpha) for alpha in alphas]

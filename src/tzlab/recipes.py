@@ -9,13 +9,18 @@ Grammar (whitespace ignored):
            | 'sin' '(' expr ')' | 'cos' '(' expr ')'
            | '(' expr ')'
 
-Numbers are decimal literals (optional fraction and exponent).  A parsed
-recipe evaluates vectorized over coordinate arrays, so recipes stay
-declarative without embedding a scripting runtime.
+Numbers are decimal literals (optional fraction and exponent; as in
+Python, a plain integer takes no leading zero).  The text is parsed by
+Python's ``ast`` module and checked against this grammar node by node,
+down to a fixed nesting depth; it is never executed.  The checked tree
+becomes a callable evaluated vectorized over coordinate arrays, so recipes
+stay declarative without embedding a scripting runtime.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 
 import numpy as np
@@ -27,103 +32,64 @@ class RecipeError(ValueError):
     """Malformed recipe text."""
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)|([A-Za-z_]+)|([()+\-*]))")
+_STRAY = re.compile(r"[^0-9A-Za-z_.+\-*()\s]")
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_FUNCS = {"sin": np.sin, "cos": np.cos}
+_MAX_DEPTH = 200
+_TOO_DEEP = f"recipe nested deeper than {_MAX_DEPTH} levels"
 
 
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise RecipeError(f"unexpected character {text[pos]!r} at position {pos}")
-        number, name, op = m.groups()
-        if number is not None:
-            out.append(("num", float(number)))
-        elif name is not None:
-            out.append(("name", name))
-        else:
-            out.append(("op", op))
-        pos = m.end()
-    out.append(("end", None))
-    return out
+def _constant(v):
+    return lambda x, y: np.full_like(x, v) if hasattr(x, "shape") else v
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": _constant(np.pi)}
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise RecipeError(f"expected {op!r}, got {val!r}")
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = (lambda a, b: (lambda x, y: a(x, y) + b(x, y)))(node, rhs) if op == "+" \
-                else (lambda a, b: (lambda x, y: a(x, y) - b(x, y)))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*"):
-            self.take()
-            rhs = self.unary()
-            node = (lambda a, b: (lambda x, y: a(x, y) * b(x, y)))(node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.unary()
-            return lambda x, y: -inner(x, y)
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return lambda x, y, v=val: np.full_like(x, v) if hasattr(x, "shape") else v
-        if kind == "name":
-            if val == "pi":
-                return lambda x, y: np.full_like(x, np.pi) if hasattr(x, "shape") else np.pi
-            if val == "x":
-                return lambda x, y: x
-            if val == "y":
-                return lambda x, y: y
-            if val in ("sin", "cos"):
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                fn = np.sin if val == "sin" else np.cos
-                return lambda x, y: fn(inner(x, y))
-            raise RecipeError(f"unknown name {val!r} (allowed: x, y, pi, sin, cos)")
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise RecipeError(f"unexpected token {val!r}")
+def _build(node, source: str, depth: int):
+    """The callable of a grammar node; RecipeError for anything else."""
+    if depth > _MAX_DEPTH:
+        raise RecipeError(_TOO_DEEP)
+    depth += 1
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op = _BINOPS[type(node.op)]
+        a, b = _build(node.left, source, depth), _build(node.right, source, depth)
+        return lambda x, y: op(a(x, y), b(x, y))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _build(node.operand, source, depth)
+        return lambda x, y: -inner(x, y)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        literal = ast.get_source_segment(source, node)
+        if _NUMBER.fullmatch(literal):
+            return _constant(float(literal))
+        raise RecipeError(f"not a decimal literal: {literal!r}")
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+        fn, inner = _FUNCS[node.func.id], _build(node.args[0], source, depth)
+        return lambda x, y: fn(inner(x, y))
+    raise RecipeError(f"not in the recipe grammar: {ast.get_source_segment(source, node)!r} "
+                      "(allowed: numbers, x, y, pi, sin, cos, + - *, parentheses)")
 
 
 def parse_recipe(text: str):
     """Compile recipe text into a callable f(x, y) vectorized over arrays."""
     if not text or not text.strip():
         raise RecipeError("empty recipe")
-    parser = _Parser(_tokenize(text))
-    fn = parser.expr()
-    if parser.peek() != ("end", None):
-        raise RecipeError(f"trailing input starting at token {parser.peek()[1]!r}")
-    return fn
+    stray = _STRAY.search(text)
+    if stray:
+        raise RecipeError(f"unexpected character {stray.group()!r} at position {stray.start()}")
+    # one line: Python would reject line breaks and leading indentation
+    source = " ".join(text.split())
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise RecipeError(f"malformed recipe: {exc.msg}") from None
+    except RecursionError:
+        raise RecipeError(_TOO_DEEP) from None
+    return _build(tree.body, source, 0)
 
 
 def field_from_recipe(text: str, grid: TorusGrid) -> ScalarField:

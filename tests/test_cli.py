@@ -54,6 +54,25 @@ class TestExitCodes:
         assert "--h1" in err and "smallest normal" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,value", [("--h1", "1e-320"), ("--rho1", "-1")])
+    def test_params_rejection_names_its_flag(self, tmp_path, capsys, flag, value):
+        rc = main(["solve", "--rho1", "5", "--rho2", "3", "--n", "16",
+                   f"{flag}={value}", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"tzlab: {flag}: ")
+        assert [f for f in ("--rho1", "--rho2", "--h1", "--h2") if f in err] == [flag]
+
+    @pytest.mark.parametrize("recipe", ["(" * 400 + "1" + ")" * 400, "-" * 3000 + "1",
+                                        "+".join(["x"] * 3000)],
+                             ids=["parentheses", "unary-minus", "long-sum"])
+    def test_deep_recipe_is_config_error(self, tmp_path, capsys, recipe):
+        rc = main(["solve", "--rho1", "5", "--rho2", "3", "--n", "16",
+                   "--h1=" + recipe, "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tzlab: --h1: ")
+
     def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         def underflow(*args, **kwargs):
             raise ExpUnderflow("exponential integral underflowed to zero")

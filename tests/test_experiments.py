@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tzlab import (Params, build_grid, bubble_energy_sweep,
-                   component_asymptotics_sweep, constant_field,
-                   default_join_config, alpha_sweep, fit_slope, grid_adequate,
-                   mt_threshold_scan, parallel_map, SweepResult)
+from tzlab import (MTCoefficients, Params, build_bubble, build_grid,
+                   bubble_energy_sweep, component_asymptotics_sweep,
+                   constant_field, default_join_config, alpha_sweep, energy_J,
+                   field_from_recipe, fit_slope, grad_norm_sq, grid_adequate,
+                   mt_deficit, mt_threshold_scan, parallel_map, SweepResult)
 from tzlab.experiments import thread_count
 
 
@@ -140,13 +141,46 @@ class TestBubbleEnergySweep:
 
 class TestDeficitSweep:
     def test_plus_family_slope(self):
-        from tzlab import MTCoefficients, mt_deficit_sweep
+        # with unit weights J_rho is the MT deficit at (a1, a2) = (rho1, rho2)
         g = build_grid(128)
+        one = constant_field(g, 1.0)
         zeta = default_join_config(g, 1, 1, 0.0)
-        res = mt_deficit_sweep(zeta, MTCoefficients(8 * np.pi + 2, 0.0), g,
-                               (25.0, 50.0, 100.0, 200.0))
+        res = bubble_energy_sweep(zeta, Params(8 * np.pi + 2, 0.0, one, one),
+                                  (25.0, 50.0, 100.0, 200.0))
         assert res.predicted_slope == pytest.approx(-4.0)
         assert abs(res.fitted_slope - res.predicted_slope) <= 0.5
+
+
+class TestComponentPrimitive:
+    """The sweeps' linear combinations against the reference functionals."""
+
+    LAMBDAS = (25.0, 50.0, 100.0)
+
+    def test_energy_sweep_matches_energy_J(self):
+        g = build_grid(128)
+        h1 = field_from_recipe("1+0.5*cos(2*pi*x)", g)
+        h2 = field_from_recipe("1+0.5*sin(2*pi*y)", g)
+        p = Params(40.0, 10.0, h1, h2)
+        zeta = default_join_config(g, 1, 1, 0.3)
+        res = bubble_energy_sweep(zeta, p, self.LAMBDAS)
+        ref = [energy_J(build_bubble(zeta, lam, g), p) for lam in self.LAMBDAS]
+        np.testing.assert_allclose(res.values, ref, rtol=1e-13, atol=0.0)
+
+    def test_threshold_cells_match_mt_deficit(self):
+        g = build_grid(128)
+        a1 = (8 * np.pi - 2, 8 * np.pi + 2)
+        a2 = (4 * np.pi - 1, 4 * np.pi + 1)
+        scan = mt_threshold_scan(a1, a2, g, self.LAMBDAS)
+        for cells, s in ((scan.plus, 0.0), (scan.minus, 1.0)):
+            zeta = default_join_config(g, 1, 1, s)
+            bubbles = [build_bubble(zeta, lam, g) for lam in self.LAMBDAS]
+            # deficits near zero cancel O(10) terms: bound the error by those
+            scale = max(0.5 * grad_norm_sq(phi) for phi in bubbles)
+            for i, c1 in enumerate(a1):
+                for j, c2 in enumerate(a2):
+                    ref = [mt_deficit(phi, MTCoefficients(c1, c2)) for phi in bubbles]
+                    np.testing.assert_allclose(cells[i][j].values, ref,
+                                               rtol=0.0, atol=1e-13 * scale)
 
 
 class TestThresholdScan:
