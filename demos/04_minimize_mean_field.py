@@ -9,8 +9,8 @@ iteration count at every resolution.
 
 import numpy as np
 
-from tzlab import (DescentConfig, Params, ScalarField, build_grid,
-                   field_from_function, integrate, minimize, residual_J)
+from tzlab import (Params, ScalarField, build_grid, field_from_function,
+                   integrate, minimize, residual_J)
 
 rng = np.random.default_rng(1)
 
@@ -20,7 +20,7 @@ for n in (64, 128):
     h2 = field_from_function(grid, lambda x, y: 1 + 0.5 * np.sin(2 * np.pi * y))
     p = Params(4 * np.pi, 2 * np.pi, h1, h2)
     u0 = ScalarField(grid, 0.1 * rng.standard_normal((n, n)))
-    sol = minimize(p, u0, DescentConfig(tol_residual=1e-9))
+    sol = minimize(p, u0, tol_residual=1e-9)
     r = residual_J(sol.u, p)
     print(f"n={n:4d}: converged={sol.converged}  iterations={sol.iterations:3d}  "
           f"energy={sol.energy:.8f}  |residual|_L2={np.sqrt(integrate(r * r)):.2e}  "

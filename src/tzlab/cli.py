@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .descent import DescentConfig, LineSearchStall, NonConvergence, minimize
+from .descent import LineSearchStall, NonConvergence, minimize
 from .energy import ExpUnderflow, Params, energy_J, residual_J
 from .experiments import (DEFAULT_LAMBDAS, alpha_sweep, bubble_energy_sweep,
                           component_asymptotics_sweep, default_join_config,
@@ -154,10 +154,9 @@ def _random_start(grid, seed: float, amplitude: float = 0.1) -> ScalarField:
 
 
 def _solve_once(params, grid, seed, tol, max_iters):
-    cfg = DescentConfig(max_iters=max_iters, tol_residual=tol)
     u0 = _random_start(grid, seed)
     try:
-        sol = minimize(params, u0, cfg)
+        sol = minimize(params, u0, max_iters=max_iters, tol_residual=tol)
     except (NonConvergence, LineSearchStall) as exc:
         sol = exc.best
     return sol

@@ -3,10 +3,10 @@
 In the coercive regime (rho1 < 8*pi, rho2 < 4*pi) the energy J_rho is
 bounded below and a direct minimizer solves the equation; this module
 finds it by preconditioned gradient descent with an Armijo line search.
-The default preconditioner applies (-Lap + I)^{-1} spectrally (an H^1
-gradient): the raw L^2 flow is stiff on fine grids.  The iterate is kept
-at zero mean -- the energy is shift invariant, so this only removes the
-flat direction from the search.
+The search direction is the H^1 gradient -(-Lap + I)^{-1} r, applied
+spectrally as -r^/(|k|^2 + 1): the raw L^2 flow is stiff on fine grids.
+The iterate is kept at zero mean -- the energy is shift invariant, so this
+only removes the flat direction from the search.
 
 The iterate u is carried together with its half-spectrum transform u^, so
 one iteration costs one real transform pair: an ``rfft2`` of the density
@@ -26,31 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import Params, _potential
-from .surface import ScalarField, mean, solve_helmholtz
+from .surface import ScalarField, mean
 
 # Energy decrements below roundoff resolution cannot be certified by the
 # Armijo test; steps predicted to decrease by less than this slack are
 # accepted on the strength of the descent direction alone.
 _ROUNDOFF_SLACK = 1e-13
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    max_iters: int = 2000
-    tol_residual: float = 1e-9
-    step0: float = 1.0
-    armijo_c: float = 1e-4
-    armijo_backtrack: float = 0.5
-    precondition: bool = True
-    min_step: float = 1e-13
-
-    def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.armijo_backtrack < 1.0:
-            raise ValueError("armijo_backtrack must lie in (0, 1)")
+# Armijo line search: first step, decrease constant, backtrack factor, stall step.
+_STEP0 = 1.0
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-13
 
 
 @dataclass
@@ -92,22 +78,17 @@ class LineSearchStall(RuntimeError):
         self.best = best
 
 
-def precondition_gradient(r: ScalarField) -> ScalarField:
-    """H^1 preconditioner: spectral solve of (-Lap + I) g = r.
-
-    Exact on the grid; the zero mode is divided by 1, so the mean of r is
-    preserved.
-    """
-    return solve_helmholtz(r, shift=1.0)
-
-
-def minimize(p: Params, u0: ScalarField, cfg: DescentConfig = DescentConfig()) -> Solution:
+def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
+             tol_residual: float = 1e-9) -> Solution:
     """Minimize J_rho from u0; returns the zero-mean solution.
 
     The energy sequence is nonincreasing (Armijo-enforced, up to roundoff
-    resolution).  Raises NonConvergence or LineSearchStall carrying the
-    best iterate when the tolerance is not met.
+    resolution).  Raises NonConvergence (after max_iters iterations) or
+    LineSearchStall carrying the best iterate when the residual norm stays
+    above tol_residual.
     """
+    if tol_residual <= 0:
+        raise ValueError("tol_residual must be positive")
     if not p.coercive:
         warnings.warn(
             "rho outside the coercive region (rho1 < 8*pi, rho2 < 4*pi): "
@@ -142,28 +123,28 @@ def minimize(p: Params, u0: ScalarField, cfg: DescentConfig = DescentConfig()) -
                         evals, backtracks)
 
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        if rnorm <= cfg.tol_residual:
+    for iterations in range(1, max_iters + 1):
+        if rnorm <= tol_residual:
             return solution(iterations - 1, True)
-        dh = -rh / (k2 + 1.0) if cfg.precondition else -rh
+        dh = -rh / (k2 + 1.0)
         d = np.fft.irfft2(dh, s=u.shape)
         slope = inner(rh, dh)
         a, b, c = inner(uh, k2uh), inner(k2uh, dh), inner(dh, k2 * dh)
-        t = cfg.step0
+        t = _STEP0
         guard = _ROUNDOFF_SLACK * (1.0 + abs(e))
         while True:
             u_new = u + t * d
             pot, g = _potential(u_new, p, dx2)
             evals += 1
             e_new = 0.5 * (a + t * (2.0 * b + t * c)) + pot
-            if e_new <= e + cfg.armijo_c * t * slope + guard:
+            if e_new <= e + _ARMIJO_C * t * slope + guard:
                 break
             backtracks += 1
-            t *= cfg.armijo_backtrack
-            if t < cfg.min_step:
+            t *= _BACKTRACK
+            if t < _MIN_STEP:
                 raise LineSearchStall(solution(iterations, False))
         u, uh, e = u_new, uh + t * dh, e_new
         k2uh, rh, rnorm = residual(uh, g)
-    if rnorm <= cfg.tol_residual:
+    if rnorm <= tol_residual:
         return solution(iterations, True)
     raise NonConvergence(solution(iterations, False))

@@ -101,9 +101,8 @@ class SweepResult:
     skipped: bool = False
 
     @classmethod
-    def from_values(cls, name, lambdas, values, predicted,
-                    rel_bound=REL_SLOPE_BOUND, abs_bound=ABS_SLOPE_BOUND):
-        """Fit and judge values; values None marks a skipped sweep."""
+    def from_values(cls, name, lambdas, values, predicted):
+        """Fit and judge values against the slope bounds; values None marks a skipped sweep."""
         lambdas = np.asarray(lambdas, dtype=float)
         if values is None:
             return cls(name, lambdas, np.full_like(lambdas, np.nan),
@@ -114,10 +113,10 @@ class SweepResult:
         fitted = fit_slope(lambdas, values)
         if predicted == 0.0:
             rel = abs(fitted)
-            ok = abs(fitted) <= abs_bound
+            ok = abs(fitted) <= ABS_SLOPE_BOUND
         else:
             rel = abs(fitted - predicted) / abs(predicted)
-            ok = abs(fitted - predicted) <= max(abs_bound, rel_bound * abs(predicted))
+            ok = abs(fitted - predicted) <= max(ABS_SLOPE_BOUND, REL_SLOPE_BOUND * abs(predicted))
         return cls(name, lambdas, values, fitted, float(predicted), rel, ok)
 
 
@@ -283,8 +282,7 @@ class AlphaRow:
 
 
 def alpha_sweep(alphas, h1: float = 1.0, h2: float = 1.0,
-                r_max: float = 1.0, step: float = 1e-4,
-                classify_tol: float = 0.05) -> list[AlphaRow]:
+                r_max: float = 1.0, step: float = 1e-4) -> list[AlphaRow]:
     """Shoot for each alpha and report end masses, identity checks and
     classification; per-row failures are recorded and the sweep continues."""
 
@@ -296,7 +294,7 @@ def alpha_sweep(alphas, h1: float = 1.0, h2: float = 1.0,
         res, lhs = pohozaev_residual_profile(prof)
         rel = float(np.max(np.abs(res[1:]) / (1.0 + np.abs(lhs[1:]))))
         s1, s2 = float(prof.sigma1[-1]), float(prof.sigma2[-1])
-        mp = classify_mass_pair(s1, s2, classify_tol)
+        mp = classify_mass_pair(s1, s2)
         return AlphaRow(
             alpha=float(alpha), sigma1=s1, sigma2=s2, pohozaev_max_rel=rel,
             relation=float(limit_mass_relation(s1, s2)),

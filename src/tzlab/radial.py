@@ -186,6 +186,17 @@ def _family_pair(family: str, m: int) -> tuple[int, int]:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _lattice(m_lo: int, m_hi: int):
+    """(pair, key, family, m) of both families for m_lo <= m <= m_hi, minus the origin
+    and negative pairs; key = (|m|, family rank, m) breaks ties."""
+    for m in range(m_lo, m_hi + 1):
+        for fam_rank, family in enumerate(("I", "II")):
+            pair = _family_pair(family, m)
+            if pair == (0, 0) or pair[0] < 0 or pair[1] < 0:
+                continue
+            yield pair, (abs(m), fam_rank, m), family, m
+
+
 def quantization_table(m_min: int, m_max: int) -> list[MassPair]:
     """Admissible blow-up mass pairs for lattice parameters m_min..m_max.
 
@@ -198,14 +209,9 @@ def quantization_table(m_min: int, m_max: int) -> list[MassPair]:
     if m_min > m_max:
         raise ValueError("m_min must not exceed m_max")
     chosen: dict[tuple[int, int], tuple[tuple[int, int, int], str, int]] = {}
-    for m in range(int(m_min), int(m_max) + 1):
-        for fam_rank, family in enumerate(("I", "II")):
-            pair = _family_pair(family, m)
-            if pair == (0, 0) or pair[0] < 0 or pair[1] < 0:
-                continue
-            key = (abs(m), fam_rank, m)
-            if pair not in chosen or key < chosen[pair][0]:
-                chosen[pair] = (key, family, m)
+    for pair, key, family, m in _lattice(int(m_min), int(m_max)):
+        if pair not in chosen or key < chosen[pair][0]:
+            chosen[pair] = (key, family, m)
     table = [
         MassPair(pair[0], pair[1], fam, m, 0.0)
         for pair, (_, fam, m) in chosen.items()
@@ -224,17 +230,10 @@ def classify_mass_pair(sigma1: float, sigma2: float, tol: float = 0.05) -> MassP
     """
     top = max(abs(sigma1), abs(sigma2), 1.0)
     m_span = int(math.ceil(math.sqrt(top))) + 2
-    best = None
-    for m in range(-m_span, m_span + 1):
-        for fam_rank, family in enumerate(("I", "II")):
-            pair = _family_pair(family, m)
-            if pair == (0, 0) or pair[0] < 0 or pair[1] < 0:
-                continue
-            dist = max(abs(sigma1 - pair[0]), abs(sigma2 - pair[1]))
-            key = (dist, abs(m), fam_rank, m)
-            if best is None or key < best[0]:
-                best = (key, family, m, dist)
-    _, family, m, dist = best
+    key, family, m = min(
+        ((max(abs(sigma1 - pair[0]), abs(sigma2 - pair[1])), *key), family, m)
+        for pair, key, family, m in _lattice(-m_span, m_span))
+    dist = key[0]
     if dist <= tol:
         return MassPair(sigma1, sigma2, family, m, dist)
     return MassPair(sigma1, sigma2, None, None, dist)
@@ -251,13 +250,14 @@ def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float],
     lo, hi = float(bracket[0]), float(bracket[1])
 
     def boundary(alpha):
-        return shoot(alpha, h1, h2, r_max, step).u[-1]
+        prof = shoot(alpha, h1, h2, r_max, step)
+        return prof.u[-1], prof
 
-    f_lo, f_hi = boundary(lo), boundary(hi)
+    (f_lo, p_lo), (f_hi, p_hi) = boundary(lo), boundary(hi)
     if f_lo == 0.0:
-        return lo, shoot(lo, h1, h2, r_max, step)
+        return lo, p_lo
     if f_hi == 0.0:
-        return hi, shoot(hi, h1, h2, r_max, step)
+        return hi, p_hi
     if f_lo * f_hi > 0:
         raise ValueError(
             f"bracket {bracket} does not straddle u(r_max)=0: "
@@ -265,9 +265,9 @@ def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float],
         )
     for _ in range(max_bisect):
         mid = 0.5 * (lo + hi)
-        f_mid = boundary(mid)
+        f_mid, p_mid = boundary(mid)
         if abs(f_mid) < tol or hi - lo < tol:
-            return mid, shoot(mid, h1, h2, r_max, step)
+            return mid, p_mid
         if f_lo * f_mid <= 0:
             hi, f_hi = mid, f_mid
         else:

@@ -41,7 +41,8 @@ _TOO_DEEP = f"recipe nested deeper than {_MAX_DEPTH} levels"
 
 
 def _constant(v):
-    return lambda x, y: np.full_like(x, v) if hasattr(x, "shape") else v
+    # float64 whatever the dtype of x: an int grid must not truncate 0.5
+    return lambda x, y: np.full(np.shape(x), v) if hasattr(x, "shape") else v
 
 
 _NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": _constant(np.pi)}

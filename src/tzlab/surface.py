@@ -28,27 +28,24 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid on the unit-area square torus.
+    """Uniform periodic grid on the unit-area square torus [0,1)^2.
 
-    ``n`` nodes per axis, side length ``L = 1`` so that the total area
+    ``n`` nodes per axis and spacing ``dx = 1/n``, so the total area
     ``n^2 * dx^2`` is exactly 1.  Node coordinates are ``j / n`` for
     ``j = 0..n-1``; the grid owns its spectral wavenumbers.
     """
 
     n: int
-    L: float = 1.0
 
     def __post_init__(self):
         if self.n % 2 != 0:
             raise GridError("n must be even")
         if self.n < 8:
             raise GridError("n must be at least 8")
-        if self.L != 1.0:
-            raise GridError("side length is fixed at 1 (unit-area torus)")
 
     @property
     def dx(self) -> float:
-        return self.L / self.n
+        return 1.0 / self.n
 
     @cached_property
     def axis_points(self) -> np.ndarray:
@@ -93,8 +90,8 @@ class ScalarField:
     """Real scalar function sampled on a TorusGrid.
 
     The discrete stand-in for u in H^1(M).  Field algebra (add, subtract,
-    scale, negate, pointwise exp) returns new fields on the same grid;
-    values are always finite float64.
+    scale, negate) returns new fields on the same grid; values are always
+    finite float64.
     """
 
     grid: TorusGrid
@@ -137,12 +134,6 @@ class ScalarField:
     def __neg__(self):
         return self._like(-self.values)
 
-    def exp(self) -> "ScalarField":
-        return self._like(np.exp(self.values))
-
-    def copy(self) -> "ScalarField":
-        return self._like(self.values.copy())
-
 
 def constant_field(grid: TorusGrid, c: float) -> ScalarField:
     return ScalarField(grid, np.full((grid.n, grid.n), float(c)))
@@ -163,7 +154,7 @@ def integrate(f: ScalarField) -> float:
 
 def mean(f: ScalarField) -> float:
     """Average of f; equals integrate(f) because the area is 1."""
-    return integrate(f) / (f.grid.L**2)
+    return integrate(f)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -188,23 +179,12 @@ def grad_norm_sq(f: ScalarField) -> float:
                  / grid.n**4)
 
 
-def solve_helmholtz(f: ScalarField, shift: float = 1.0) -> ScalarField:
-    """Spectral solve of (-Lap + shift) g = f; exact on the grid.
-
-    The zero mode is divided by ``shift`` (for shift=1 the mode is kept
-    as is), so means transform consistently.
-    """
-    fh = np.fft.rfft2(f.values)
-    gh = fh / (f.grid.k2_half + shift)
-    return ScalarField(f.grid, np.fft.irfft2(gh, s=f.values.shape))
-
-
-def torus_distance(p, q, L: float = 1.0) -> float:
-    """Geodesic distance of the flat torus: per-axis wrapped differences."""
+def torus_distance(p, q) -> float:
+    """Geodesic distance of the unit torus: per-axis wrapped differences."""
     d = 0.0
     for a, b in zip(p, q):
-        t = abs(a - b) % L
-        t = min(t, L - t)
+        t = abs(a - b) % 1.0
+        t = min(t, 1.0 - t)
         d += t * t
     return float(np.sqrt(d))
 
@@ -216,8 +196,8 @@ def distance_field(grid: TorusGrid, point) -> np.ndarray:
     translates; on the square torus the axes decouple.
     """
     px, py = point
-    dxv = np.abs(grid.X - px) % grid.L
-    dyv = np.abs(grid.Y - py) % grid.L
-    dxv = np.minimum(dxv, grid.L - dxv)
-    dyv = np.minimum(dyv, grid.L - dyv)
+    dxv = np.abs(grid.X - px) % 1.0
+    dyv = np.abs(grid.Y - py) % 1.0
+    dxv = np.minimum(dxv, 1.0 - dxv)
+    dyv = np.minimum(dyv, 1.0 - dyv)
     return np.sqrt(dxv**2 + dyv**2)

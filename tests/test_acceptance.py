@@ -15,7 +15,7 @@ from tzlab import (Params, bubble_energy_sweep, build_grid,
                    field_from_recipe, integrate, limit_mass_relation,
                    minimize, mt_threshold_scan, pohozaev_residual_profile,
                    quantization_table, residual_J,
-                   shoot, DescentConfig, NonConvergence, LineSearchStall)
+                   shoot, NonConvergence, LineSearchStall)
 from tzlab.cli import EXIT_OK, main as cli_main
 
 from conftest import smooth_field
@@ -160,7 +160,7 @@ def test_criterion_7_coercive_existence():
             for seed in range(3):
                 u0 = smooth_field(grid, np.random.default_rng(1000 + seed), amplitude=0.2)
                 try:
-                    sol = minimize(p, u0, DescentConfig(tol_residual=1e-9, max_iters=4000))
+                    sol = minimize(p, u0, tol_residual=1e-9, max_iters=4000)
                 except (NonConvergence, LineSearchStall) as exc:
                     sol = exc.best
                 worst_res = max(worst_res, sol.residual_norm)

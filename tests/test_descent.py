@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tzlab import (DescentConfig, LineSearchStall, NonConvergence, Params,
-                   build_grid, constant_field, energy_J, field_from_function,
-                   field_from_recipe, integrate, laplacian, mean, minimize,
-                   precondition_gradient, residual_J)
+from tzlab import (LineSearchStall, NonConvergence, Params, build_grid,
+                   constant_field, energy_J, field_from_function,
+                   field_from_recipe, integrate, mean, minimize, residual_J)
+from tzlab import descent
 
 from conftest import smooth_field
 
@@ -22,28 +22,10 @@ def wavy_params(grid64):
     return Params(4.0 * np.pi, 2.0 * np.pi, h1, h2)
 
 
-class TestPreconditioner:
-    def test_zero(self, grid64):
-        out = precondition_gradient(constant_field(grid64, 0.0))
-        assert np.abs(out.values).max() == 0.0
-
-    def test_single_mode(self, grid64):
-        r = field_from_function(grid64, lambda x, y: np.cos(2 * np.pi * x))
-        out = precondition_gradient(r)
-        target = r.values / (4.0 * np.pi**2 + 1.0)
-        assert np.abs(out.values - target).max() < 1e-10 * np.abs(target).max()
-
-    def test_round_trip(self, grid64, rng):
-        r = smooth_field(grid64, rng)
-        g = precondition_gradient(r)
-        back = (-laplacian(g) + g).values
-        assert np.abs(back - r.values).max() < 1e-10
-
-
 class TestMinimize:
     def test_constant_h_converges_to_zero(self, grid64, unit_params, rng):
         u0 = smooth_field(grid64, rng, amplitude=0.1)
-        sol = minimize(unit_params, u0, DescentConfig(tol_residual=1e-10))
+        sol = minimize(unit_params, u0, tol_residual=1e-10)
         assert sol.converged
         assert sol.residual_norm < 1e-10
         assert np.abs(sol.u.values).max() < 1e-6
@@ -51,13 +33,13 @@ class TestMinimize:
     def test_pure_dirichlet(self, grid64, rng):
         one = constant_field(grid64, 1.0)
         p = Params(0.0, 0.0, one, one)
-        sol = minimize(p, smooth_field(grid64, rng), DescentConfig(tol_residual=1e-10))
+        sol = minimize(p, smooth_field(grid64, rng), tol_residual=1e-10)
         assert sol.converged
         assert np.abs(sol.u.values).max() < 1e-8
 
     def test_nonconstant_h_solution(self, wavy_params, grid64, rng):
         sol = minimize(wavy_params, smooth_field(grid64, rng, amplitude=0.1),
-                       DescentConfig(tol_residual=1e-9))
+                       tol_residual=1e-9)
         assert sol.converged
         assert sol.residual_norm < 1e-8
         assert np.abs(sol.u.values).max() > 1e-3  # genuinely nonconstant
@@ -87,7 +69,7 @@ class TestMinimize:
     def test_stationarity_certificate(self, grid64, wavy_params, rng):
         tol = 1e-9
         sol = minimize(wavy_params, smooth_field(grid64, rng, amplitude=0.1),
-                       DescentConfig(tol_residual=tol))
+                       tol_residual=tol)
         r = residual_J(sol.u, wavy_params)
         for _ in range(10):
             v = smooth_field(grid64, rng)
@@ -101,7 +83,7 @@ class TestMinimize:
         energies = []
         for cap in range(1, 12):
             try:
-                sol = minimize(wavy_params, u0, DescentConfig(max_iters=cap, tol_residual=1e-14))
+                sol = minimize(wavy_params, u0, max_iters=cap, tol_residual=1e-14)
             except NonConvergence as exc:
                 sol = exc.best
             energies.append(sol.energy)
@@ -111,19 +93,20 @@ class TestMinimize:
     def test_nonconvergence_carries_best_iterate(self, grid64, wavy_params, rng):
         with pytest.raises(NonConvergence) as info:
             minimize(wavy_params, smooth_field(grid64, rng),
-                     DescentConfig(max_iters=2, tol_residual=1e-12))
+                     max_iters=2, tol_residual=1e-12)
         best = info.value.best
         assert best.iterations == 2
         assert not best.converged
         assert np.isfinite(best.energy)
 
-    def test_line_search_stall(self, grid64, rng):
+    def test_line_search_stall(self, grid64, rng, monkeypatch):
         one = constant_field(grid64, 1.0)
         p = Params(0.0, 0.0, one, one)
-        cfg = DescentConfig(step0=1e6, min_step=1e5, armijo_backtrack=0.5,
-                            precondition=False, tol_residual=1e-14)
+        # every trial step from 1e6 down to 1e5 overshoots the quadratic
+        monkeypatch.setattr(descent, "_STEP0", 1e6)
+        monkeypatch.setattr(descent, "_MIN_STEP", 1e5)
         with pytest.raises(LineSearchStall):
-            minimize(p, smooth_field(grid64, rng, amplitude=5.0), cfg)
+            minimize(p, smooth_field(grid64, rng, amplitude=5.0), tol_residual=1e-14)
 
     def test_warns_outside_coercive_range(self, grid64, rng):
         one = constant_field(grid64, 1.0)
@@ -131,17 +114,13 @@ class TestMinimize:
         with pytest.warns(UserWarning, match="coercive"):
             try:
                 minimize(p, smooth_field(grid64, rng, amplitude=0.01),
-                         DescentConfig(max_iters=3))
+                         max_iters=3)
             except NonConvergence:
                 pass
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DescentConfig(tol_residual=0.0)
-        with pytest.raises(ValueError):
-            DescentConfig(armijo_c=1.5)
-        with pytest.raises(ValueError):
-            DescentConfig(armijo_backtrack=0.0)
+    def test_config_validation(self, grid64, unit_params):
+        with pytest.raises(ValueError, match="tol_residual"):
+            minimize(unit_params, constant_field(grid64, 0.0), tol_residual=0.0)
 
     def test_coercive_sample_robustness(self, rng):
         # light version of the full coercive-grid robustness check
@@ -152,7 +131,7 @@ class TestMinimize:
             p = Params(rho[0], rho[1], h1, h2)
             for seed in range(2):
                 u0 = smooth_field(grid, np.random.default_rng(seed), amplitude=0.2)
-                sol = minimize(p, u0, DescentConfig(tol_residual=1e-8))
+                sol = minimize(p, u0, tol_residual=1e-8)
                 assert sol.converged and sol.residual_norm < 1e-7
 
 
@@ -163,7 +142,7 @@ class TestSpectralIterate:
     def test_tracked_state_matches_energy_layer(self, grid64, wavy_params, rng):
         with pytest.raises(NonConvergence) as info:
             minimize(wavy_params, smooth_field(grid64, rng, amplitude=0.5),
-                     DescentConfig(max_iters=5, tol_residual=1e-14))
+                     max_iters=5, tol_residual=1e-14)
         sol = info.value.best
         assert sol.energy == pytest.approx(energy_J(sol.u, wavy_params), rel=1e-12)
         r = residual_J(sol.u, wavy_params)
@@ -182,10 +161,11 @@ class TestSpectralIterate:
 
         for name in counts:
             monkeypatch.setattr(np.fft, name, counted(name))
-        # the unpreconditioned flow is stiff: most trial steps are rejected
+        # an oversized first step: most trial steps are rejected
+        monkeypatch.setattr(descent, "_STEP0", 64.0)
         with pytest.raises(NonConvergence) as info:
             minimize(wavy_params, smooth_field(grid64, rng, amplitude=0.5),
-                     DescentConfig(max_iters=8, tol_residual=1e-14, precondition=False))
+                     max_iters=8, tol_residual=1e-14)
         best = info.value.best
         assert best.backtracks > best.iterations
         assert best.energy_evals == 1 + best.iterations + best.backtracks
@@ -205,6 +185,6 @@ class TestSpectralIterate:
         counts = {}
         for m1, m2 in pinned:
             sol = minimize(Params(m1 * np.pi, m2 * np.pi, h1, h2), u0,
-                           DescentConfig(tol_residual=1e-9, max_iters=4000))
+                           tol_residual=1e-9, max_iters=4000)
             counts[m1, m2] = sol.iterations
         assert counts == pinned

@@ -4,9 +4,9 @@ import pytest
 from tzlab import (MTCoefficients, Params, build_bubble, build_grid,
                    bubble_energy_sweep, component_asymptotics_sweep,
                    constant_field, default_join_config, alpha_sweep, energy_J,
-                   field_from_recipe, fit_slope, grad_norm_sq, grid_adequate,
-                   mt_deficit, mt_threshold_scan, parallel_map, SweepResult)
-from tzlab.experiments import thread_count
+                   field_from_recipe, fit_slope, grad_norm_sq, mt_deficit,
+                   mt_threshold_scan, SweepResult)
+from tzlab.experiments import grid_adequate, parallel_map, thread_count
 
 
 class TestFitSlope:

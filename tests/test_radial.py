@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from tzlab import radial
 from tzlab import (MassPair, StepTooLarge, TrajectoryOverflow,
                    classify_mass_pair, dirichlet_alpha, limit_mass_relation,
                    liouville_bubble, liouville_mass, pohozaev_residual_profile,
@@ -139,6 +142,59 @@ class TestQuantizationTable:
             quantization_table(3, -3)
 
 
+def _reference_lattice(m_lo, m_hi):
+    """The two families written out as nested loops, key (|m|, rank, m)."""
+    out = []
+    for m in range(m_lo, m_hi + 1):
+        for rank, family in enumerate(("I", "II")):
+            if family == "I":
+                pair = (2 * m * (3 * m - 1), 2 * (3 * m - 1) * (m - 1))
+            else:
+                pair = (2 * (3 * m - 2) * (m - 1), 2 * (3 * m - 5) * (m - 1))
+            if pair != (0, 0) and min(pair) >= 0:
+                out.append((pair, (abs(m), rank, m), family, m))
+    return out
+
+
+def _reference_table(m_min, m_max):
+    chosen = {}
+    for pair, key, family, m in _reference_lattice(m_min, m_max):
+        if pair not in chosen or key < chosen[pair][0]:
+            chosen[pair] = (key, family, m)
+    return sorted((MassPair(p[0], p[1], fam, m, 0.0) for p, (_, fam, m) in chosen.items()),
+                  key=lambda mp: (mp.sigma1, mp.sigma2))
+
+
+def _reference_classify(s1, s2, tol):
+    span = int(math.ceil(math.sqrt(max(abs(s1), abs(s2), 1.0)))) + 2
+    best = None
+    for pair, key, family, m in _reference_lattice(-span, span):
+        dist = max(abs(s1 - pair[0]), abs(s2 - pair[1]))
+        if best is None or (dist, *key) < best[0]:
+            best = ((dist, *key), family, m, dist)
+    _, family, m, dist = best
+    return MassPair(s1, s2, *((family, m) if dist <= tol else (None, None)), dist)
+
+
+class TestLatticeEnumeration:
+    @pytest.mark.parametrize("m_min, m_max", [(-3, 3), (-6, 6), (0, 0), (2, 9), (-9, -2)])
+    def test_table_matches_reference(self, m_min, m_max):
+        assert quantization_table(m_min, m_max) == _reference_table(m_min, m_max)
+
+    def test_classifier_matches_reference(self, rng):
+        pairs = [(float(mp.sigma1), float(mp.sigma2)) for mp in quantization_table(-5, 5)]
+        points = [tuple(p) for p in rng.uniform(-5.0, 130.0, size=(300, 2))]
+        # on the lattice, a hair off it, and on the midpoints between any
+        # two pairs, where the l-infinity distance can tie
+        points += [(a + e, b - e) for a, b in pairs for e in (0.0, 0.049, 0.051)]
+        points += [(0.5 * (a + c), 0.5 * (b + d))
+                   for i, (a, b) in enumerate(pairs) for c, d in pairs[i + 1:]]
+        points += [(2.0, 1.0), (0.0, 0.0), (-3.0, 7.0)]
+        for s1, s2 in points:
+            for tol in (0.05, 1e9):
+                assert classify_mass_pair(s1, s2, tol) == _reference_classify(s1, s2, tol)
+
+
 class TestClassify:
     def test_near_liouville_mass(self):
         mp = classify_mass_pair(3.9986, 0.001, 0.01)
@@ -186,6 +242,23 @@ class TestDirichlet:
         assert np.abs(prof.u).max() > 1e-2
         res, lhs = pohozaev_residual_profile(prof)
         assert (np.abs(res[1:]) / (1.0 + np.abs(lhs[1:]))).max() < 1e-6
+
+    @pytest.mark.parametrize("h1, h2, bracket", [(1.0, 1.0, (0.0, 1.0)),
+                                                  (2.0, 1.0, (1.0, 4.0))])
+    def test_returns_the_deciding_shoot(self, monkeypatch, h1, h2, bracket):
+        shot = []
+        real = radial.shoot
+
+        def counted(alpha, *args):
+            shot.append(alpha)
+            return real(alpha, *args)
+
+        monkeypatch.setattr(radial, "shoot", counted)
+        alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket, step=1e-3)
+        # the returned profile is the deciding shoot's: no alpha is shot twice
+        assert alpha in shot
+        assert len(shot) == len(set(shot))
+        assert np.array_equal(prof.u, real(alpha, h1, h2, 1.0, 1e-3).u)
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError, match="bracket"):

@@ -137,3 +137,12 @@ class TestFieldFromRecipe:
         f = field_from_recipe("2", grid)
         assert f.values.shape == (16, 16)
         assert np.all(f.values == 2.0)
+
+    def test_constants_are_float64_whatever_the_input_dtype(self):
+        x, y = np.array([1, 2]), np.array([0, 0])
+        assert parse_recipe("x*0.5")(x, y).tolist() == [0.5, 1.0]
+        assert parse_recipe("0.5+x")(x, y).tolist() == [1.5, 2.5]
+        assert parse_recipe("pi")(x, y).dtype == np.float64
+        xf = x.astype(np.float64)
+        assert np.array_equal(parse_recipe("x*0.5")(xf, y), xf * 0.5)
+        assert np.array_equal(parse_recipe("0.5+x")(xf, y), 0.5 + xf)

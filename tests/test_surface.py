@@ -3,7 +3,7 @@ import pytest
 
 from tzlab import (GridError, ScalarField, build_grid, constant_field,
                    distance_field, field_from_function, grad_norm_sq,
-                   integrate, laplacian, mean, solve_helmholtz, torus_distance)
+                   integrate, laplacian, mean, torus_distance)
 
 from conftest import random_trig_coeffs, sample_trig
 
@@ -54,7 +54,7 @@ class TestScalarField:
     def test_algebra_keeps_grid(self, grid64, rng):
         f = sample_trig(grid64, random_trig_coeffs(rng))
         g = sample_trig(grid64, random_trig_coeffs(rng))
-        for out in (f + g, f - 1.0, 2.0 * f, -f, f.exp(), 1.0 - f, f * 0.5):
+        for out in (f + g, f - 1.0, 2.0 * f, -f, 1.0 - f, f * 0.5):
             assert out.grid is grid64
 
     def test_mixed_grids_rejected(self, grid64, grid32):
@@ -158,14 +158,6 @@ class TestGradNormSq:
         assert grad_norm_sq(constant_field(grid64, -3.0)) < 1e-12
 
 
-class TestHelmholtz:
-    def test_round_trip(self, grid64, rng):
-        f = sample_trig(grid64, random_trig_coeffs(rng))
-        g = solve_helmholtz(f, shift=1.0)
-        back = -laplacian(g).values + g.values
-        assert np.abs(back - f.values).max() < 1e-10
-
-
 class TestTorusDistance:
     def test_wraps(self):
         assert torus_distance((0.05, 0.0), (0.95, 0.0)) == pytest.approx(0.1)
@@ -218,9 +210,3 @@ class TestRealTransforms:
         fh = np.fft.fft2(noise.values)
         ref = np.sum(self.full_k2(noise.grid) * np.abs(fh) ** 2) / 64**4
         assert grad_norm_sq(noise) == pytest.approx(ref, rel=1e-12)
-
-    def test_solve_helmholtz_matches_full_fft(self, noise):
-        for shift in (1.0, 0.25):
-            ref = np.fft.ifft2(np.fft.fft2(noise.values) / (self.full_k2(noise.grid) + shift)).real
-            out = solve_helmholtz(noise, shift=shift).values
-            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
