@@ -16,6 +16,9 @@ u + t d the Dirichlet term 1/2 int |grad(u + t d)|^2 = 1/2 (A + 2tB + t^2 C)
 is quadratic in t with coefficients from u^ and d^, so a trial step costs
 no transform, only the two exps of the energy's potential, whose densities
 the accepted step hands on to the next residual.
+
+``minimize`` always returns its last accepted iterate, the best one;
+``Solution.converged`` tells whether it met the residual tolerance.
 """
 
 from __future__ import annotations
@@ -56,36 +59,15 @@ class Solution:
     backtracks: int
 
 
-class NonConvergence(RuntimeError):
-    """Iteration cap reached with the residual above tolerance."""
-
-    def __init__(self, best: Solution):
-        super().__init__(
-            f"no convergence in {best.iterations} iterations "
-            f"(residual {best.residual_norm:.3e})"
-        )
-        self.best = best
-
-
-class LineSearchStall(RuntimeError):
-    """No energy decrease at the minimal step size."""
-
-    def __init__(self, best: Solution):
-        super().__init__(
-            f"line search stalled at iteration {best.iterations} "
-            f"(residual {best.residual_norm:.3e})"
-        )
-        self.best = best
-
-
 def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
              tol_residual: float = 1e-9) -> Solution:
-    """Minimize J_rho from u0; returns the zero-mean solution.
+    """Minimize J_rho from u0; returns the best iterate in the zero-mean gauge.
 
     The energy sequence is nonincreasing (Armijo-enforced, up to roundoff
-    resolution).  Raises NonConvergence (after max_iters iterations) or
-    LineSearchStall carrying the best iterate when the residual norm stays
-    above tol_residual.
+    resolution), so the last accepted iterate is the best.  The descent
+    stops when the residual norm is at most tol_residual, after max_iters
+    iterations, or when the line search finds no decrease above the minimal
+    step; ``converged`` tells whether the residual met tol_residual.
     """
     if tol_residual <= 0:
         raise ValueError("tol_residual must be positive")
@@ -117,22 +99,16 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     k2uh, rh, rnorm = residual(uh, g)
     e = 0.5 * inner(uh, k2uh) + pot
     evals, backtracks = 1, 0
-
-    def solution(iterations: int, converged: bool) -> Solution:
-        return Solution(ScalarField(grid, u), e, rnorm, iterations, converged,
-                        evals, backtracks)
-
     iterations = 0
-    for iterations in range(1, max_iters + 1):
-        if rnorm <= tol_residual:
-            return solution(iterations - 1, True)
+    while rnorm > tol_residual and iterations < max_iters:
+        iterations += 1
         dh = -rh / (k2 + 1.0)
         d = np.fft.irfft2(dh, s=u.shape)
         slope = inner(rh, dh)
         a, b, c = inner(uh, k2uh), inner(k2uh, dh), inner(dh, k2 * dh)
         t = _STEP0
         guard = _ROUNDOFF_SLACK * (1.0 + abs(e))
-        while True:
+        while t >= _MIN_STEP:
             u_new = u + t * d
             pot, g = _potential(u_new, p, dx2)
             evals += 1
@@ -141,10 +117,9 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
                 break
             backtracks += 1
             t *= _BACKTRACK
-            if t < _MIN_STEP:
-                raise LineSearchStall(solution(iterations, False))
+        else:
+            break  # the line search stalled; keep the last accepted iterate
         u, uh, e = u_new, uh + t * dh, e_new
         k2uh, rh, rnorm = residual(uh, g)
-    if rnorm <= tol_residual:
-        return solution(iterations, True)
-    raise NonConvergence(solution(iterations, False))
+    return Solution(ScalarField(grid, u), e, rnorm, iterations,
+                    rnorm <= tol_residual, evals, backtracks)

@@ -10,9 +10,10 @@ whose critical points solve the Tzitzeica mean-field equation
 
     -Lap u = rho1 (h1 e^u / int h1 e^u - 1) - rho2 (h2 e^{-2u} / int h2 e^{-2u} - 1),
 
-together with the single-exponent functional I_rho, the two-exponent
-Moser-Trudinger deficit (sharp constants 8*pi and 4*pi), and its
-spread-configuration improvement.  All exponential integrals go through
+together with the two-exponent Moser-Trudinger deficit (sharp constants
+8*pi and 4*pi).  The single-exponent functional I_rho is J_rho at
+rho2 = 0, and the improved deficit for mass spread over k and l regions
+is the deficit at (8 k pi, 4 l pi).  All exponential integrals go through
 one helper, ``_exp_integral``, that subtracts the max exponent before its
 single ``np.exp`` (concentrating families push u to +-O(100), where naive
 doubles overflow), sums, scales by the cell area and returns both the
@@ -149,13 +150,6 @@ def residual_J(u: ScalarField, p: Params) -> ScalarField:
     return ScalarField(u.grid, grad - laplacian(u).values)
 
 
-def energy_I(u: ScalarField, rho: float, h: ScalarField) -> float:
-    """Single-exponent mean-field energy I_rho(u); J_rho at rho2 = 0."""
-    dx2 = u.grid.dx**2
-    log1 = _log_integral_exp(u.values, h.values, dx2)
-    return 0.5 * grad_norm_sq(u) - rho * (log1 - mean(u))
-
-
 def mt_deficit(u: ScalarField, c: MTCoefficients) -> float:
     """Two-exponent Moser-Trudinger deficit
 
@@ -164,64 +158,12 @@ def mt_deficit(u: ScalarField, c: MTCoefficients) -> float:
 
     Vanishes on constants; bounded below over H^1 iff a1 <= 8*pi and
     a2 <= 4*pi (up to the surface-dependent additive constant, which this
-    function does not include).
+    function does not include).  For fields whose e^u mass is spread over
+    k well-separated regions and whose e^{-2u} mass over l regions, the
+    thresholds improve to 8 k pi and 4 l pi.
     """
     dx2 = u.grid.dx**2
     centered = u.values - mean(u)
     log_plus = _log_integral_exp(centered, 1.0, dx2)
     log_minus = _log_integral_exp(-2.0 * centered, 1.0, dx2)
     return 0.5 * grad_norm_sq(u) - c.a1 * log_plus - 0.5 * c.a2 * log_minus
-
-
-def improved_mt_deficit(u: ScalarField, k: int, l: int, eps: float = 0.05) -> float:
-    """Improved deficit for mass spread over k (plus) and l (minus) regions:
-
-        D_{k,l}(u) = (1+eps)/2 int |grad u|^2 - 8 k pi log int e^{u - ubar}
-                                              - 2 l pi log int e^{-2(u - ubar)}.
-
-    For fields whose e^u mass is theta-spread over k well-separated regions
-    and whose e^{-2u} mass over l regions (see check_spread), values along
-    a concentrating family stay bounded below for any eps > 0.  The
-    spread hypothesis is NOT verified here.
-    """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be positive integers")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    dx2 = u.grid.dx**2
-    centered = u.values - mean(u)
-    log_plus = _log_integral_exp(centered, 1.0, dx2)
-    log_minus = _log_integral_exp(-2.0 * centered, 1.0, dx2)
-    return (
-        0.5 * (1.0 + eps) * grad_norm_sq(u)
-        - 8.0 * k * np.pi * log_plus
-        - 2.0 * l * np.pi * log_minus
-    )
-
-
-def check_spread(u: ScalarField, regions, which: str = "plus", theta: float = 0.25) -> bool:
-    """True iff every region holds at least a theta fraction of the mass.
-
-    ``regions`` is a list of pairwise-disjoint boolean node masks; the mass
-    density is e^u for which="plus" and e^{-2u} for which="minus".  This is
-    the hypothesis under which improved_mt_deficit controls the functional.
-    """
-    if not regions:
-        raise ValueError("region list must be nonempty")
-    masks = [np.asarray(m, dtype=bool) for m in regions]
-    stacked = np.zeros((u.grid.n, u.grid.n), dtype=int)
-    for m in masks:
-        if m.shape != stacked.shape:
-            raise ValueError("region mask shape does not match grid")
-        stacked += m
-    if stacked.max() > 1:
-        raise ValueError("regions must be pairwise disjoint")
-    if which == "plus":
-        expo = u.values
-    elif which == "minus":
-        expo = -2.0 * u.values
-    else:
-        raise ValueError("which must be 'plus' or 'minus'")
-    w = np.exp(expo - expo.max())
-    total = w.sum()
-    return all(w[m].sum() >= theta * total for m in masks)

@@ -104,11 +104,11 @@ class SweepResult:
     def from_values(cls, name, lambdas, values, predicted):
         """Fit and judge values against the slope bounds; values None marks a skipped sweep."""
         lambdas = np.asarray(lambdas, dtype=float)
+        if np.any(np.diff(lambdas) <= 0):
+            raise ValueError("lambdas must be strictly increasing")
         if values is None:
             return cls(name, lambdas, np.full_like(lambdas, np.nan),
                        float("nan"), float(predicted), float("nan"), False, True)
-        if np.any(np.diff(lambdas) <= 0):
-            raise ValueError("lambdas must be strictly increasing")
         values = np.asarray(values, dtype=float)
         fitted = fit_slope(lambdas, values)
         if predicted == 0.0:

@@ -42,6 +42,11 @@ _SERIES_STEPS = 3
 
 _U_MIN, _U_MAX = -700.0, 350.0
 
+# dirichlet_alpha: shooting step, stopping tolerance and bisection cap.
+_DIRICHLET_STEP = 1e-3
+_DIRICHLET_TOL = 1e-10
+_MAX_BISECT = 200
+
 
 class StepTooLarge(ValueError):
     """Step too coarse for the concentration scale set by alpha."""
@@ -187,24 +192,25 @@ def _family_pair(family: str, m: int) -> tuple[int, int]:
 
 
 def _lattice(m_lo: int, m_hi: int):
-    """(pair, key, family, m) of both families for m_lo <= m <= m_hi, minus the origin
-    and negative pairs; key = (|m|, family rank, m) breaks ties."""
+    """(pair, key, family, m) of both families for m_lo <= m <= m_hi, minus the origin;
+    key = (|m|, family rank, m) breaks ties.  No integer m gives a negative
+    entry: family I has sigma2 < 0 only for 1/3 < m < 1, family II has
+    sigma1 < 0 only for 2/3 < m < 1 and sigma2 < 0 only for 1 < m < 5/3."""
     for m in range(m_lo, m_hi + 1):
         for fam_rank, family in enumerate(("I", "II")):
             pair = _family_pair(family, m)
-            if pair == (0, 0) or pair[0] < 0 or pair[1] < 0:
-                continue
-            yield pair, (abs(m), fam_rank, m), family, m
+            if pair != (0, 0):
+                yield pair, (abs(m), fam_rank, m), family, m
 
 
 def quantization_table(m_min: int, m_max: int) -> list[MassPair]:
     """Admissible blow-up mass pairs for lattice parameters m_min..m_max.
 
-    Two integer families, minus the excluded origin (0, 0) and any pair
-    with a negative entry; deduplicated (ties keep the smaller |m|,
-    family I first) and sorted by (sigma1, sigma2).  Every returned pair
-    satisfies the hyperbola relation exactly in integer arithmetic, with
-    sigma1 divisible by 4 and sigma2 by 2.
+    Two integer families, minus the excluded origin (0, 0); no entry is
+    negative, since no integer m lies where one would be (see _lattice).
+    Deduplicated (ties keep the smaller |m|, family I first) and sorted by
+    (sigma1, sigma2).  Every returned pair satisfies the hyperbola relation
+    exactly in integer arithmetic, with sigma1 divisible by 4 and sigma2 by 2.
     """
     if m_min > m_max:
         raise ValueError("m_min must not exceed m_max")
@@ -239,18 +245,16 @@ def classify_mass_pair(sigma1: float, sigma2: float, tol: float = 0.05) -> MassP
     return MassPair(sigma1, sigma2, None, None, dist)
 
 
-def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float],
-                    r_max: float = 1.0, step: float = 1e-3,
-                    tol: float = 1e-10, max_bisect: int = 200):
-    """Solve the zero-boundary problem on the disk of radius r_max.
+def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
+    """Solve the zero-boundary problem on the unit disk.
 
-    Bisects the central value alpha until u(r_max) = 0; the bracket must
+    Bisects the central value alpha until u(1) = 0; the bracket must
     produce boundary values of opposite signs.  Returns (alpha, profile).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
 
     def boundary(alpha):
-        prof = shoot(alpha, h1, h2, r_max, step)
+        prof = shoot(alpha, h1, h2, 1.0, _DIRICHLET_STEP)
         return prof.u[-1], prof
 
     (f_lo, p_lo), (f_hi, p_hi) = boundary(lo), boundary(hi)
@@ -260,17 +264,17 @@ def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float],
         return hi, p_hi
     if f_lo * f_hi > 0:
         raise ValueError(
-            f"bracket {bracket} does not straddle u(r_max)=0: "
+            f"bracket {bracket} does not straddle u(1)=0: "
             f"u({lo})={f_lo:.4g}, u({hi})={f_hi:.4g}"
         )
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         f_mid, p_mid = boundary(mid)
-        if abs(f_mid) < tol or hi - lo < tol:
+        if abs(f_mid) < _DIRICHLET_TOL or hi - lo < _DIRICHLET_TOL:
             return mid, p_mid
         if f_lo * f_mid <= 0:
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
     mid = 0.5 * (lo + hi)
-    return mid, shoot(mid, h1, h2, r_max, step)
+    return mid, shoot(mid, h1, h2, 1.0, _DIRICHLET_STEP)

@@ -179,16 +179,6 @@ def grad_norm_sq(f: ScalarField) -> float:
                  / grid.n**4)
 
 
-def torus_distance(p, q) -> float:
-    """Geodesic distance of the unit torus: per-axis wrapped differences."""
-    d = 0.0
-    for a, b in zip(p, q):
-        t = abs(a - b) % 1.0
-        t = min(t, 1.0 - t)
-        d += t * t
-    return float(np.sqrt(d))
-
-
 def distance_field(grid: TorusGrid, point) -> np.ndarray:
     """Array of torus distances from every node to ``point``.
 

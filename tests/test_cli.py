@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tzlab.cli
+import tzlab.experiments
 from tzlab import ExpUnderflow, ScalarField, Solution, build_grid
 from tzlab.cli import (EXIT_CHECKFAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                        _write_csv, _write_solution, main)
@@ -84,6 +85,31 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("tzlab: ")
         assert "underflowed" in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["asymptotics", "--n", "64", "--lambdas", "400,25"],
+        ["asymptotics", "--n", "256", "--lambdas", "400,25"],
+        ["bubble-sweep", "--n", "64", "--lambdas", "25,inf"],
+        ["mt-scan", "--n", "64", "--lambdas", "0,25"],
+        ["mt-scan", "--n", "64", "--lambdas", "25,nan"],
+        ["asymptotics", "--n", "64", "--lambdas", "25,25"],
+    ], ids=["decreasing-n64", "decreasing-n256", "infinite", "zero", "nan", "repeated"])
+    def test_bad_lambdas_rejected_before_any_bubble(self, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        def no_bubble(*args):
+            raise AssertionError("a bubble was built")
+
+        monkeypatch.setattr(tzlab.experiments, "build_bubble", no_bubble)
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        assert "--lambdas" in capsys.readouterr().err
+
+    def test_bad_lambdas_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[asymptotics]\nlambdas = 400,25\n")
+        rc = main(["--config", str(cfg), "asymptotics", "--n", "256",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "--lambdas" in capsys.readouterr().err
 
     def test_check_failure_exits_two(self, tmp_path):
         # lambda 400 on a 64-node grid violates the adequacy rule: the sweep

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from tzlab import (MTCoefficients, Params, build_grid, build_bubble,
-                   check_spread, constant_field, default_join_config,
-                   energy_I, energy_J, field_from_function, fit_slope,
-                   improved_mt_deficit, integrate, liouville_bubble,
-                   mt_deficit, residual_J)
+                   constant_field, default_join_config, energy_J,
+                   field_from_function, fit_slope, grad_norm_sq, integrate,
+                   liouville_bubble, mean, mt_deficit, residual_J)
 
 from conftest import smooth_field
 
@@ -104,10 +103,20 @@ class TestResidualJ:
             assert fd == pytest.approx(analytic, rel=1e-5)
 
 
+def energy_I(u, rho, h):
+    """Single-exponent energy 1/2 int |grad u|^2 - rho (log int h e^u - ubar),
+    by direct quadrature."""
+    log_int = np.log(np.sum(h.values * np.exp(u.values)) * u.grid.dx**2)
+    return 0.5 * grad_norm_sq(u) - rho * (log_int - mean(u))
+
+
 class TestEnergyI:
+    """The single-exponent energy I_rho, which is J_rho at rho2 = 0."""
+
     def test_zero(self, grid64):
         one = constant_field(grid64, 1.0)
-        assert energy_I(constant_field(grid64, 0.0), 5.0, one) == pytest.approx(0.0, abs=1e-12)
+        p = Params(5.0, 0.0, one, one)
+        assert energy_J(constant_field(grid64, 0.0), p) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_energy_J_at_rho2_zero(self, grid64, rng):
         h1 = smooth_field(grid64, rng, amplitude=0.4) + 1.2
@@ -122,10 +131,11 @@ class TestEnergyI:
         # growth, so I along the concentrating family moves by O(1) only
         grid = build_grid(256)
         one = constant_field(grid, 1.0)
+        p = Params(8.0 * np.pi, 0.0, one, one)
         vals = []
         for lam in (10.0, 100.0):
             u = liouville_bubble(np.log(8.0 * lam**2), grid, center=(0.25, 0.25))
-            vals.append(energy_I(u, 8.0 * np.pi, one))
+            vals.append(energy_J(u, p))
         assert abs(vals[1] - vals[0]) < 5.0
 
 
@@ -148,7 +158,7 @@ class TestMTDeficit:
         for _ in range(3):
             u = smooth_field(grid64, rng, amplitude=1.5)
             lhs = mt_deficit(u, MTCoefficients(a1, 0.0))
-            rhs = energy_I(u, a1, one)
+            rhs = energy_J(u, Params(a1, 0.0, one, one))
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
     def test_monotone_in_a1(self, grid64, rng):
@@ -170,48 +180,49 @@ class TestMTDeficit:
         assert abs(d1000 - d100) < 5.0
 
 
-class TestImprovedDeficit:
-    def test_zero_on_constants(self, grid64):
-        assert improved_mt_deficit(constant_field(grid64, 0.0), 2, 1) == pytest.approx(0.0, abs=1e-12)
+def plus_mass_fractions(u, regions):
+    """Share of the e^u mass in each region, by direct quadrature."""
+    w = np.exp(u.values - u.values.max())
+    return [w[reg].sum() / w.sum() for reg in regions]
 
-    def test_validation(self, grid64):
-        u = constant_field(grid64, 0.0)
-        with pytest.raises(ValueError):
-            improved_mt_deficit(u, 0, 1)
-        with pytest.raises(ValueError):
-            improved_mt_deficit(u, 1, 1, eps=0.0)
+
+class TestImprovedDeficit:
+    """The deficit at the improved thresholds (8 k pi, 4 l pi), which hold
+    for mass spread over k plus and l minus regions."""
+
+    K2_L1 = MTCoefficients(16.0 * np.pi, 4.0 * np.pi)
+
+    def plus_family_slope(self, grid, k):
+        lambdas = (25.0, 50.0, 100.0, 200.0, 400.0)
+        zeta = default_join_config(grid, k, 1, 0.0)
+        values = [mt_deficit(build_bubble(zeta, lam, grid), self.K2_L1) for lam in lambdas]
+        return fit_slope(lambdas, values)
+
+    def test_zero_on_constants(self, grid64):
+        assert mt_deficit(constant_field(grid64, 0.0), self.K2_L1) == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded_along_spread_two_bubble_family(self):
-        # two separated plus bubbles spread over k = 2 regions: the improved
-        # deficit with (k, l) = (2, 1) gains slope 16 k pi eps >= 0, so it
-        # does not diverge to -infinity along the family
-        grid = build_grid(256)
-        eps = 0.05
-        lambdas = (25.0, 50.0, 100.0, 200.0, 400.0)
-        zeta = default_join_config(grid, 2, 1, 0.0)
-        values = [improved_mt_deficit(build_bubble(zeta, lam, grid), 2, 1, eps)
-                  for lam in lambdas]
-        slope = fit_slope(lambdas, values)
+        # two separated plus bubbles spread over k = 2 regions: at a1 = 16 pi
+        # the deficit keeps a bounded slope, so it does not diverge to
+        # -infinity along the family
+        slope = self.plus_family_slope(build_grid(256), 2)
         assert slope >= -0.5
-        assert slope == pytest.approx(16.0 * 2 * np.pi * eps, abs=1.5)
+        assert abs(slope) <= 1.5
 
     def test_single_bubble_fails_two_region_spread(self):
-        # the operation still evaluates, but the spread hypothesis that
-        # justifies the k = 2 constant is reported false
+        # a single plus bubble is not spread over two regions, and at
+        # a1 = 16 pi its deficit falls with slope -2 (16 pi - 8 pi)
         grid = build_grid(256)
-        zeta = default_join_config(grid, 1, 1, 0.0)
-        u = build_bubble(zeta, 200.0, grid)
-        val = improved_mt_deficit(u, 2, 1)
-        assert np.isfinite(val)
+        predicted = -16.0 * np.pi
+        assert abs(self.plus_family_slope(grid, 1) - predicted) <= 0.10 * abs(predicted)
+        u = build_bubble(default_join_config(grid, 1, 1, 0.0), 200.0, grid)
         left = grid.X < 0.5
-        assert check_spread(u, [left, ~left], "plus", 0.4) is False
+        assert min(plus_mass_fractions(u, [left, ~left])) < 0.4
 
 
 class TestCheckSpread:
-    def test_uniform_mass_on_halves(self, grid64):
-        u = constant_field(grid64, 0.0)
-        left = grid64.X < 0.5
-        assert check_spread(u, [left, ~left], "plus", 0.4) is True
+    """Where the bubble families put their e^u mass: the spread hypothesis
+    of the improved thresholds."""
 
     def test_concentrated_bubble_fails_far_region(self):
         grid = build_grid(128)
@@ -219,26 +230,11 @@ class TestCheckSpread:
         u = build_bubble(zeta, 100.0, grid)
         near = (grid.X < 0.5) & (grid.Y < 0.5)
         far = (grid.X >= 0.5) & (grid.Y >= 0.5)
-        assert check_spread(u, [near, far], "plus", 0.4) is False
+        assert min(plus_mass_fractions(u, [near, far])) < 0.4
 
     def test_two_bubbles_spread(self):
         grid = build_grid(256)
         zeta = default_join_config(grid, 2, 1, 0.0)
         u = build_bubble(zeta, 200.0, grid)
         regions = [grid.X < 0.5, grid.X >= 0.5]
-        # oracle: direct quadrature of the two masses
-        w = np.exp(u.values - u.values.max())
-        fracs = sorted(w[reg].sum() / w.sum() for reg in regions)
-        assert fracs[0] > 0.4
-        assert check_spread(u, regions, "plus", 0.4) is True
-
-    def test_validation(self, grid64):
-        u = constant_field(grid64, 0.0)
-        with pytest.raises(ValueError, match="nonempty"):
-            check_spread(u, [], "plus", 0.1)
-        left = grid64.X < 0.6
-        right = grid64.X > 0.4
-        with pytest.raises(ValueError, match="disjoint"):
-            check_spread(u, [left, right], "plus", 0.1)
-        with pytest.raises(ValueError, match="plus"):
-            check_spread(u, [left], "sideways", 0.1)
+        assert min(plus_mass_fractions(u, regions)) > 0.4

@@ -34,6 +34,9 @@ class TestSweepResult:
     def test_requires_increasing_lambdas(self):
         with pytest.raises(ValueError, match="increasing"):
             SweepResult.from_values("x", [10.0, 10.0], [0.0, 0.0], 1.0)
+        # also when the sweep is skipped
+        with pytest.raises(ValueError, match="increasing"):
+            SweepResult.from_values("x", [400.0, 25.0], None, 1.0)
 
 
 class TestAdequacy:

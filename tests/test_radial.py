@@ -177,6 +177,11 @@ def _reference_classify(s1, s2, tol):
 
 
 class TestLatticeEnumeration:
+    def test_no_integer_m_gives_a_negative_entry(self):
+        for m in range(-50, 51):
+            for family in ("I", "II"):
+                assert min(radial._family_pair(family, m)) >= 0
+
     @pytest.mark.parametrize("m_min, m_max", [(-3, 3), (-6, 6), (0, 0), (2, 9), (-9, -2)])
     def test_table_matches_reference(self, m_min, m_max):
         assert quantization_table(m_min, m_max) == _reference_table(m_min, m_max)
@@ -230,14 +235,14 @@ class TestClassify:
 
 class TestDirichlet:
     def test_balanced_weights_give_trivial_solution(self):
-        alpha, prof = dirichlet_alpha(1.0, 1.0, bracket=(-1.0, 1.0), step=1e-3)
+        alpha, prof = dirichlet_alpha(1.0, 1.0, bracket=(-1.0, 1.0))
         assert abs(alpha) < 1e-8
         assert abs(prof.u[-1]) < 1e-8
 
     def test_nontrivial_boundary_match(self):
         # h2 > h1: positive equilibrium level, boundary zero forces a
         # genuinely nonconstant profile
-        alpha, prof = dirichlet_alpha(1.0, 2.0, bracket=(0.3, 8.0), step=1e-3)
+        alpha, prof = dirichlet_alpha(1.0, 2.0, bracket=(0.3, 8.0))
         assert abs(prof.u[-1]) < 1e-8
         assert np.abs(prof.u).max() > 1e-2
         res, lhs = pohozaev_residual_profile(prof)
@@ -254,7 +259,7 @@ class TestDirichlet:
             return real(alpha, *args)
 
         monkeypatch.setattr(radial, "shoot", counted)
-        alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket, step=1e-3)
+        alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket)
         # the returned profile is the deciding shoot's: no alpha is shot twice
         assert alpha in shot
         assert len(shot) == len(set(shot))
@@ -262,4 +267,4 @@ class TestDirichlet:
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError, match="bracket"):
-            dirichlet_alpha(1.0, 2.0, bracket=(5.0, 8.0), step=1e-3)
+            dirichlet_alpha(1.0, 2.0, bracket=(5.0, 8.0))

@@ -3,7 +3,7 @@ import pytest
 
 from tzlab import (GridError, ScalarField, build_grid, constant_field,
                    distance_field, field_from_function, grad_norm_sq,
-                   integrate, laplacian, mean, torus_distance)
+                   integrate, laplacian, mean)
 
 from conftest import random_trig_coeffs, sample_trig
 
@@ -158,17 +158,32 @@ class TestGradNormSq:
         assert grad_norm_sq(constant_field(grid64, -3.0)) < 1e-12
 
 
-class TestTorusDistance:
-    def test_wraps(self):
-        assert torus_distance((0.05, 0.0), (0.95, 0.0)) == pytest.approx(0.1)
-        assert torus_distance((0.1, 0.1), (0.9, 0.9)) == pytest.approx(np.sqrt(0.08))
+def torus_distance(p, q) -> float:
+    """Geodesic distance of the unit torus: per-axis wrapped differences."""
+    d = 0.0
+    for a, b in zip(p, q):
+        t = abs(a - b) % 1.0
+        t = min(t, 1.0 - t)
+        d += t * t
+    return float(np.sqrt(d))
 
-    def test_symmetric(self, rng):
+
+class TestTorusDistance:
+    """distance_field against the scalar reference torus_distance."""
+
+    def test_wraps(self):
+        grid = build_grid(20)  # nodes at multiples of 0.05
+        assert distance_field(grid, (0.95, 0.0))[0, 1] == pytest.approx(0.1)
+        assert distance_field(grid, (0.9, 0.9))[2, 2] == pytest.approx(np.sqrt(0.08))
+
+    def test_symmetric(self, grid32, rng):
+        nodes = list(zip(grid32.X.ravel(), grid32.Y.ravel()))
         for _ in range(10):
             p = tuple(rng.uniform(0, 1, 2))
-            q = tuple(rng.uniform(0, 1, 2))
-            assert torus_distance(p, q) == pytest.approx(torus_distance(q, p))
-            assert torus_distance(p, q) <= np.sqrt(0.5) + 1e-12
+            d = distance_field(grid32, p).ravel()
+            assert d == pytest.approx([torus_distance(p, q) for q in nodes])
+            assert d == pytest.approx([torus_distance(q, p) for q in nodes])
+            assert d.max() <= np.sqrt(0.5) + 1e-12
 
     def test_distance_field_matches_pointwise(self, grid32):
         point = (0.3, 0.7)
