@@ -45,7 +45,8 @@ from .experiments import (DEFAULT_LAMBDAS, alpha_sweep, bubble_energy_sweep,
                           component_asymptotics_sweep, default_join_config,
                           mt_threshold_scan)
 from .radial import (TrajectoryOverflow, classify_mass_pair, limit_mass_relation,
-                     pohozaev_residual_profile, quantization_table, shoot)
+                     pohozaev_residual_profile, quantization_table, shoot,
+                     step_count)
 from .recipes import RecipeError, field_from_recipe
 from .surface import ScalarField, build_grid, integrate
 from .surface import GridError
@@ -304,6 +305,10 @@ def _report_alpha_rows(rows, outdir: Path):
 
 
 def cmd_radial_sweep(args, outdir: Path):
+    try:
+        step_count(args.r_max, args.step)
+    except ValueError as exc:
+        raise ConfigError(f"--step: {exc}") from exc
     rows = alpha_sweep(args.alphas, args.h1_const, args.h2_const,
                        args.r_max, args.step)
     return _report_alpha_rows(rows, outdir)

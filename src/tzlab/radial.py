@@ -18,10 +18,15 @@ Pohozaev identity
         = pi r^2 u'(r)^2 + 2 pi r^2 (h1 e^{u(r)} + h2 e^{-2u(r)} / 2)
 
 -- hold along computed trajectories up to integrator order and serve as
-correctness oracles.  The integrator is classical RK4 with a fixed step;
-the r = 0 singularity of u'/r is bypassed by a fourth-order series start
-over the first few steps.  Fixed stepping keeps convergence-order
-measurements clean.
+correctness oracles.  The integrator is classical RK4 with a fixed step
+that divides r_max, so the last node is r_max; the r = 0 singularity of
+u'/r is bypassed by a fourth-order series start over the first few steps.
+Fixed stepping keeps convergence-order measurements clean.  The RK4 loop
+is written out on float locals in the operation order of its vector form
+k = f(r, y), so trajectories are bit for bit those of the vector form.
+
+dirichlet_alpha solves the zero-boundary problem on the unit disk by
+Illinois regula falsi on the central value alpha.
 
 Blow-up limits of such profiles have quantized masses: the admissible
 pairs lie on the hyperbola (sigma1 - sigma2)^2 = 4 (sigma1 + sigma2/2) in
@@ -32,6 +37,7 @@ against that lattice.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +48,11 @@ _SERIES_STEPS = 3
 
 _U_MIN, _U_MAX = -700.0, 350.0
 
-# dirichlet_alpha: shooting step, stopping tolerance and bisection cap.
+# dirichlet_alpha: shooting step, stopping tolerance and the cap on shots
+# inside the bracket.
 _DIRICHLET_STEP = 1e-3
 _DIRICHLET_TOL = 1e-10
-_MAX_BISECT = 200
+_MAX_SHOOTS = 200
 
 
 class StepTooLarge(ValueError):
@@ -75,19 +82,35 @@ class RadialProfile:
         return float(self.r[-1])
 
 
+def step_count(r_max: float, step: float) -> int:
+    """Number of fixed steps of size ``step`` from the center to ``r_max``.
+
+    Raises ValueError unless 0 < step <= r_max, both finite, and the steps
+    end at r_max: |n step - r_max| <= 1e-9 r_max.
+    """
+    if not (0 < step <= r_max and math.isfinite(r_max / step)):
+        raise ValueError(f"need finite r_max and step with 0 < step <= r_max, "
+                         f"got r_max={r_max:g}, step={step:g}")
+    n = round(r_max / step)
+    if abs(n * step - r_max) > 1e-9 * r_max:
+        raise ValueError(f"step {step:g} does not divide r_max {r_max:g}: "
+                         f"{n} steps end at r = {n * step:.10g}")
+    return n
+
+
 def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
           r_max: float = 1.0, step: float = 1e-4) -> RadialProfile:
     """Integrate the radial equation from the center out to r_max.
 
-    Requires step * exp(max(alpha, -2*alpha)/2) <= 0.1 so the step
-    resolves the concentration scale e^{-alpha/2} of a forming bubble.
+    ``step`` must divide ``r_max`` (see step_count), and
+    step * exp(max(alpha, -2*alpha)/2) <= 0.1 so the step resolves the
+    concentration scale e^{-alpha/2} of a forming bubble.
     """
     if h1 <= 0:
         raise ValueError("h1 must be positive")
     if h2 < 0:
         raise ValueError("h2 must be nonnegative")
-    if r_max <= 0 or step <= 0:
-        raise ValueError("r_max and step must be positive")
+    n_total = step_count(r_max, step)
     if not _U_MIN <= alpha <= _U_MAX:
         raise TrajectoryOverflow(f"alpha={alpha} outside [{_U_MIN}, {_U_MAX}]")
     if step * math.exp(max(alpha, -2.0 * alpha) / 2.0) > 0.1:
@@ -110,36 +133,66 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
         s2 = h2 * ema * (r**2 / 2.0 + c * r**4 / 8.0 + (c * c / 8.0 - b * c / 32.0) * r**6 / 6.0)
         return u, w, s1, s2
 
-    n_total = int(round(r_max / h))
     rs = np.arange(n_total + 1) * h
-    out = np.empty((n_total + 1, 4))
-    out[0] = (alpha, 0.0, 0.0, 0.0)
+    cols = [array("d", (alpha,)), array("d", (0.0,)), array("d", (0.0,)), array("d", (0.0,))]
     for j in range(1, _SERIES_STEPS + 1):
-        out[j] = series(rs[j])
+        for col, v in zip(cols, series(rs[j])):
+            col.append(v)
+    put_u, put_w, put_s1, put_s2 = (col.append for col in cols)
+    u, w, s1, s2 = (col[-1] for col in cols)
 
-    def f(r, u, w, s1, s2):
-        eu = math.exp(u)
-        em = math.exp(-2.0 * u)
-        return (w, -w / r - h1 * eu + h2 * em, h1 * eu * r, h2 * em * r)
-
-    u, w, s1, s2 = out[_SERIES_STEPS]
-    r = rs[_SERIES_STEPS]
+    # Classical RK4 for (u, u', sigma1, sigma2) written out stage by stage,
+    # with the operation order of the vector form k = f(r, y):
+    # f = (w, -w/r - h1 e^u + h2 e^{-2u}, h1 e^u r, h2 e^{-2u} r), stage
+    # arguments y + h/2 k and y + h k, update y += h/6 (k1 + 2 k2 + 2 k3 + k4).
+    # f does not read sigma1, sigma2, so their stage arguments are not formed.
+    exp = math.exp
+    h_2, h_6 = h / 2, h / 6
+    r = _SERIES_STEPS * h
     for j in range(_SERIES_STEPS + 1, n_total + 1):
-        k1 = f(r, u, w, s1, s2)
-        k2 = f(r + h / 2, u + h / 2 * k1[0], w + h / 2 * k1[1], s1 + h / 2 * k1[2], s2 + h / 2 * k1[3])
-        k3 = f(r + h / 2, u + h / 2 * k2[0], w + h / 2 * k2[1], s1 + h / 2 * k2[2], s2 + h / 2 * k2[3])
-        k4 = f(r + h, u + h * k3[0], w + h * k3[1], s1 + h * k3[2], s2 + h * k3[3])
-        u += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        w += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        s1 += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        s2 += h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        r = rs[j]
+        eu = exp(u)
+        em = exp(-2.0 * u)
+        k1w = -w / r - h1 * eu + h2 * em
+        k1a = h1 * eu * r
+        k1b = h2 * em * r
+        rm = r + h_2
+        u2 = u + h_2 * w
+        w2 = w + h_2 * k1w
+        eu = exp(u2)
+        em = exp(-2.0 * u2)
+        k2w = -w2 / rm - h1 * eu + h2 * em
+        k2a = h1 * eu * rm
+        k2b = h2 * em * rm
+        u3 = u + h_2 * w2
+        w3 = w + h_2 * k2w
+        eu = exp(u3)
+        em = exp(-2.0 * u3)
+        k3w = -w3 / rm - h1 * eu + h2 * em
+        k3a = h1 * eu * rm
+        k3b = h2 * em * rm
+        re = r + h
+        u4 = u + h * w3
+        w4 = w + h * k3w
+        eu = exp(u4)
+        em = exp(-2.0 * u4)
+        k4w = -w4 / re - h1 * eu + h2 * em
+        k4a = h1 * eu * re
+        k4b = h2 * em * re
+        u += h_6 * (w + 2 * w2 + 2 * w3 + w4)
+        w += h_6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        s1 += h_6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+        s2 += h_6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+        r = j * h
         if not _U_MIN <= u <= _U_MAX:
             raise TrajectoryOverflow(f"u({r:.6g}) = {u:.6g} left [{_U_MIN}, {_U_MAX}]")
-        out[j] = (u, w, s1, s2)
+        put_u(u)
+        put_w(w)
+        put_s1(s1)
+        put_s2(s2)
 
+    u, du, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
     return RadialProfile(
-        r=rs, u=out[:, 0], du=out[:, 1], sigma1=out[:, 2], sigma2=out[:, 3],
+        r=rs, u=u, du=du, sigma1=sigma1, sigma2=sigma2,
         alpha=alpha, h1=h1, h2=h2, step=h,
     )
 
@@ -248,14 +301,20 @@ def classify_mass_pair(sigma1: float, sigma2: float, tol: float = 0.05) -> MassP
 def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
     """Solve the zero-boundary problem on the unit disk.
 
-    Bisects the central value alpha until u(1) = 0; the bracket must
-    produce boundary values of opposite signs.  Returns (alpha, profile).
+    Finds the central value alpha with u(1) = 0 by Illinois regula falsi
+    on ``bracket``, whose ends must give boundary values of opposite signs:
+    each shot replaces the bracket end of its own sign, and when the same
+    end is kept twice in a row its boundary value is halved, so both ends
+    converge.  Stops when |u(1)| < 1e-10 or the bracket is narrower than
+    that; after _MAX_SHOOTS shots without either, returns the bracket
+    midpoint.  Returns (alpha, profile) with alpha a float and profile the
+    shot that decided it.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
 
     def boundary(alpha):
         prof = shoot(alpha, h1, h2, 1.0, _DIRICHLET_STEP)
-        return prof.u[-1], prof
+        return float(prof.u[-1]), prof
 
     (f_lo, p_lo), (f_hi, p_hi) = boundary(lo), boundary(hi)
     if f_lo == 0.0:
@@ -267,14 +326,21 @@ def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
             f"bracket {bracket} does not straddle u(1)=0: "
             f"u({lo})={f_lo:.4g}, u({hi})={f_hi:.4g}"
         )
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
+    kept = 0  # -1 after lo was kept, +1 after hi was kept
+    for _ in range(_MAX_SHOOTS):
+        mid = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         f_mid, p_mid = boundary(mid)
         if abs(f_mid) < _DIRICHLET_TOL or hi - lo < _DIRICHLET_TOL:
             return mid, p_mid
         if f_lo * f_mid <= 0:
             hi, f_hi = mid, f_mid
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
         else:
             lo, f_lo = mid, f_mid
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
     mid = 0.5 * (lo + hi)
     return mid, shoot(mid, h1, h2, 1.0, _DIRICHLET_STEP)

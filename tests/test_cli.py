@@ -111,6 +111,25 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         assert "--lambdas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--step", "7e-4"],
+        ["--step", "3e-4"],
+        ["--r-max", "2", "--step", "3e-4"],
+        ["--step", "0"],
+        ["--r-max", "inf"],
+    ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step", "infinite-r-max"])
+    def test_step_not_dividing_r_max_is_config_error(self, tmp_path, capsys,
+                                                     monkeypatch, argv):
+        def no_shoot(*args):
+            raise AssertionError("a trajectory was shot")
+
+        monkeypatch.setattr(tzlab.experiments, "shoot", no_shoot)
+        rc = main(["radial-sweep", "--alphas", "2"] + argv + ["--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tzlab: --step: ")
+        assert not (tmp_path / "radial-sweep.csv").exists()
+
     def test_check_failure_exits_two(self, tmp_path):
         # lambda 400 on a 64-node grid violates the adequacy rule: the sweep
         # is skipped, the check fails
@@ -247,6 +266,15 @@ class TestRadialSweepCommand:
         rows = read_csv(tmp_path / "radial-sweep.csv")
         assert rows[0][0] == "alpha"
         assert len(rows) == 3
+
+    def test_sigma_reported_at_r_max(self, tmp_path):
+        # step 5e-4 divides r_max 2: the masses are the Liouville ones at r = 2
+        rc = main(["radial-sweep", "--alphas", "4", "--h2-const", "0", "--r-max", "2",
+                   "--step", "5e-4", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        sigma1 = float(read_csv(tmp_path / "radial-sweep.csv")[1][1])
+        mu2 = np.exp(4.0) / 8.0 * 2.0**2
+        assert sigma1 == pytest.approx(4.0 * mu2 / (1.0 + mu2), abs=1e-8)
 
 
 class TestDeterminism:

@@ -10,7 +10,65 @@ from tzlab import (MassPair, StepTooLarge, TrajectoryOverflow,
                    quantization_table, shoot)
 
 
+def _reference_rk4(alpha, h1, h2, r_max, step):
+    """(u, u', sigma1, sigma2) of shoot's scheme in vector form: the series
+    start, then RK4 with a tuple-returning right-hand side f and one numpy
+    row per step.  shoot must reproduce it bit for bit."""
+    h = float(step)
+    ea, ema = math.exp(alpha), math.exp(-2.0 * alpha)
+    c = h1 * ea - h2 * ema
+    b = h1 * ea + 2.0 * h2 * ema
+
+    def series(r):
+        u = alpha - c * r**2 / 4.0 + b * c * r**4 / 64.0
+        w = -c * r / 2.0 + b * c * r**3 / 16.0
+        s1 = h1 * ea * (r**2 / 2.0 - c * r**4 / 16.0 + (c * c / 32.0 + b * c / 64.0) * r**6 / 6.0)
+        s2 = h2 * ema * (r**2 / 2.0 + c * r**4 / 8.0 + (c * c / 8.0 - b * c / 32.0) * r**6 / 6.0)
+        return u, w, s1, s2
+
+    def f(r, u, w, s1, s2):
+        eu = math.exp(u)
+        em = math.exp(-2.0 * u)
+        return (w, -w / r - h1 * eu + h2 * em, h1 * eu * r, h2 * em * r)
+
+    n_total = int(round(r_max / h))
+    rs = np.arange(n_total + 1) * h
+    out = np.empty((n_total + 1, 4))
+    out[0] = (alpha, 0.0, 0.0, 0.0)
+    for j in range(1, 4):
+        out[j] = series(rs[j])
+    u, w, s1, s2 = out[3]
+    r = rs[3]
+    for j in range(4, n_total + 1):
+        k1 = f(r, u, w, s1, s2)
+        k2 = f(r + h / 2, u + h / 2 * k1[0], w + h / 2 * k1[1], s1 + h / 2 * k1[2], s2 + h / 2 * k1[3])
+        k3 = f(r + h / 2, u + h / 2 * k2[0], w + h / 2 * k2[1], s1 + h / 2 * k2[2], s2 + h / 2 * k2[3])
+        k4 = f(r + h, u + h * k3[0], w + h * k3[1], s1 + h * k3[2], s2 + h * k3[3])
+        u += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        w += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        s1 += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        s2 += h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        r = rs[j]
+        out[j] = (u, w, s1, s2)
+    return out.T
+
+
 class TestShoot:
+    @pytest.mark.parametrize("alpha, h2, step", [
+        (alpha, h2, step)
+        for alpha in (-3.0, 0.0, 5.0, 8.0, 12.0) for h2 in (0.0, 1.0) for step in (1e-4, 1e-3)
+        if (alpha, step) != (12.0, 1e-3)  # StepTooLarge, see test_step_precondition
+    ])
+    def test_bitwise_equal_to_vector_rk4(self, alpha, h2, step):
+        p = shoot(alpha, 1.0, h2, 1.0, step)
+        assert np.array_equal(p.r, np.arange(len(p.r)) * step)
+        for name, ref in zip(("u", "du", "sigma1", "sigma2"),
+                             _reference_rk4(alpha, 1.0, h2, 1.0, step)):
+            got = getattr(p, name)
+            assert got.dtype == ref.dtype == np.float64
+            assert np.array_equal(got, ref), name
+            assert got.tobytes() == ref.tobytes(), name
+
     def test_constant_solution(self):
         # h1 = h2 = 1, alpha = 0: the forcing vanishes identically
         p = shoot(0.0, 1.0, 1.0, 1.0, 1e-3)
@@ -52,14 +110,32 @@ class TestShoot:
         assert p.sigma1[0] == 0.0
 
     def test_step_precondition(self):
-        with pytest.raises(StepTooLarge):
-            shoot(10.0, 1.0, 1.0, 1.0, 1e-2)
+        for alpha, step in ((10.0, 1e-2), (12.0, 1e-3), (-3.0, 1e-2)):
+            with pytest.raises(StepTooLarge):
+                shoot(alpha, 1.0, 1.0, 1.0, step)
 
     def test_alpha_overflow(self):
         with pytest.raises(TrajectoryOverflow):
             shoot(351.0, 1.0, 0.0, 1.0, 1e-4)
         with pytest.raises(TrajectoryOverflow):
             shoot(-701.0, 1.0, 0.0, 1.0, 1e-4)
+
+    @pytest.mark.parametrize("h1, h2", [(1e300, 0.0), (1.0, 1e300)])
+    def test_overflow_during_integration(self, h1, h2):
+        # the first RK4 step overflows its stages and u turns NaN
+        with pytest.raises(TrajectoryOverflow, match=r"u\(0\.004\) = nan"):
+            shoot(0.0, h1, h2, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("step", [7e-4, 3e-4])
+    def test_step_must_divide_r_max(self, step):
+        # round(1/step) steps would end at r = 1.0003 and 0.9999
+        with pytest.raises(ValueError, match="does not divide"):
+            shoot(2.0, 1.0, 0.0, 1.0, step)
+
+    @pytest.mark.parametrize("r_max, step", [(1.0, 1e-4), (1.0, 2e-4), (1.0, 5e-4),
+                                             (1.0, 1e-3), (2.0, 5e-4), (0.3, 1e-3)])
+    def test_dividing_steps_end_at_r_max(self, r_max, step):
+        assert shoot(2.0, 1.0, 0.0, r_max, step).r_max == pytest.approx(r_max, rel=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -68,6 +144,10 @@ class TestShoot:
             shoot(0.0, 1.0, -1.0, 1.0, 1e-3)
         with pytest.raises(ValueError):
             shoot(0.0, 1.0, 1.0, -1.0, 1e-3)
+        for r_max, step in ((1.0, 0.0), (math.inf, 1e-3), (1.0, math.inf), (1.0, math.nan),
+                            (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="0 < step <= r_max"):
+                shoot(0.0, 1.0, 1.0, r_max, step)
 
 
 class TestPohozaev:
@@ -233,6 +313,21 @@ class TestClassify:
         assert mp.distance == pytest.approx(2.0)
 
 
+_REAL_SHOOT = radial.shoot
+
+
+def _count_shoots(monkeypatch):
+    """Route radial.shoot through a recorder; returns the list of alphas shot."""
+    shot = []
+
+    def counted(alpha, *args):
+        shot.append(alpha)
+        return _REAL_SHOOT(alpha, *args)
+
+    monkeypatch.setattr(radial, "shoot", counted)
+    return shot
+
+
 class TestDirichlet:
     def test_balanced_weights_give_trivial_solution(self):
         alpha, prof = dirichlet_alpha(1.0, 1.0, bracket=(-1.0, 1.0))
@@ -251,19 +346,38 @@ class TestDirichlet:
     @pytest.mark.parametrize("h1, h2, bracket", [(1.0, 1.0, (0.0, 1.0)),
                                                   (2.0, 1.0, (1.0, 4.0))])
     def test_returns_the_deciding_shoot(self, monkeypatch, h1, h2, bracket):
-        shot = []
-        real = radial.shoot
-
-        def counted(alpha, *args):
-            shot.append(alpha)
-            return real(alpha, *args)
-
-        monkeypatch.setattr(radial, "shoot", counted)
+        shot = _count_shoots(monkeypatch)
         alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket)
         # the returned profile is the deciding shoot's: no alpha is shot twice
         assert alpha in shot
         assert len(shot) == len(set(shot))
-        assert np.array_equal(prof.u, real(alpha, h1, h2, 1.0, 1e-3).u)
+        assert np.array_equal(prof.u, _REAL_SHOOT(alpha, h1, h2, 1.0, 1e-3).u)
+
+    @pytest.mark.parametrize("h1, h2, bracket", [
+        (1.0, 0.0, (0.0, 0.5)), (1.0, 0.0, (2.0, 4.0)), (1.0, 1.0, (2.0, 4.0)),
+        (2.0, 1.0, (1.0, 4.0)), (0.5, 0.0, (2.0, 6.0)),
+    ])
+    def test_converges_in_few_shoots(self, monkeypatch, h1, h2, bracket):
+        shot = _count_shoots(monkeypatch)
+        alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket)
+        assert len(shot) <= 16
+        assert type(alpha) is float
+        assert bracket[0] < alpha < bracket[1]
+        assert abs(prof.u[-1]) < 1e-10
+        if h2 == 0.0:
+            # Liouville: u(1) = alpha - 2 log(1 + h1 e^alpha / 8)
+            assert abs(alpha - 2.0 * math.log1p(h1 * math.exp(alpha) / 8.0)) < 1e-8
+
+    def test_shoot_cap_falls_back_to_bracket_midpoint(self, monkeypatch):
+        monkeypatch.setattr(radial, "_MAX_SHOOTS", 2)
+        shot = _count_shoots(monkeypatch)
+        alpha, prof = dirichlet_alpha(2.0, 1.0, bracket=(1.0, 4.0))
+        # both ends, the two capped shots, then the fallback
+        assert len(shot) == 5 and shot[-1] == alpha
+        assert type(alpha) is float
+        assert 1.0 < alpha < 4.0
+        assert prof.alpha == alpha
+        assert np.array_equal(prof.u, _REAL_SHOOT(alpha, 2.0, 1.0, 1.0, 1e-3).u)
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError, match="bracket"):
