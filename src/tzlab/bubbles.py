@@ -91,16 +91,21 @@ def lambda_split(s: float, lam: float) -> tuple[float, float]:
 
 
 def _log_mixture(grid: TorusGrid, lam_s: float, points) -> np.ndarray:
-    """log sum_i w_i (1 + lam_s^2 d(x, p_i)^2)^-2, numerically via logsumexp."""
+    """log sum_i w_i (1 + lam_s^2 d(x, p_i)^2)^-2, numerically via logsumexp.
+
+    Only points of nonzero weight contribute a term.  With one such point
+    its log term is the result: the logsumexp would add log(1) = 0.0 to it,
+    which is exact.  With several, dropping the zero-weight terms drops only
+    + 0.0 from the sum, so the result is the same to the bit.
+    """
     if lam_s == 0.0:
         # dead side of the join: the mixture is identically sum w_i = 1
         return np.zeros((grid.n, grid.n))
-    logs = np.full((len(points), grid.n, grid.n), -np.inf)
-    for row, (w, p) in enumerate(points):
-        if w == 0.0:
-            continue
-        d = distance_field(grid, p)
-        logs[row] = np.log(w) - 2.0 * np.log1p((lam_s * d) ** 2)
+    rows = [np.log(w) - 2.0 * np.log1p((lam_s * distance_field(grid, p)) ** 2)
+            for w, p in points if w != 0.0]
+    if len(rows) == 1:
+        return rows[0]
+    logs = np.stack(rows)
     peak = logs.max(axis=0)
     return peak + np.log(np.exp(logs - peak).sum(axis=0))
 

@@ -60,7 +60,8 @@ class StepTooLarge(ValueError):
 
 
 class TrajectoryOverflow(RuntimeError):
-    """u left the representable window [-700, 350] during integration."""
+    """u left the representable window [-700, 350] during integration, or
+    e^u or e^{-2u} overflowed on the way (e^{-2u} already does below u = -354.9)."""
 
 
 @dataclass
@@ -121,74 +122,83 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
         raise ValueError("r_max must exceed the series-start region (4 steps)")
 
     h = float(step)
-    ea, ema = math.exp(alpha), math.exp(-2.0 * alpha)
-    c = h1 * ea - h2 * ema          # forcing at the center
-    b = h1 * ea + 2.0 * h2 * ema    # its derivative in u
+    r, u = 0.0, alpha  # start of the step an exp overflow is reported from
+    try:
+        ea, ema = math.exp(alpha), math.exp(-2.0 * alpha)
+        c = h1 * ea - h2 * ema          # forcing at the center
+        b = h1 * ea + 2.0 * h2 * ema    # its derivative in u
 
-    # series through r^4 (u) and r^6 (masses); exact identities hold term by term
-    def series(r):
-        u = alpha - c * r**2 / 4.0 + b * c * r**4 / 64.0
-        w = -c * r / 2.0 + b * c * r**3 / 16.0
-        s1 = h1 * ea * (r**2 / 2.0 - c * r**4 / 16.0 + (c * c / 32.0 + b * c / 64.0) * r**6 / 6.0)
-        s2 = h2 * ema * (r**2 / 2.0 + c * r**4 / 8.0 + (c * c / 8.0 - b * c / 32.0) * r**6 / 6.0)
-        return u, w, s1, s2
+        # series through r^4 (u) and r^6 (masses); exact identities hold term by term
+        def series(r):
+            u = alpha - c * r**2 / 4.0 + b * c * r**4 / 64.0
+            w = -c * r / 2.0 + b * c * r**3 / 16.0
+            s1 = h1 * ea * (r**2 / 2.0 - c * r**4 / 16.0 + (c * c / 32.0 + b * c / 64.0) * r**6 / 6.0)
+            s2 = h2 * ema * (r**2 / 2.0 + c * r**4 / 8.0 + (c * c / 8.0 - b * c / 32.0) * r**6 / 6.0)
+            return u, w, s1, s2
 
-    rs = np.arange(n_total + 1) * h
-    cols = [array("d", (alpha,)), array("d", (0.0,)), array("d", (0.0,)), array("d", (0.0,))]
-    for j in range(1, _SERIES_STEPS + 1):
-        for col, v in zip(cols, series(rs[j])):
-            col.append(v)
-    put_u, put_w, put_s1, put_s2 = (col.append for col in cols)
-    u, w, s1, s2 = (col[-1] for col in cols)
+        rs = np.arange(n_total + 1) * h
+        cols = [array("d", (alpha,)), array("d", (0.0,)), array("d", (0.0,)), array("d", (0.0,))]
+        # a start far outside the window overflows here in numpy scalars; it is
+        # typed below, at the first exp overflow or window check of the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, _SERIES_STEPS + 1):
+                for col, v in zip(cols, series(rs[j])):
+                    col.append(v)
+        put_u, put_w, put_s1, put_s2 = (col.append for col in cols)
+        u, w, s1, s2 = (col[-1] for col in cols)
 
-    # Classical RK4 for (u, u', sigma1, sigma2) written out stage by stage,
-    # with the operation order of the vector form k = f(r, y):
-    # f = (w, -w/r - h1 e^u + h2 e^{-2u}, h1 e^u r, h2 e^{-2u} r), stage
-    # arguments y + h/2 k and y + h k, update y += h/6 (k1 + 2 k2 + 2 k3 + k4).
-    # f does not read sigma1, sigma2, so their stage arguments are not formed.
-    exp = math.exp
-    h_2, h_6 = h / 2, h / 6
-    r = _SERIES_STEPS * h
-    for j in range(_SERIES_STEPS + 1, n_total + 1):
-        eu = exp(u)
-        em = exp(-2.0 * u)
-        k1w = -w / r - h1 * eu + h2 * em
-        k1a = h1 * eu * r
-        k1b = h2 * em * r
-        rm = r + h_2
-        u2 = u + h_2 * w
-        w2 = w + h_2 * k1w
-        eu = exp(u2)
-        em = exp(-2.0 * u2)
-        k2w = -w2 / rm - h1 * eu + h2 * em
-        k2a = h1 * eu * rm
-        k2b = h2 * em * rm
-        u3 = u + h_2 * w2
-        w3 = w + h_2 * k2w
-        eu = exp(u3)
-        em = exp(-2.0 * u3)
-        k3w = -w3 / rm - h1 * eu + h2 * em
-        k3a = h1 * eu * rm
-        k3b = h2 * em * rm
-        re = r + h
-        u4 = u + h * w3
-        w4 = w + h * k3w
-        eu = exp(u4)
-        em = exp(-2.0 * u4)
-        k4w = -w4 / re - h1 * eu + h2 * em
-        k4a = h1 * eu * re
-        k4b = h2 * em * re
-        u += h_6 * (w + 2 * w2 + 2 * w3 + w4)
-        w += h_6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        s1 += h_6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        s2 += h_6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-        r = j * h
-        if not _U_MIN <= u <= _U_MAX:
-            raise TrajectoryOverflow(f"u({r:.6g}) = {u:.6g} left [{_U_MIN}, {_U_MAX}]")
-        put_u(u)
-        put_w(w)
-        put_s1(s1)
-        put_s2(s2)
+        # Classical RK4 for (u, u', sigma1, sigma2) written out stage by stage,
+        # with the operation order of the vector form k = f(r, y):
+        # f = (w, -w/r - h1 e^u + h2 e^{-2u}, h1 e^u r, h2 e^{-2u} r), stage
+        # arguments y + h/2 k and y + h k, update y += h/6 (k1 + 2 k2 + 2 k3 + k4).
+        # f does not read sigma1, sigma2, so their stage arguments are not formed.
+        exp = math.exp
+        h_2, h_6 = h / 2, h / 6
+        r = _SERIES_STEPS * h
+        for j in range(_SERIES_STEPS + 1, n_total + 1):
+            eu = exp(u)
+            em = exp(-2.0 * u)
+            k1w = -w / r - h1 * eu + h2 * em
+            k1a = h1 * eu * r
+            k1b = h2 * em * r
+            rm = r + h_2
+            u2 = u + h_2 * w
+            w2 = w + h_2 * k1w
+            eu = exp(u2)
+            em = exp(-2.0 * u2)
+            k2w = -w2 / rm - h1 * eu + h2 * em
+            k2a = h1 * eu * rm
+            k2b = h2 * em * rm
+            u3 = u + h_2 * w2
+            w3 = w + h_2 * k2w
+            eu = exp(u3)
+            em = exp(-2.0 * u3)
+            k3w = -w3 / rm - h1 * eu + h2 * em
+            k3a = h1 * eu * rm
+            k3b = h2 * em * rm
+            re = r + h
+            u4 = u + h * w3
+            w4 = w + h * k3w
+            eu = exp(u4)
+            em = exp(-2.0 * u4)
+            k4w = -w4 / re - h1 * eu + h2 * em
+            k4a = h1 * eu * re
+            k4b = h2 * em * re
+            u += h_6 * (w + 2 * w2 + 2 * w3 + w4)
+            w += h_6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+            s1 += h_6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            s2 += h_6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+            r = j * h
+            if not _U_MIN <= u <= _U_MAX:
+                raise TrajectoryOverflow(f"u({r:.6g}) = {u:.6g} left [{_U_MIN}, {_U_MAX}]")
+            put_u(u)
+            put_w(w)
+            put_s1(s1)
+            put_s2(s2)
+    except OverflowError:
+        # math.exp of alpha, of u or of an RK4 stage left the float range: a
+        # value beyond the window, or e^{-2u} with u < -354.9 inside it
+        raise TrajectoryOverflow(f"exp overflowed in the step from u({r:.6g}) = {u:.6g}") from None
 
     u, du, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
     return RadialProfile(

@@ -183,11 +183,14 @@ def distance_field(grid: TorusGrid, point) -> np.ndarray:
     """Array of torus distances from every node to ``point``.
 
     Equivalent to minimizing the Euclidean distance over the 9 periodic
-    translates; on the square torus the axes decouple.
+    translates; on the square torus the axes decouple, so the wrap and
+    fold run once per axis on the n node coordinates and one broadcast
+    combines them.  Each node sees the same float operations as on the
+    coordinate meshes, so the result is bit for bit the meshgrid form.
     """
     px, py = point
-    dxv = np.abs(grid.X - px) % 1.0
-    dyv = np.abs(grid.Y - py) % 1.0
+    dxv = np.abs(grid.axis_points - px) % 1.0
+    dyv = np.abs(grid.axis_points - py) % 1.0
     dxv = np.minimum(dxv, 1.0 - dxv)
     dyv = np.minimum(dyv, 1.0 - dyv)
-    return np.sqrt(dxv**2 + dyv**2)
+    return np.sqrt(dxv[None, :] ** 2 + dyv[:, None] ** 2)

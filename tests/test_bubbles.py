@@ -4,6 +4,7 @@ import pytest
 from tzlab import (JoinConfig, ScalarField, build_bubble,
                    build_grid, default_join_config, distance_field, integrate,
                    lambda_split, liouville_bubble, liouville_mass)
+from tzlab.bubbles import _log_mixture
 
 
 def node_config(s=0.0, plus=((1.0, (0.5, 0.5)),), minus=((1.0, (0.25, 0.75)),)):
@@ -115,6 +116,52 @@ class TestBuildBubble:
                     ((1.0, tuple(rng.uniform(0, 1, 2))),), s)
                 phi = build_bubble(zeta, lam, grid64).values
                 assert phi.max() <= 2.0 * np.log1p(lam**2) + 1.0
+
+
+def _reference_log_mixture(grid, lam_s, points):
+    """The mixture as a logsumexp over one row per point, -inf for a point
+    of zero weight; _log_mixture must match it bit for bit."""
+    logs = np.full((len(points), grid.n, grid.n), -np.inf)
+    for row, (w, p) in enumerate(points):
+        if w == 0.0:
+            continue
+        d = distance_field(grid, p)
+        logs[row] = np.log(w) - 2.0 * np.log1p((lam_s * d) ** 2)
+    peak = logs.max(axis=0)
+    return peak + np.log(np.exp(logs - peak).sum(axis=0))
+
+
+class TestLogMixture:
+    LAMBDAS = (0.5, 30.0, 700.0)
+
+    def _assert_same_bytes(self, got, ref):
+        assert got.shape == ref.shape and got.dtype == ref.dtype == np.float64
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("point", [(0.5, 0.5), (0.03, 0.97), (1.2, -0.4)])
+    def test_single_point_is_the_logsumexp(self, grid64, point):
+        for lam in self.LAMBDAS:
+            got = _log_mixture(grid64, lam, ((1.0, point),))
+            self._assert_same_bytes(got, _reference_log_mixture(grid64, lam, ((1.0, point),)))
+
+    def test_zero_weight_point_drops_out(self, grid64):
+        for lam in self.LAMBDAS:
+            alone = _log_mixture(grid64, lam, ((1.0, (0.3, 0.6)),))
+            for points in (((1.0, (0.3, 0.6)), (0.0, (0.8, 0.1))),
+                           ((0.0, (0.8, 0.1)), (1.0, (0.3, 0.6)))):
+                self._assert_same_bytes(_log_mixture(grid64, lam, points), alone)
+
+    @pytest.mark.parametrize("points", [
+        ((0.5, (0.25, 0.25)), (0.5, (0.75, 0.75))),
+        ((0.5, (0.1, 0.9)), (0.5, (0.15, 0.85))),
+        ((0.5, (0.2, 0.3)), (0.0, (0.6, 0.6)), (0.5, (0.7, 0.4))),
+        ((0.2, (0.2, 0.3)), (0.3, (0.6, 0.6)), (0.5, (0.7, 0.4))),
+    ])
+    def test_mixture_is_the_logsumexp(self, grid64, points):
+        for lam in self.LAMBDAS:
+            self._assert_same_bytes(_log_mixture(grid64, lam, points),
+                                    _reference_log_mixture(grid64, lam, points))
 
 
 class TestLiouvilleBubble:

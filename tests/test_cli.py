@@ -276,6 +276,18 @@ class TestRadialSweepCommand:
         mu2 = np.exp(4.0) / 8.0 * 2.0**2
         assert sigma1 == pytest.approx(4.0 * mu2 / (1.0 + mu2), abs=1e-8)
 
+    def test_overflowing_row_is_typed(self, tmp_path, capsys):
+        # the series start puts u(3 step) near 3e292: the first exp overflows
+        rc = main(["radial-sweep", "--alphas", "5", "--h1-const", "1e150",
+                   "--h2-const", "0", "--step", "1e-3", "--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
+        rows = read_csv(tmp_path / "radial-sweep.csv")
+        assert len(rows) == 2
+        assert rows[1][rows[0].index("error")].startswith("TrajectoryOverflow: ")
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "[FAIL] radial-sweep: all_rows_computed" in captured.out
+
 
 class TestDeterminism:
     def test_identical_csv_bytes_and_thread_independence(self, tmp_path, monkeypatch):

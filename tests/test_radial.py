@@ -126,6 +126,20 @@ class TestShoot:
         with pytest.raises(TrajectoryOverflow, match=r"u\(0\.004\) = nan"):
             shoot(0.0, h1, h2, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("args, where", [
+        # the series start leaves the window: u(0.003) is near 3e292
+        ((5.0, 1e150, 0.0, 1.0, 1e-3), r"u\(0\.003\) = 2\.78772e\+292"),
+        # the series start u(0.03) = -432 is inside it, but e^{-2u} overflows
+        ((1.0, 1.0, 1e6, 1.0, 1e-2), r"u\(0\.03\) = -432\.16"),
+        # alpha = -400 is inside it too; e^{-2 alpha} overflows before the start
+        ((-400.0, 1.0, 0.0, 1.0, 1e-175), r"u\(0\) = -400$"),
+    ], ids=["series_start_beyond_window", "exp_minus_2u_inside_window", "exp_minus_2alpha"])
+    def test_exp_overflow_is_typed(self, args, where):
+        # a bare OverflowError from math.exp, or a numpy overflow warning of
+        # the series start (an error under this suite's filterwarnings), fails
+        with pytest.raises(TrajectoryOverflow, match="exp overflowed in the step from " + where):
+            shoot(*args)
+
     @pytest.mark.parametrize("step", [7e-4, 3e-4])
     def test_step_must_divide_r_max(self, step):
         # round(1/step) steps would end at r = 1.0003 and 0.9999

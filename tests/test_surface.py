@@ -192,6 +192,31 @@ class TestTorusDistance:
         expected = torus_distance((grid32.X[i, j], grid32.Y[i, j]), point)
         assert d[i, j] == pytest.approx(expected)
 
+    @staticmethod
+    def _meshgrid_distance(grid, point):
+        """The wrap and fold on the full coordinate meshes, one node at a time
+        in numpy's elementwise operations; distance_field must match it bit
+        for bit."""
+        px, py = point
+        dxv = np.abs(grid.X - px) % 1.0
+        dyv = np.abs(grid.Y - py) % 1.0
+        dxv = np.minimum(dxv, 1.0 - dxv)
+        dyv = np.minimum(dyv, 1.0 - dyv)
+        return np.sqrt(dxv**2 + dyv**2)
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_bitwise_equal_to_meshgrid_form(self, n):
+        grid = build_grid(n)
+        q = 0.25 / n  # a quarter of the spacing off the nodes
+        points = [(0.0, 0.0), (0.5, 0.5), (0.999, 0.001), (1.3, -0.2), (-0.75, 2.5),
+                  (3 / n + q, 5 / n - q), ((n - 1) / n + q, q), (0.5 - q, 1.0 - q)]
+        for point in points:
+            got = distance_field(grid, point)
+            ref = self._meshgrid_distance(grid, point)
+            assert got.shape == ref.shape == (n, n) and got.dtype == ref.dtype
+            assert np.array_equal(got, ref), point
+            assert got.tobytes() == ref.tobytes(), point
+
 
 class TestRealTransforms:
     """The rfft2 half-spectrum operators against full-fft2 references, on
