@@ -48,7 +48,7 @@ from .radial import (TrajectoryOverflow, classify_mass_pair, limit_mass_relation
                      pohozaev_residual_profile, quantization_table, shoot,
                      step_count)
 from .recipes import RecipeError, field_from_recipe
-from .surface import ScalarField, build_grid, integrate
+from .surface import ScalarField, build_grid, field_from_function, integrate
 from .surface import GridError
 
 EXIT_OK, EXIT_USAGE, EXIT_CHECKFAIL, EXIT_NUMERIC = 0, 1, 2, 3
@@ -164,11 +164,6 @@ def _random_start(grid, seed: float, amplitude: float = 0.1) -> ScalarField:
 # ---------------------------------------------------------------- commands
 
 
-def _solve_once(params, grid, seed, tol, max_iters):
-    return minimize(params, _random_start(grid, seed), max_iters=max_iters,
-                    tol_residual=tol)
-
-
 def _write_solution(outdir: Path, args, sol):
     """solution.csv (row-major field dump, x fastest) and solution.json.
 
@@ -198,7 +193,8 @@ def cmd_solve(args, outdir: Path):
         raise ConfigError("--rho1 and --rho2 are required (flag or config file)")
     grid = _grid_or_config_error(args.n)
     params = _build_params(args, grid)
-    sol = _solve_once(params, grid, args.seed, args.tol, args.max_iters)
+    sol = minimize(params, _random_start(grid, args.seed), max_iters=args.max_iters,
+                   tol_residual=args.tol)
     _write_solution(outdir, args, sol)
     checks = {
         # on a finite grid a discrete minimizer exists for any rho, so
@@ -335,11 +331,12 @@ def _gradient_fd_check(grid, n_fields: int, seed: int) -> float:
     eps = 1e-4
 
     def smooth(amplitude=1.0):
-        vals = np.zeros((grid.n, grid.n))
-        for _ in range(8):
-            kx, ky = rng.integers(-6, 7, size=2)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            vals += rng.normal() * np.cos(2.0 * np.pi * (kx * grid.X + ky * grid.Y) + phase)
+        # per term, in draw order: the wave vector, the phase, the coefficient
+        terms = [(*rng.integers(-6, 7, size=2), rng.uniform(0.0, 2.0 * np.pi), rng.normal())
+                 for _ in range(8)]
+        vals = field_from_function(grid, lambda x, y: sum(
+            a * np.cos(2.0 * np.pi * (kx * x + ky * y) + phase)
+            for kx, ky, phase, a in terms)).values
         return ScalarField(grid, amplitude * vals / max(1.0, np.abs(vals).max()))
 
     worst = 0.0
@@ -391,7 +388,8 @@ def _verify_solve(args, outdir: Path):
             params = Params(rho1, rho2, h1, h2)
             for k_seed in range(3):
                 seed = int(args.seed) + 97 * k_seed
-                sol = _solve_once(params, grid64, seed, 1e-9, 4000)
+                sol = minimize(params, _random_start(grid64, seed), max_iters=4000,
+                               tol_residual=1e-9)
                 solve_ok &= sol.converged and sol.residual_norm < 1e-7
                 solve_rows.append((rho1, rho2, seed, sol.converged,
                                    sol.residual_norm, sol.energy, sol.iterations))

@@ -99,6 +99,10 @@ def step_count(r_max: float, step: float) -> int:
     return n
 
 
+def _left_window(r: float, u: float) -> TrajectoryOverflow:
+    return TrajectoryOverflow(f"u({r:.6g}) = {u:.6g} left [{_U_MIN}, {_U_MAX}]")
+
+
 def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
           r_max: float = 1.0, step: float = 1e-4) -> RadialProfile:
     """Integrate the radial equation from the center out to r_max.
@@ -136,16 +140,15 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
             s2 = h2 * ema * (r**2 / 2.0 + c * r**4 / 8.0 + (c * c / 8.0 - b * c / 32.0) * r**6 / 6.0)
             return u, w, s1, s2
 
-        rs = np.arange(n_total + 1) * h
         cols = [array("d", (alpha,)), array("d", (0.0,)), array("d", (0.0,)), array("d", (0.0,))]
-        # a start far outside the window overflows here in numpy scalars; it is
-        # typed below, at the first exp overflow or window check of the loop
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, _SERIES_STEPS + 1):
-                for col, v in zip(cols, series(rs[j])):
-                    col.append(v)
+        for j in range(1, _SERIES_STEPS + 1):
+            r = j * h
+            u, w, s1, s2 = series(r)
+            if not _U_MIN <= u <= _U_MAX:
+                raise _left_window(r, u)
+            for col, v in zip(cols, (u, w, s1, s2)):
+                col.append(v)
         put_u, put_w, put_s1, put_s2 = (col.append for col in cols)
-        u, w, s1, s2 = (col[-1] for col in cols)
 
         # Classical RK4 for (u, u', sigma1, sigma2) written out stage by stage,
         # with the operation order of the vector form k = f(r, y):
@@ -154,7 +157,6 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
         # f does not read sigma1, sigma2, so their stage arguments are not formed.
         exp = math.exp
         h_2, h_6 = h / 2, h / 6
-        r = _SERIES_STEPS * h
         for j in range(_SERIES_STEPS + 1, n_total + 1):
             eu = exp(u)
             em = exp(-2.0 * u)
@@ -190,7 +192,7 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
             s2 += h_6 * (k1b + 2 * k2b + 2 * k3b + k4b)
             r = j * h
             if not _U_MIN <= u <= _U_MAX:
-                raise TrajectoryOverflow(f"u({r:.6g}) = {u:.6g} left [{_U_MIN}, {_U_MAX}]")
+                raise _left_window(r, u)
             put_u(u)
             put_w(w)
             put_s1(s1)
@@ -202,7 +204,7 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
 
     u, du, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
     return RadialProfile(
-        r=rs, u=u, du=du, sigma1=sigma1, sigma2=sigma2,
+        r=np.arange(n_total + 1) * h, u=u, du=du, sigma1=sigma1, sigma2=sigma2,
         alpha=alpha, h1=h1, h2=h2, step=h,
     )
 

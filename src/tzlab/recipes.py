@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .surface import ScalarField, TorusGrid
+from .surface import ScalarField, TorusGrid, field_from_function
 
 
 class RecipeError(ValueError):
@@ -94,8 +94,5 @@ def parse_recipe(text: str):
 
 
 def field_from_recipe(text: str, grid: TorusGrid) -> ScalarField:
-    """Sample a recipe onto a grid."""
-    fn = parse_recipe(text)
-    values = np.broadcast_to(np.asarray(fn(grid.X, grid.Y), dtype=np.float64),
-                             (grid.n, grid.n)).copy()
-    return ScalarField(grid, values)
+    """Sample a recipe onto a grid (see surface.field_from_function)."""
+    return field_from_function(grid, parse_recipe(text))

@@ -31,8 +31,10 @@ class TorusGrid:
     """Uniform periodic grid on the unit-area square torus [0,1)^2.
 
     ``n`` nodes per axis and spacing ``dx = 1/n``, so the total area
-    ``n^2 * dx^2`` is exactly 1.  Node coordinates are ``j / n`` for
-    ``j = 0..n-1``; the grid owns its spectral wavenumbers.
+    ``n^2 * dx^2`` is exactly 1.  The grid owns one coordinate array,
+    ``axis_points`` (``j / n`` for ``j = 0..n-1``), shared by both axes:
+    axis 1 of a field is x (x fastest in C order), axis 0 is y.  It also
+    owns its spectral wavenumbers.
     """
 
     n: int
@@ -50,15 +52,6 @@ class TorusGrid:
     @cached_property
     def axis_points(self) -> np.ndarray:
         return np.arange(self.n) * self.dx
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        """x coordinate of each node; axis 1 is x (x-fastest in C order)."""
-        return np.meshgrid(self.axis_points, self.axis_points, indexing="xy")[0]
-
-    @cached_property
-    def Y(self) -> np.ndarray:
-        return np.meshgrid(self.axis_points, self.axis_points, indexing="xy")[1]
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
@@ -140,8 +133,17 @@ def constant_field(grid: TorusGrid, c: float) -> ScalarField:
 
 
 def field_from_function(grid: TorusGrid, fn) -> ScalarField:
-    """Sample fn(x, y) (vectorized over coordinate meshes) onto the grid."""
-    return ScalarField(grid, np.asarray(fn(grid.X, grid.Y), dtype=np.float64))
+    """Sample fn(x, y) onto the grid.
+
+    fn is called once, vectorized, with x as the (1, n) row and y as the
+    (n, 1) column of ``grid.axis_points``; whatever it returns (a scalar,
+    a row, a column or the full array) is broadcast to a contiguous
+    (n, n) float64 array.  Each node sees the same float operations as on
+    full coordinate meshes.
+    """
+    x = grid.axis_points
+    values = np.asarray(fn(x[None, :], x[:, None]), dtype=np.float64)
+    return ScalarField(grid, np.broadcast_to(values, (grid.n, grid.n)).copy())
 
 
 def integrate(f: ScalarField) -> float:
@@ -185,8 +187,8 @@ def distance_field(grid: TorusGrid, point) -> np.ndarray:
     Equivalent to minimizing the Euclidean distance over the 9 periodic
     translates; on the square torus the axes decouple, so the wrap and
     fold run once per axis on the n node coordinates and one broadcast
-    combines them.  Each node sees the same float operations as on the
-    coordinate meshes, so the result is bit for bit the meshgrid form.
+    combines them.  Each node sees the same float operations as on full
+    coordinate meshes, so the result is bit for bit the full-mesh form.
     """
     px, py = point
     dxv = np.abs(grid.axis_points - px) % 1.0

@@ -13,12 +13,19 @@ def random_trig_coeffs(rng, kmax=6, modes=8):
     return coeffs
 
 
+def node_coordinates(grid):
+    """Reference x and y of every node as (n, n) meshes (axis 1 is x),
+    built from the grid's one coordinate array."""
+    return np.meshgrid(grid.axis_points, grid.axis_points, indexing="xy")
+
+
 def sample_trig(grid, coeffs, amplitude=1.0):
     """Sample the trig polynomial onto a grid; same coeffs give the same
     function at any resolution."""
+    X, Y = node_coordinates(grid)
     vals = np.zeros((grid.n, grid.n))
     for a, kx, ky, phase in coeffs:
-        vals += a * np.cos(2.0 * np.pi * (kx * grid.X + ky * grid.Y) + phase)
+        vals += a * np.cos(2.0 * np.pi * (kx * X + ky * Y) + phase)
     scale = max(1.0, np.abs(vals).max())
     return ScalarField(grid, amplitude * vals / scale)
 

@@ -37,6 +37,14 @@ class TestJoinConfig:
         assert c == d
         assert node_config(s=0.5) != node_config(s=0.25)
 
+    def test_join_relation_keeps_the_live_sides(self):
+        # at s = 1 only the minus side is alive, so a different one is a different config
+        assert node_config(s=1.0) != node_config(s=1.0, minus=((1.0, (0.1, 0.2)),))
+        # between the endpoints both sides are alive and both must agree
+        assert node_config(s=0.5) == node_config(s=0.5)
+        assert node_config(s=0.5) != node_config(s=0.5, plus=((1.0, (0.9, 0.9)),))
+        assert node_config(s=0.5) != node_config(s=0.5, minus=((1.0, (0.1, 0.2)),))
+
 
 class TestLambdaSplit:
     @pytest.mark.parametrize("s,lam,expected", [

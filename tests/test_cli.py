@@ -15,6 +15,8 @@ from tzlab import ExpUnderflow, ScalarField, Solution, build_grid
 from tzlab.cli import (EXIT_CHECKFAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                        _write_csv, _write_solution, main)
 
+from conftest import node_coordinates
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -168,8 +170,8 @@ class TestSolve:
         sol = Solution(ScalarField(grid, values), 0.0, 0.0, 0, True, 1, 0)
         _write_solution(tmp_path, argparse.Namespace(), sol)
         ref = tmp_path / "ref.csv"
-        _write_csv(ref, ["x", "y", "u"],
-                   zip(grid.X.ravel(), grid.Y.ravel(), values.ravel()))
+        X, Y = node_coordinates(grid)
+        _write_csv(ref, ["x", "y", "u"], zip(X.ravel(), Y.ravel(), values.ravel()))
         assert (tmp_path / "solution.csv").read_bytes() == ref.read_bytes()
 
     def test_solution_csv_row_major_x_fastest(self, tmp_path):

@@ -6,7 +6,7 @@ from tzlab import (MTCoefficients, Params, build_grid, build_bubble,
                    field_from_function, fit_slope, grad_norm_sq, integrate,
                    liouville_bubble, mean, mt_deficit, residual_J)
 
-from conftest import smooth_field
+from conftest import node_coordinates, smooth_field
 
 
 @pytest.fixture
@@ -216,7 +216,7 @@ class TestImprovedDeficit:
         predicted = -16.0 * np.pi
         assert abs(self.plus_family_slope(grid, 1) - predicted) <= 0.10 * abs(predicted)
         u = build_bubble(default_join_config(grid, 1, 1, 0.0), 200.0, grid)
-        left = grid.X < 0.5
+        left = node_coordinates(grid)[0] < 0.5
         assert min(plus_mass_fractions(u, [left, ~left])) < 0.4
 
 
@@ -228,13 +228,15 @@ class TestCheckSpread:
         grid = build_grid(128)
         zeta = default_join_config(grid, 1, 1, 0.0)  # plus point in the lower-left
         u = build_bubble(zeta, 100.0, grid)
-        near = (grid.X < 0.5) & (grid.Y < 0.5)
-        far = (grid.X >= 0.5) & (grid.Y >= 0.5)
+        X, Y = node_coordinates(grid)
+        near = (X < 0.5) & (Y < 0.5)
+        far = (X >= 0.5) & (Y >= 0.5)
         assert min(plus_mass_fractions(u, [near, far])) < 0.4
 
     def test_two_bubbles_spread(self):
         grid = build_grid(256)
         zeta = default_join_config(grid, 2, 1, 0.0)
         u = build_bubble(zeta, 200.0, grid)
-        regions = [grid.X < 0.5, grid.X >= 0.5]
+        X = node_coordinates(grid)[0]
+        regions = [X < 0.5, X >= 0.5]
         assert min(plus_mass_fractions(u, regions)) > 0.4

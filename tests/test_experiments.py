@@ -53,6 +53,23 @@ class TestAdequacy:
         assert res.skipped and not res.passed
 
 
+class TestDefaultJoinConfig:
+    @pytest.mark.parametrize("k, l", [(5, 1), (1, 5)])
+    def test_at_most_four_points_per_species(self, k, l):
+        with pytest.raises(ValueError, match="at most 4 points per species"):
+            default_join_config(build_grid(64), k, l, 0.0)
+
+    @pytest.mark.parametrize("k, l", [(3, 2), (2, 3), (4, 1)])
+    def test_at_most_two_plus_two_between_the_endpoints(self, k, l):
+        grid = build_grid(64)
+        with pytest.raises(ValueError, match="at most 2 plus and 2 minus"):
+            default_join_config(grid, k, l, 0.5)
+        # at an endpoint one side is dead, so its sites may overlap the other's
+        for s in (0.0, 1.0):
+            zeta = default_join_config(grid, k, l, s)
+            assert (zeta.k, zeta.l) == (k, l)
+
+
 class TestComponentAsymptotics:
     def test_pure_plus_family(self):
         # s = 0: slopes (16 pi, -2, 8, -4)

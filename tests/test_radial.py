@@ -122,23 +122,29 @@ class TestShoot:
 
     @pytest.mark.parametrize("h1, h2", [(1e300, 0.0), (1.0, 1e300)])
     def test_overflow_during_integration(self, h1, h2):
-        # the first RK4 step overflows its stages and u turns NaN
-        with pytest.raises(TrajectoryOverflow, match=r"u\(0\.004\) = nan"):
+        # the series start is already infinite at its first node, which is named
+        where = r"u\(0\.001\) = " + ("inf" if h2 == 0.0 else "-inf")
+        with pytest.raises(TrajectoryOverflow, match=where + r" left \[-700\.0, 350\.0\]$"):
             shoot(0.0, h1, h2, 1.0, 1e-3)
 
-    @pytest.mark.parametrize("args, where", [
-        # the series start leaves the window: u(0.003) is near 3e292
-        ((5.0, 1e150, 0.0, 1.0, 1e-3), r"u\(0\.003\) = 2\.78772e\+292"),
+    @pytest.mark.parametrize("args, message", [
+        # the series start leaves the window at its first node, u(0.001) near 3e290
+        ((5.0, 1e150, 0.0, 1.0, 1e-3), r"u\(0\.001\) = 3\.44164e\+290 left \[-700\.0, 350\.0\]$"),
         # the series start u(0.03) = -432 is inside it, but e^{-2u} overflows
-        ((1.0, 1.0, 1e6, 1.0, 1e-2), r"u\(0\.03\) = -432\.16"),
+        ((1.0, 1.0, 1e6, 1.0, 1e-2), r"exp overflowed in the step from u\(0\.03\) = -432\.16"),
         # alpha = -400 is inside it too; e^{-2 alpha} overflows before the start
-        ((-400.0, 1.0, 0.0, 1.0, 1e-175), r"u\(0\) = -400$"),
+        ((-400.0, 1.0, 0.0, 1.0, 1e-175), r"exp overflowed in the step from u\(0\) = -400$"),
     ], ids=["series_start_beyond_window", "exp_minus_2u_inside_window", "exp_minus_2alpha"])
-    def test_exp_overflow_is_typed(self, args, where):
-        # a bare OverflowError from math.exp, or a numpy overflow warning of
-        # the series start (an error under this suite's filterwarnings), fails
-        with pytest.raises(TrajectoryOverflow, match="exp overflowed in the step from " + where):
+    def test_exp_overflow_is_typed(self, args, message):
+        # a bare OverflowError from math.exp, or an overflow warning (an error
+        # under this suite's filterwarnings), fails
+        with pytest.raises(TrajectoryOverflow, match=message):
             shoot(*args)
+
+    def test_r_max_must_exceed_the_series_region(self):
+        # three steps end at r_max, inside the series start
+        with pytest.raises(ValueError, match="series-start region"):
+            shoot(0.0, 1.0, 0.0, 3e-3, 1e-3)
 
     @pytest.mark.parametrize("step", [7e-4, 3e-4])
     def test_step_must_divide_r_max(self, step):

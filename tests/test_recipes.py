@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tzlab import RecipeError, build_grid, field_from_recipe, parse_recipe
+from tzlab import (RecipeError, build_grid, field_from_function, field_from_recipe,
+                   parse_recipe)
 from tzlab.cli import EXIT_OK, main
+
+from conftest import node_coordinates
+
+# the workloads' weights, then mixed x/y terms and a subnormal constant
+SAMPLED_RECIPES = ["1", "1+0.5*cos(2*pi*x)", "1+0.5*sin(2*pi*y)",
+                   "cos(2*pi*x)*sin(4*pi*y) - 0.3*x*y",
+                   "2 + sin(2*pi*(x+y))*cos(6*pi*(x-y))", "1e-320"]
 
 
 # Recipes drawn from the documented grammar, each paired with a reference
@@ -129,8 +137,24 @@ class TestFieldFromRecipe:
     def test_matches_direct_sampling(self):
         grid = build_grid(32)
         f = field_from_recipe("1+0.5*cos(2*pi*x)", grid)
-        expected = 1 + 0.5 * np.cos(2 * np.pi * grid.X)
+        expected = 1 + 0.5 * np.cos(2 * np.pi * node_coordinates(grid)[0])
         assert np.allclose(f.values, expected)
+
+    @pytest.mark.parametrize("text", SAMPLED_RECIPES)
+    def test_same_bytes_as_field_from_function(self, text):
+        grid = build_grid(64)
+        f = field_from_recipe(text, grid)
+        assert f.values.tobytes() == field_from_function(grid, parse_recipe(text)).values.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("text", SAMPLED_RECIPES)
+    def test_axis_sampling_matches_mesh_sampling_bitwise(self, text, n):
+        # the row/column call sees, node by node, the float operations of a
+        # call on the full coordinate meshes
+        grid = build_grid(n)
+        X, Y = node_coordinates(grid)
+        ref = np.broadcast_to(np.asarray(parse_recipe(text)(X, Y), dtype=np.float64), (n, n))
+        assert field_from_recipe(text, grid).values.tobytes() == ref.tobytes()
 
     def test_constant_broadcasts(self):
         grid = build_grid(16)

@@ -5,7 +5,7 @@ from tzlab import (GridError, ScalarField, build_grid, constant_field,
                    distance_field, field_from_function, grad_norm_sq,
                    integrate, laplacian, mean)
 
-from conftest import random_trig_coeffs, sample_trig
+from conftest import node_coordinates, random_trig_coeffs, sample_trig
 
 
 class TestBuildGrid:
@@ -62,6 +62,33 @@ class TestScalarField:
         g = constant_field(grid32, 1.0)
         with pytest.raises(ValueError, match="grid"):
             f + g
+
+
+class TestFieldFromFunction:
+    def test_constant_fills_the_grid(self, grid32):
+        f = field_from_function(grid32, lambda x, y: 2.5)
+        assert f.values.shape == (32, 32) and f.values.flags.c_contiguous
+        assert np.all(f.values == 2.5)
+
+    def test_function_of_x_alone_broadcasts(self, grid32):
+        seen = []
+
+        def fn(x, y):
+            seen.append((x.shape, y.shape))
+            return np.cos(2 * np.pi * x)
+
+        f = field_from_function(grid32, fn)
+        assert seen == [((1, 32), (32, 1))]  # one call: x the row, y the column
+        assert f.values.shape == (32, 32) and f.values.flags.c_contiguous
+        X = node_coordinates(grid32)[0]
+        assert f.values.tobytes() == np.cos(2 * np.pi * X).tobytes()
+
+    def test_mixed_function_matches_mesh_sampling_bitwise(self, grid64):
+        def fn(x, y):
+            return np.sin(2 * np.pi * (3 * x - 2 * y)) * np.exp(np.cos(2 * np.pi * y)) + x * y
+
+        X, Y = node_coordinates(grid64)
+        assert field_from_function(grid64, fn).values.tobytes() == fn(X, Y).tobytes()
 
 
 class TestIntegrate:
@@ -177,7 +204,8 @@ class TestTorusDistance:
         assert distance_field(grid, (0.9, 0.9))[2, 2] == pytest.approx(np.sqrt(0.08))
 
     def test_symmetric(self, grid32, rng):
-        nodes = list(zip(grid32.X.ravel(), grid32.Y.ravel()))
+        X, Y = node_coordinates(grid32)
+        nodes = list(zip(X.ravel(), Y.ravel()))
         for _ in range(10):
             p = tuple(rng.uniform(0, 1, 2))
             d = distance_field(grid32, p).ravel()
@@ -189,7 +217,8 @@ class TestTorusDistance:
         point = (0.3, 0.7)
         d = distance_field(grid32, point)
         i, j = 5, 17
-        expected = torus_distance((grid32.X[i, j], grid32.Y[i, j]), point)
+        X, Y = node_coordinates(grid32)
+        expected = torus_distance((X[i, j], Y[i, j]), point)
         assert d[i, j] == pytest.approx(expected)
 
     @staticmethod
@@ -198,8 +227,9 @@ class TestTorusDistance:
         in numpy's elementwise operations; distance_field must match it bit
         for bit."""
         px, py = point
-        dxv = np.abs(grid.X - px) % 1.0
-        dyv = np.abs(grid.Y - py) % 1.0
+        X, Y = node_coordinates(grid)
+        dxv = np.abs(X - px) % 1.0
+        dyv = np.abs(Y - py) % 1.0
         dxv = np.minimum(dxv, 1.0 - dxv)
         dyv = np.minimum(dyv, 1.0 - dyv)
         return np.sqrt(dxv**2 + dyv**2)
