@@ -1,10 +1,12 @@
-"""Solving the mean-field equation by Sobolev-gradient descent.
+"""Solving the mean-field equation by H^1-preconditioned L-BFGS descent.
 
 Below the sharp thresholds (rho1 < 8 pi, rho2 < 4 pi) the energy is
 coercive and a direct minimizer solves the equation.  The descent
 preconditions the L^2 gradient with (-Lap + I)^{-1} (one FFT pair), which
 makes the iteration mesh-independent: the same tolerance takes a similar
-iteration count at every resolution.
+iteration count at every resolution.  L-BFGS curvature pairs from the last
+few steps then correct the slowest modes, which the preconditioner alone
+contracts slowly near the thresholds.
 """
 
 import numpy as np

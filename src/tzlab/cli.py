@@ -73,6 +73,14 @@ def _float_list(text: str):
     return vals
 
 
+def _coefficient_list(text: str):
+    vals = _float_list(text)
+    if not all(0.0 <= v < np.inf for v in vals):
+        raise argparse.ArgumentTypeError(
+            f"coefficients must be finite and nonnegative: {text!r}")
+    return vals
+
+
 def _lambda_list(text: str):
     vals = _float_list(text)
     if not all(0.0 < v < np.inf for v in vals) or any(
@@ -191,6 +199,10 @@ def _write_solution(outdir: Path, args, sol):
 def cmd_solve(args, outdir: Path):
     if args.rho1 is None or args.rho2 is None:
         raise ConfigError("--rho1 and --rho2 are required (flag or config file)")
+    if not 0.0 < args.tol < np.inf:
+        raise ConfigError(f"--tol: must be finite and positive, got {args.tol!r}")
+    if args.max_iters < 0:
+        raise ConfigError(f"--max-iters: must be nonnegative, got {args.max_iters!r}")
     grid = _grid_or_config_error(args.n)
     params = _build_params(args, grid)
     sol = minimize(params, _random_start(grid, args.seed), max_iters=args.max_iters,
@@ -465,9 +477,9 @@ def build_parser():
 
     sp = subs.add_parser("mt-scan", help="sharp-constant deficit slope scan")
     sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--a1", type=_float_list, default=list(_A1_DEFAULT),
+    sp.add_argument("--a1", type=_coefficient_list, default=list(_A1_DEFAULT),
                     help="comma-separated coefficients of the plus log-integral")
-    sp.add_argument("--a2", type=_float_list, default=list(_A2_DEFAULT))
+    sp.add_argument("--a2", type=_coefficient_list, default=list(_A2_DEFAULT))
     sp.add_argument("--lambdas", type=_lambda_list, default=list(DEFAULT_LAMBDAS))
     _add_common(sp)
     sp.set_defaults(func=cmd_mt_scan)

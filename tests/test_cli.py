@@ -132,6 +132,42 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("tzlab: --step: ")
         assert not (tmp_path / "radial-sweep.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"),
+        ("--max-iters", "-5"),
+    ], ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iters-negative"])
+    def test_bad_solve_stopping_rule_is_config_error(self, tmp_path, capsys,
+                                                     monkeypatch, flag, value):
+        def no_descent(*args, **kwargs):
+            raise AssertionError("a descent was started")
+
+        monkeypatch.setattr(tzlab.cli, "minimize", no_descent)
+        rc = main(["solve", "--rho1", "5", "--rho2", "3", "--n", "16",
+                   f"{flag}={value}", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"tzlab: {flag}: ")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--a1", "nan"), ("--a1", "-5,1"), ("--a2", "4,inf"), ("--a2", "-0.5"),
+    ], ids=["a1-nan", "a1-negative", "a2-infinite", "a2-negative"])
+    def test_bad_mt_coefficients_rejected_before_any_bubble(self, tmp_path, capsys,
+                                                            monkeypatch, flag, value):
+        def no_bubble(*args):
+            raise AssertionError("a bubble was built")
+
+        monkeypatch.setattr(tzlab.experiments, "build_bubble", no_bubble)
+        rc = main(["mt-scan", "--n", "64", f"{flag}={value}", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_bad_mt_coefficients_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[mt-scan]\na1 = nan\n")
+        rc = main(["--config", str(cfg), "mt-scan", "--n", "64", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "--a1" in capsys.readouterr().err
+
     def test_check_failure_exits_two(self, tmp_path):
         # lambda 400 on a 64-node grid violates the adequacy rule: the sweep
         # is skipped, the check fails

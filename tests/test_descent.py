@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from tzlab import (Params, build_grid, constant_field, energy_J,
+from tzlab import (Params, ScalarField, build_grid, constant_field, energy_J,
                    field_from_function, field_from_recipe, integrate, mean,
                    minimize, residual_J)
 from tzlab import descent
 
 from conftest import smooth_field
+
+# iteration counts of the H^1 steepest descent on the weighted 3x3 coercive
+# grid at n=64 from the seed-1000 start used below
+_STEEPEST_COUNTS = {(2, 1): 19, (2, 2): 31, (2, 3): 61, (4, 1): 28, (4, 2): 38,
+                    (4, 3): 67, (6, 1): 55, (6, 2): 71, (6, 3): 111}
 
 
 @pytest.fixture
@@ -115,8 +120,9 @@ class TestMinimize:
             minimize(p, smooth_field(grid64, rng, amplitude=0.01), max_iters=3)
 
     def test_config_validation(self, grid64, unit_params):
-        with pytest.raises(ValueError, match="tol_residual"):
-            minimize(unit_params, constant_field(grid64, 0.0), tol_residual=0.0)
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol_residual"):
+                minimize(unit_params, constant_field(grid64, 0.0), tol_residual=tol)
 
     def test_coercive_sample_robustness(self, rng):
         # light version of the full coercive-grid robustness check
@@ -168,9 +174,10 @@ class TestSpectralIterate:
 
     def test_coercive_grid_iteration_counts(self):
         # iteration counts of the 3x3 coercive grid at n=64 from one fixed
-        # start, as the full-spectrum, one-FFT-per-trial descent counted them
-        pinned = {(2, 1): 19, (2, 2): 31, (2, 3): 61, (4, 1): 28, (4, 2): 38,
-                  (4, 3): 67, (6, 1): 55, (6, 2): 71, (6, 3): 111}
+        # start, as the L-BFGS descent counts them; none may exceed the H^1
+        # steepest descent's count
+        pinned = {(2, 1): 11, (2, 2): 14, (2, 3): 21, (4, 1): 14, (4, 2): 18,
+                  (4, 3): 28, (6, 1): 19, (6, 2): 24, (6, 3): 37}
         grid = build_grid(64)
         h1 = field_from_recipe("1+0.5*cos(2*pi*x)", grid)
         h2 = field_from_recipe("1+0.5*sin(2*pi*y)", grid)
@@ -181,3 +188,117 @@ class TestSpectralIterate:
                            tol_residual=1e-9, max_iters=4000)
             counts[m1, m2] = sol.iterations
         assert counts == pinned
+        assert all(counts[key] <= _STEEPEST_COUNTS[key] for key in pinned)
+
+
+def _reference_steepest_descent(p, u0, tol_residual=1e-9, max_iters=4000):
+    """(u, energy, iterations) of the H^1 steepest descent that the L-BFGS
+    direction replaced: d = -(-Lap + I)^{-1} r on the full spectrum, the
+    same Armijo backtracking, roundoff slack and stall exit, with every
+    energy and residual taken from energy_J and residual_J."""
+    grid = p.grid
+    kx, ky = np.meshgrid(grid.wavenumbers, grid.wavenumbers, indexing="xy")
+    symbol = kx**2 + ky**2 + 1.0
+    u = u0 - mean(u0)
+    e = energy_J(u, p)
+    r = residual_J(u, p)
+    iterations = 0
+    while np.sqrt(integrate(r * r)) > tol_residual and iterations < max_iters:
+        iterations += 1
+        d = ScalarField(grid, -np.fft.ifft2(np.fft.fft2(r.values) / symbol).real)
+        slope = integrate(r * d)
+        t = descent._STEP0
+        guard = descent._ROUNDOFF_SLACK * (1.0 + abs(e))
+        while t >= descent._MIN_STEP:
+            e_new = energy_J(u + t * d, p)
+            if e_new <= e + descent._ARMIJO_C * t * slope + guard:
+                break
+            t *= descent._BACKTRACK
+        else:
+            break
+        u, e = u + t * d, e_new
+        u = u - mean(u)
+        r = residual_J(u, p)
+    return u.values, e, iterations
+
+
+class TestLBFGS:
+    """The L-BFGS direction against the H^1 steepest descent it replaced, and
+    its two-loop recursion on its own."""
+
+    @pytest.mark.parametrize("weights,steepest_counts", [
+        (("1", "1"), None),
+        (("1+0.5*cos(2*pi*x)", "1+0.5*sin(2*pi*y)"), _STEEPEST_COUNTS),
+    ], ids=["constant", "weighted"])
+    def test_matches_steepest_descent(self, grid64, weights, steepest_counts):
+        h1, h2 = (field_from_recipe(w, grid64) for w in weights)
+        u0 = smooth_field(grid64, np.random.default_rng(1000), amplitude=0.2)
+        for m1 in (2, 4, 6):
+            for m2 in (1, 2, 3):
+                p = Params(m1 * np.pi, m2 * np.pi, h1, h2)
+                ref_u, ref_e, ref_iters = _reference_steepest_descent(p, u0)
+                if steepest_counts:
+                    assert ref_iters == steepest_counts[m1, m2]
+                sol = minimize(p, u0, tol_residual=1e-9, max_iters=4000)
+                assert sol.converged
+                assert sol.iterations < ref_iters
+                # the constant-weight minimizer is u = 0, where J = 0
+                assert sol.energy == pytest.approx(ref_e, rel=1e-12, abs=1e-12)
+                assert np.abs(sol.u.values - ref_u).max() <= 1e-8
+
+    @pytest.fixture
+    def hessian(self, grid64):
+        weight = grid64.multiplicity / float(grid64.n) ** 4
+
+        def inner(fh, gh):
+            return float(np.vdot(fh, weight * gh).real)
+
+        return descent._InverseHessian(grid64.k2_half, inner)
+
+    def spectrum(self, grid, seed):
+        vals = smooth_field(grid, np.random.default_rng(seed)).values
+        vh = np.fft.rfft2(vals - vals.mean())
+        vh[0, 0] = 0.0
+        return vh
+
+    def test_empty_history_is_h1_gradient(self, grid64, hessian):
+        rh = self.spectrum(grid64, 1)
+        dh, slope = hessian.direction(rh)
+        assert np.array_equal(dh, -rh / (grid64.k2_half + 1.0))
+        assert slope == hessian.inner(rh, dh) < 0.0
+
+    def test_one_pair_meets_secant_equation(self, grid64, hessian):
+        sh, yh = self.spectrum(grid64, 2), self.spectrum(grid64, 3)
+        if hessian.inner(sh, yh) < 0.0:
+            sh = -sh
+        hessian.update(sh, yh)
+        assert len(hessian.pairs) == 1
+        # direction(y) = -H y = -s
+        dh, _ = hessian.direction(yh)
+        assert np.abs(dh + sh).max() <= 1e-12 * np.abs(sh).max()
+        assert len(hessian.pairs) == 1
+
+    def test_nonpositive_curvature_is_never_stored(self, grid64, hessian):
+        sh = self.spectrum(grid64, 4)
+        for yh in (-sh, 0.0 * sh, np.full_like(sh, np.nan)):
+            hessian.update(sh, yh)
+        assert len(hessian.pairs) == 0
+        hessian.update(sh, sh)
+        assert len(hessian.pairs) == 1
+
+    def test_memory_keeps_latest_pairs(self, grid64, hessian):
+        spectra = [self.spectrum(grid64, seed) for seed in range(descent._MEMORY + 2)]
+        for sh in spectra:
+            hessian.update(sh, sh)
+        kept = [pair[0] for pair in hessian.pairs]
+        assert len(kept) == descent._MEMORY
+        assert all(a is b for a, b in zip(kept, spectra[-descent._MEMORY:]))
+
+    def test_ascent_direction_falls_back_to_h1_gradient(self, grid64, hessian):
+        # a pair with s.y < 0, as roundoff could leave it: -H y = -s = y
+        yh = self.spectrum(grid64, 6)
+        hessian.pairs.append((-yh, yh, -1.0 / hessian.inner(yh, yh)))
+        dh, slope = hessian.direction(yh)
+        assert len(hessian.pairs) == 0
+        assert np.array_equal(dh, -yh / (grid64.k2_half + 1.0))
+        assert slope == hessian.inner(yh, dh) < 0.0
