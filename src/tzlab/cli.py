@@ -156,6 +156,14 @@ def _build_params(args, grid) -> Params:
         raise ConfigError(f"--{str(exc).split()[0]}: {exc}") from exc
 
 
+def _join_or_config_error(args, grid):
+    try:
+        return default_join_config(grid, args.k, args.l, args.s)
+    except ValueError as exc:
+        # default_join_config messages open with the parameter at fault: "s ..."
+        raise ConfigError(f"--{str(exc).split()[0]}: {exc}") from exc
+
+
 def _grid_or_config_error(n: int):
     try:
         return build_grid(n)
@@ -256,7 +264,7 @@ def cmd_mt_scan(args, outdir: Path):
 def cmd_bubble_sweep(args, outdir: Path):
     grid = _grid_or_config_error(args.n)
     params = _build_params(args, grid)
-    zeta = default_join_config(grid, args.k, args.l, args.s)
+    zeta = _join_or_config_error(args, grid)
     sweep = bubble_energy_sweep(zeta, params, tuple(args.lambdas))
     _write_csv(outdir / "bubble-sweep.csv", ["lambda", "energy"],
                zip(sweep.lambdas, sweep.values))
@@ -276,7 +284,7 @@ def cmd_bubble_sweep(args, outdir: Path):
 
 def cmd_asymptotics(args, outdir: Path):
     grid = _grid_or_config_error(args.n)
-    zeta = default_join_config(grid, args.k, args.l, args.s)
+    zeta = _join_or_config_error(args, grid)
     sweeps = component_asymptotics_sweep(zeta, grid, tuple(args.lambdas))
     rows = []
     for name, res in sweeps.items():
@@ -313,6 +321,14 @@ def _report_alpha_rows(rows, outdir: Path):
 
 
 def cmd_radial_sweep(args, outdir: Path):
+    if not all(-np.inf < alpha < np.inf for alpha in args.alphas):
+        raise ConfigError(f"--alphas: must be finite, got {args.alphas!r}")
+    if not 0.0 < args.h1_const < np.inf:
+        raise ConfigError(f"--h1-const: must be finite and positive, got {args.h1_const!r}")
+    if not 0.0 <= args.h2_const < np.inf:
+        raise ConfigError(f"--h2-const: must be finite and nonnegative, got {args.h2_const!r}")
+    if not 0.0 < args.r_max < np.inf:
+        raise ConfigError(f"--r-max: must be finite and positive, got {args.r_max!r}")
     try:
         step_count(args.r_max, args.step)
     except ValueError as exc:

@@ -128,14 +128,23 @@ def quarter_offset_point(grid: TorusGrid, x: float, y: float) -> tuple[float, fl
 
 
 def default_join_config(grid: TorusGrid, k: int = 1, l: int = 1, s: float = 0.5) -> JoinConfig:
-    """Symmetric well-separated k+l configuration with anti-aliased centers."""
+    """Symmetric well-separated k+l configuration with anti-aliased centers.
+
+    Raises ValueError, its message opening with the parameter at fault,
+    unless 0 <= s <= 1, 1 <= k, l <= 4, and k + l <= 4 when 0 < s < 1.
+    """
     plus_sites = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.5, 0.5)]
     minus_sites = [(0.75, 0.75), (0.25, 0.75), (0.75, 0.25), (0.5, 0.5)]
-    if k > len(plus_sites) or l > len(minus_sites):
-        raise ValueError("at most 4 points per species in the default layout")
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s = {s!r}: the join parameter must lie in [0, 1]")
+    for name, count, sites in (("k", k, plus_sites), ("l", l, minus_sites)):
+        if not 1 <= count <= len(sites):
+            raise ValueError(f"{name} = {count!r}: at least 1 and at most {len(sites)} "
+                             f"points per species in the default layout")
     if k + l > 4 and s not in (0.0, 1.0):
         # the two site lists start overlapping beyond 2+2
-        raise ValueError("default layout supports at most 2 plus and 2 minus points together")
+        raise ValueError(f"k + l = {k + l}: the default layout supports at most 2 plus "
+                         f"and 2 minus points together unless s is 0 or 1")
     plus = tuple((1.0 / k, quarter_offset_point(grid, *plus_sites[i])) for i in range(k))
     minus = tuple((1.0 / l, quarter_offset_point(grid, *minus_sites[j])) for j in range(l))
     return JoinConfig(plus, minus, s)

@@ -24,6 +24,10 @@ u'/r is bypassed by a fourth-order series start over the first few steps.
 Fixed stepping keeps convergence-order measurements clean.  The RK4 loop
 is written out on float locals in the operation order of its vector form
 k = f(r, y), so trajectories are bit for bit those of the vector form.
+The step is chosen by h2: at h2 = 0 a Liouville step leaves out the
+e^{-2u} terms, which the vector form adds as signed zeros, and sigma2
+keeps its series-start value; for h2 > 0 the step carries all four
+equations.
 
 dirichlet_alpha solves the zero-boundary problem on the unit disk by
 Illinois regula falsi on the central value alpha.
@@ -56,12 +60,14 @@ _MAX_SHOOTS = 200
 
 
 class StepTooLarge(ValueError):
-    """Step too coarse for the concentration scale set by alpha."""
+    """Step too coarse for the concentration scale set by alpha, h1 and h2."""
 
 
 class TrajectoryOverflow(RuntimeError):
     """u left the representable window [-700, 350] during integration, or
-    e^u or e^{-2u} overflowed on the way (e^{-2u} already does below u = -354.9)."""
+    e^u or e^{-2u} overflowed on the way.  e^{-2u} already does below
+    u = -354.9: at the center for any h2, further out only when h2 > 0,
+    since the Liouville step for h2 = 0 does not form it."""
 
 
 @dataclass
@@ -108,19 +114,25 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     """Integrate the radial equation from the center out to r_max.
 
     ``step`` must divide ``r_max`` (see step_count), and
-    step * exp(max(alpha, -2*alpha)/2) <= 0.1 so the step resolves the
-    concentration scale e^{-alpha/2} of a forming bubble.
+    step * exp(max(log h1 + alpha, log h2 - 2 alpha)/2) <= 0.1 (the h2 term
+    only when h2 > 0) so the step resolves the concentration scale
+    (h1 e^alpha)^{-1/2}, or (h2 e^{-2 alpha})^{-1/2}, of a forming bubble.
     """
-    if h1 <= 0:
-        raise ValueError("h1 must be positive")
-    if h2 < 0:
-        raise ValueError("h2 must be nonnegative")
+    if not 0 < h1 < math.inf:
+        raise ValueError(f"h1 must be finite and positive, got {h1!r}")
+    if not 0 <= h2 < math.inf:
+        raise ValueError(f"h2 must be finite and nonnegative, got {h2!r}")
     n_total = step_count(r_max, step)
     if not _U_MIN <= alpha <= _U_MAX:
         raise TrajectoryOverflow(f"alpha={alpha} outside [{_U_MIN}, {_U_MAX}]")
-    if step * math.exp(max(alpha, -2.0 * alpha) / 2.0) > 0.1:
+    # in logs, so that a large h1, h2 or |alpha| cannot overflow the guard
+    log_rate = math.log(h1) + alpha
+    if h2 > 0.0:
+        log_rate = max(log_rate, math.log(h2) - 2.0 * alpha)
+    if math.log(step) + log_rate / 2.0 > math.log(0.1):
         raise StepTooLarge(
-            "step too large for this alpha: need step * exp(max(alpha, -2 alpha)/2) <= 0.1"
+            "step too large for this alpha, h1 and h2: need "
+            "step * exp(max(log h1 + alpha, log h2 - 2 alpha)/2) <= 0.1"
         )
     if r_max < (_SERIES_STEPS + 1) * step:
         raise ValueError("r_max must exceed the series-start region (4 steps)")
@@ -154,52 +166,79 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
         # with the operation order of the vector form k = f(r, y):
         # f = (w, -w/r - h1 e^u + h2 e^{-2u}, h1 e^u r, h2 e^{-2u} r), stage
         # arguments y + h/2 k and y + h k, update y += h/6 (k1 + 2 k2 + 2 k3 + k4).
+        # The forcing products a = h1 e^u and b = h2 e^{-2u} are formed once
+        # per stage; the vector form parses h1 * eu * r as (h1 * eu) * r too.
         # f does not read sigma1, sigma2, so their stage arguments are not formed.
         exp = math.exp
         h_2, h_6 = h / 2, h / 6
-        for j in range(_SERIES_STEPS + 1, n_total + 1):
-            eu = exp(u)
-            em = exp(-2.0 * u)
-            k1w = -w / r - h1 * eu + h2 * em
-            k1a = h1 * eu * r
-            k1b = h2 * em * r
-            rm = r + h_2
-            u2 = u + h_2 * w
-            w2 = w + h_2 * k1w
-            eu = exp(u2)
-            em = exp(-2.0 * u2)
-            k2w = -w2 / rm - h1 * eu + h2 * em
-            k2a = h1 * eu * rm
-            k2b = h2 * em * rm
-            u3 = u + h_2 * w2
-            w3 = w + h_2 * k2w
-            eu = exp(u3)
-            em = exp(-2.0 * u3)
-            k3w = -w3 / rm - h1 * eu + h2 * em
-            k3a = h1 * eu * rm
-            k3b = h2 * em * rm
-            re = r + h
-            u4 = u + h * w3
-            w4 = w + h * k3w
-            eu = exp(u4)
-            em = exp(-2.0 * u4)
-            k4w = -w4 / re - h1 * eu + h2 * em
-            k4a = h1 * eu * re
-            k4b = h2 * em * re
-            u += h_6 * (w + 2 * w2 + 2 * w3 + w4)
-            w += h_6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            s1 += h_6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-            s2 += h_6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-            r = j * h
-            if not _U_MIN <= u <= _U_MAX:
-                raise _left_window(r, u)
-            put_u(u)
-            put_w(w)
-            put_s1(s1)
-            put_s2(s2)
+        if h2 == 0.0:
+            # Liouville: the vector form adds b = 0.0 * e^{-2u}, a zero, to k_w;
+            # that changes at most the sign of a zero k_w, which no later sum
+            # carries into u or u'.  sigma2 keeps its series-start value.
+            for j in range(_SERIES_STEPS + 1, n_total + 1):
+                a1 = h1 * exp(u)
+                k1w = -w / r - a1
+                rm = r + h_2
+                u2 = u + h_2 * w
+                w2 = w + h_2 * k1w
+                a2 = h1 * exp(u2)
+                k2w = -w2 / rm - a2
+                u3 = u + h_2 * w2
+                w3 = w + h_2 * k2w
+                a3 = h1 * exp(u3)
+                k3w = -w3 / rm - a3
+                re = r + h
+                u4 = u + h * w3
+                w4 = w + h * k3w
+                a4 = h1 * exp(u4)
+                k4w = -w4 / re - a4
+                u += h_6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
+                w += h_6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+                s1 += h_6 * (a1 * r + 2.0 * (a2 * rm) + 2.0 * (a3 * rm) + a4 * re)
+                r = j * h
+                if not _U_MIN <= u <= _U_MAX:
+                    raise _left_window(r, u)
+                put_u(u)
+                put_w(w)
+                put_s1(s1)
+                put_s2(s2)
+        else:
+            for j in range(_SERIES_STEPS + 1, n_total + 1):
+                a1 = h1 * exp(u)
+                b1 = h2 * exp(-2.0 * u)
+                k1w = -w / r - a1 + b1
+                rm = r + h_2
+                u2 = u + h_2 * w
+                w2 = w + h_2 * k1w
+                a2 = h1 * exp(u2)
+                b2 = h2 * exp(-2.0 * u2)
+                k2w = -w2 / rm - a2 + b2
+                u3 = u + h_2 * w2
+                w3 = w + h_2 * k2w
+                a3 = h1 * exp(u3)
+                b3 = h2 * exp(-2.0 * u3)
+                k3w = -w3 / rm - a3 + b3
+                re = r + h
+                u4 = u + h * w3
+                w4 = w + h * k3w
+                a4 = h1 * exp(u4)
+                b4 = h2 * exp(-2.0 * u4)
+                k4w = -w4 / re - a4 + b4
+                u += h_6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
+                w += h_6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+                s1 += h_6 * (a1 * r + 2.0 * (a2 * rm) + 2.0 * (a3 * rm) + a4 * re)
+                s2 += h_6 * (b1 * r + 2.0 * (b2 * rm) + 2.0 * (b3 * rm) + b4 * re)
+                r = j * h
+                if not _U_MIN <= u <= _U_MAX:
+                    raise _left_window(r, u)
+                put_u(u)
+                put_w(w)
+                put_s1(s1)
+                put_s2(s2)
     except OverflowError:
         # math.exp of alpha, of u or of an RK4 stage left the float range: a
-        # value beyond the window, or e^{-2u} with u < -354.9 inside it
+        # value beyond the window, or e^{-2u} with u < -354.9 inside it (at
+        # alpha, or at a stage when h2 > 0)
         raise TrajectoryOverflow(f"exp overflowed in the step from u({r:.6g}) = {u:.6g}") from None
 
     u, du, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)

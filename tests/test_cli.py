@@ -118,8 +118,7 @@ class TestExitCodes:
         ["--step", "3e-4"],
         ["--r-max", "2", "--step", "3e-4"],
         ["--step", "0"],
-        ["--r-max", "inf"],
-    ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step", "infinite-r-max"])
+    ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step"])
     def test_step_not_dividing_r_max_is_config_error(self, tmp_path, capsys,
                                                      monkeypatch, argv):
         def no_shoot(*args):
@@ -131,6 +130,39 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("tzlab: --step: ")
         assert not (tmp_path / "radial-sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alphas", "nan"), ("--alphas", "2,inf"), ("--h1-const", "nan"),
+        ("--h1-const", "0"), ("--h1-const", "inf"), ("--h2-const", "-1"),
+        ("--h2-const", "nan"), ("--r-max", "nan"), ("--r-max", "inf"), ("--r-max", "-1"),
+    ])
+    def test_bad_radial_input_names_its_flag(self, tmp_path, capsys, monkeypatch,
+                                             flag, value):
+        def no_shoot(*args):
+            raise AssertionError("a trajectory was shot")
+
+        monkeypatch.setattr(tzlab.experiments, "shoot", no_shoot)
+        rc = main(["radial-sweep", "--alphas", "2", f"{flag}={value}", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"tzlab: {flag}: ")
+        assert not (tmp_path / "radial-sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["bubble-sweep", "asymptotics"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["--s", "nan"], "--s"), (["--s", "1.5"], "--s"), (["--k", "0"], "--k"),
+        (["--k", "5"], "--k"), (["--l", "-1"], "--l"), (["--l", "5"], "--l"),
+        (["--k", "3", "--l", "2"], "--k"),
+    ], ids=["s-nan", "s-above-1", "k-zero", "k-five", "l-negative", "l-five", "k-plus-l-five"])
+    def test_bad_join_names_its_flag(self, tmp_path, capsys, monkeypatch, command, argv, flag):
+        def no_bubble(*args):
+            raise AssertionError("a bubble was built")
+
+        monkeypatch.setattr(tzlab.experiments, "build_bubble", no_bubble)
+        rc = main([command, "--n", "64"] + argv + ["--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"tzlab: {flag}: ")
 
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"),
@@ -315,9 +347,10 @@ class TestRadialSweepCommand:
         assert sigma1 == pytest.approx(4.0 * mu2 / (1.0 + mu2), abs=1e-8)
 
     def test_overflowing_row_is_typed(self, tmp_path, capsys):
-        # the series start puts u(3 step) near 3e292: the first exp overflows
-        rc = main(["radial-sweep", "--alphas", "5", "--h1-const", "1e150",
-                   "--h2-const", "0", "--step", "1e-3", "--out", str(tmp_path)])
+        # h2 e^{-2u} lifts u from 349 out of the window [-700, 350]
+        rc = main(["radial-sweep", "--alphas", "349", "--h1-const", "1e-160",
+                   "--h2-const", "1e300", "--r-max", "100", "--step", "0.05",
+                   "--out", str(tmp_path)])
         assert rc == EXIT_CHECKFAIL
         rows = read_csv(tmp_path / "radial-sweep.csv")
         assert len(rows) == 2

@@ -54,20 +54,25 @@ def _reference_rk4(alpha, h1, h2, r_max, step):
 
 
 class TestShoot:
-    @pytest.mark.parametrize("alpha, h2, step", [
-        (alpha, h2, step)
-        for alpha in (-3.0, 0.0, 5.0, 8.0, 12.0) for h2 in (0.0, 1.0) for step in (1e-4, 1e-3)
+    # a power of two makes h1 * e^u exact, so a misplaced forcing product
+    # shows only at h1 = 0.7; h2 = 0.0 and -0.0 take the Liouville step
+    @pytest.mark.parametrize("alpha, h1, h2, step", [
+        (alpha, h1, h2, step)
+        for alpha in (-3.0, 0.0, 5.0, 8.0, 12.0) for h1 in (0.5, 0.7, 1.0, 2.0)
+        for h2 in (0.0, -0.0, 0.5, 1.0) for step in (1e-4, 1e-3)
         if (alpha, step) != (12.0, 1e-3)  # StepTooLarge, see test_step_precondition
     ])
-    def test_bitwise_equal_to_vector_rk4(self, alpha, h2, step):
-        p = shoot(alpha, 1.0, h2, 1.0, step)
+    def test_bitwise_equal_to_vector_rk4(self, alpha, h1, h2, step):
+        p = shoot(alpha, h1, h2, 1.0, step)
         assert np.array_equal(p.r, np.arange(len(p.r)) * step)
         for name, ref in zip(("u", "du", "sigma1", "sigma2"),
-                             _reference_rk4(alpha, 1.0, h2, 1.0, step)):
+                             _reference_rk4(alpha, h1, h2, 1.0, step)):
             got = getattr(p, name)
             assert got.dtype == ref.dtype == np.float64
             assert np.array_equal(got, ref), name
             assert got.tobytes() == ref.tobytes(), name
+        if h2 == 0.0:
+            assert np.all(p.sigma2 == 0.0)
 
     def test_constant_solution(self):
         # h1 = h2 = 1, alpha = 0: the forcing vanishes identically
@@ -114,24 +119,46 @@ class TestShoot:
             with pytest.raises(StepTooLarge):
                 shoot(alpha, 1.0, 1.0, 1.0, step)
 
+    @pytest.mark.parametrize("alpha, h1, h2", [
+        # core width (h1 e^alpha)^{-1/2} = 1e-4, below the step
+        (0.0, 1e8, 0.0),
+        # (h2 e^{-2 alpha})^{-1/2} = 1e-4
+        (0.0, 1.0, 1e8),
+        # unresolved cores whose series start would leave the float range
+        (0.0, 1e300, 0.0), (0.0, 1.0, 1e300), (5.0, 1e150, 0.0), (1.0, 1.0, 1e6),
+        # h2 e^{-2 alpha} is far beyond the float range: the guard, in logs,
+        # rejects the step instead of overflowing
+        (-700.0, 1.0, 1e300),
+    ])
+    def test_step_precondition_reads_h1_and_h2(self, alpha, h1, h2):
+        with pytest.raises(StepTooLarge):
+            shoot(alpha, h1, h2, 1.0, 1e-3)
+
+    def test_step_precondition_without_h2_reads_only_h1(self):
+        # at h2 = 0 the scale is (h1 e^alpha)^{-1/2} = e^{1.5}, not e^{-alpha}
+        p = shoot(-3.0, 1.0, 0.0, 1.0, 1e-2)
+        exact = liouville_bubble(-3.0, p.r)
+        assert np.abs(p.u - exact).max() < 1e-9
+
     def test_alpha_overflow(self):
         with pytest.raises(TrajectoryOverflow):
             shoot(351.0, 1.0, 0.0, 1.0, 1e-4)
         with pytest.raises(TrajectoryOverflow):
             shoot(-701.0, 1.0, 0.0, 1.0, 1e-4)
 
-    @pytest.mark.parametrize("h1, h2", [(1e300, 0.0), (1.0, 1e300)])
-    def test_overflow_during_integration(self, h1, h2):
-        # the series start is already infinite at its first node, which is named
-        where = r"u\(0\.001\) = " + ("inf" if h2 == 0.0 else "-inf")
-        with pytest.raises(TrajectoryOverflow, match=where + r" left \[-700\.0, 350\.0\]$"):
-            shoot(0.0, h1, h2, 1.0, 1e-3)
+    def test_overflow_during_integration(self):
+        # h2 e^{-2u} lifts u from 349 towards its equilibrium near 353, and an
+        # RK4 step names where u first leaves the window
+        with pytest.raises(TrajectoryOverflow, match=r"u\(97\.15\) = 350 left \[-700\.0, 350\.0\]$"):
+            shoot(349.0, 1e-160, 1e300, 100.0, 0.05)
 
     @pytest.mark.parametrize("args, message", [
-        # the series start leaves the window at its first node, u(0.001) near 3e290
-        ((5.0, 1e150, 0.0, 1.0, 1e-3), r"u\(0\.001\) = 3\.44164e\+290 left \[-700\.0, 350\.0\]$"),
-        # the series start u(0.03) = -432 is inside it, but e^{-2u} overflows
-        ((1.0, 1.0, 1e6, 1.0, 1e-2), r"exp overflowed in the step from u\(0\.03\) = -432\.16"),
+        # the same lift from alpha = 350 leaves the window at the first series node
+        ((350.0, 1e-160, 1e300, 1.0, 1e-3), r"u\(0\.001\) = 350 left \[-700\.0, 350\.0\]$"),
+        # a bubble of width 1e-74 takes u below -354.9, inside the window, where
+        # e^{-2u} overflows in an RK4 stage
+        ((-350.0, 1e300, 1e-300, 1e-73, 1e-76),
+         r"exp overflowed in the step from u\(9\.21e-74\) = -354\.89"),
         # alpha = -400 is inside it too; e^{-2 alpha} overflows before the start
         ((-400.0, 1.0, 0.0, 1.0, 1e-175), r"exp overflowed in the step from u\(0\) = -400$"),
     ], ids=["series_start_beyond_window", "exp_minus_2u_inside_window", "exp_minus_2alpha"])
@@ -164,6 +191,9 @@ class TestShoot:
             shoot(0.0, 1.0, -1.0, 1.0, 1e-3)
         with pytest.raises(ValueError):
             shoot(0.0, 1.0, 1.0, -1.0, 1e-3)
+        for h1, h2 in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                shoot(0.0, h1, h2, 1.0, 1e-3)
         for r_max, step in ((1.0, 0.0), (math.inf, 1e-3), (1.0, math.inf), (1.0, math.nan),
                             (1e300, 1e-300)):
             with pytest.raises(ValueError, match="0 < step <= r_max"):
@@ -348,6 +378,11 @@ def _count_shoots(monkeypatch):
     return shot
 
 
+# the zero-boundary problems of the benchmark's radial workload
+_BRACKETS = [(1.0, 0.0, (0.0, 0.5)), (1.0, 0.0, (2.0, 4.0)), (1.0, 1.0, (2.0, 4.0)),
+             (2.0, 1.0, (1.0, 4.0)), (0.5, 0.0, (2.0, 6.0))]
+
+
 class TestDirichlet:
     def test_balanced_weights_give_trivial_solution(self):
         alpha, prof = dirichlet_alpha(1.0, 1.0, bracket=(-1.0, 1.0))
@@ -373,10 +408,14 @@ class TestDirichlet:
         assert len(shot) == len(set(shot))
         assert np.array_equal(prof.u, _REAL_SHOOT(alpha, h1, h2, 1.0, 1e-3).u)
 
-    @pytest.mark.parametrize("h1, h2, bracket", [
-        (1.0, 0.0, (0.0, 0.5)), (1.0, 0.0, (2.0, 4.0)), (1.0, 1.0, (2.0, 4.0)),
-        (2.0, 1.0, (1.0, 4.0)), (0.5, 0.0, (2.0, 6.0)),
-    ])
+    @pytest.mark.parametrize("h1, h2, bracket", _BRACKETS)
+    def test_profile_is_the_vector_form_rk4(self, h1, h2, bracket):
+        alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket)
+        for name, ref in zip(("u", "du", "sigma1", "sigma2"),
+                             _reference_rk4(alpha, h1, h2, 1.0, 1e-3)):
+            assert getattr(prof, name).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("h1, h2, bracket", _BRACKETS)
     def test_converges_in_few_shoots(self, monkeypatch, h1, h2, bracket):
         shot = _count_shoots(monkeypatch)
         alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket)
