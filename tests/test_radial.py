@@ -115,24 +115,19 @@ class TestShoot:
         assert p.sigma1[0] == 0.0
 
     def test_step_precondition(self):
-        for alpha, step in ((10.0, 1e-2), (12.0, 1e-3), (-3.0, 1e-2)):
+        for alpha, h1, h2, step in (
+            (10.0, 1.0, 1.0, 1e-2), (12.0, 1.0, 1.0, 1e-3), (-3.0, 1.0, 1.0, 1e-2),
+            # core width (h1 e^alpha)^{-1/2}, then (h2 e^{-2 alpha})^{-1/2}, is 1e-4
+            (0.0, 1e8, 0.0, 1e-3), (0.0, 1.0, 1e8, 1e-3),
+            # unresolved cores whose series start would leave the float range
+            (0.0, 1e300, 0.0, 1e-3), (0.0, 1.0, 1e300, 1e-3), (5.0, 1e150, 0.0, 1e-3),
+            (1.0, 1.0, 1e6, 1e-2),
+            # h2 e^{-2 alpha} is far beyond the float range: the guard, in logs,
+            # rejects the step instead of overflowing
+            (-700.0, 1.0, 1e300, 1e-3),
+        ):
             with pytest.raises(StepTooLarge):
-                shoot(alpha, 1.0, 1.0, 1.0, step)
-
-    @pytest.mark.parametrize("alpha, h1, h2", [
-        # core width (h1 e^alpha)^{-1/2} = 1e-4, below the step
-        (0.0, 1e8, 0.0),
-        # (h2 e^{-2 alpha})^{-1/2} = 1e-4
-        (0.0, 1.0, 1e8),
-        # unresolved cores whose series start would leave the float range
-        (0.0, 1e300, 0.0), (0.0, 1.0, 1e300), (5.0, 1e150, 0.0), (1.0, 1.0, 1e6),
-        # h2 e^{-2 alpha} is far beyond the float range: the guard, in logs,
-        # rejects the step instead of overflowing
-        (-700.0, 1.0, 1e300),
-    ])
-    def test_step_precondition_reads_h1_and_h2(self, alpha, h1, h2):
-        with pytest.raises(StepTooLarge):
-            shoot(alpha, h1, h2, 1.0, 1e-3)
+                shoot(alpha, h1, h2, 1.0, step)
 
     def test_step_precondition_without_h2_reads_only_h1(self):
         # at h2 = 0 the scale is (h1 e^alpha)^{-1/2} = e^{1.5}, not e^{-alpha}
@@ -378,7 +373,7 @@ def _count_shoots(monkeypatch):
     return shot
 
 
-# the zero-boundary problems of the benchmark's radial workload
+# the zero-boundary problems of perfbench's radial-shoot workload
 _BRACKETS = [(1.0, 0.0, (0.0, 0.5)), (1.0, 0.0, (2.0, 4.0)), (1.0, 1.0, (2.0, 4.0)),
              (2.0, 1.0, (1.0, 4.0)), (0.5, 0.0, (2.0, 6.0))]
 
