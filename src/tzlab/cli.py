@@ -22,8 +22,9 @@ exponential integral underflowed or a radial trajectory overflowed).
 TZLAB_THREADS caps internal parallelism (0 = auto).
 
 Config files are INI sections named after the command; keys match the
-long flag names with dashes replaced by underscores.  Flags win over the
-config file.
+long flag names with dashes replaced by underscores.  ``--config PATH``
+goes before the command, and flags win over the config file.
+``tzlab --help`` lists the commands, ``tzlab <command> --help`` its flags.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ from .experiments import (DEFAULT_LAMBDAS, alpha_sweep, bubble_energy_sweep,
 from .radial import (TrajectoryOverflow, classify_mass_pair, limit_mass_relation,
                      pohozaev_residual_profile, quantization_table, shoot,
                      step_count)
-from .recipes import RecipeError, field_from_recipe
+from .recipes import field_from_recipe
 from .surface import ScalarField, build_grid, field_from_function, integrate
-from .surface import GridError
 
 EXIT_OK, EXIT_USAGE, EXIT_CHECKFAIL, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -140,35 +140,23 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _flag(flag, fn, *args):
+    """fn(*args), with a ValueError re-raised as a ConfigError naming ``flag``.
+
+    With ``flag`` None the message's first word names it: "h1 must be ..."
+    is reported under --h1.
+    """
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{flag or '--' + str(exc).split()[0]}: {exc}") from exc
+
+
 def _build_params(args, grid) -> Params:
-    try:
-        h1 = field_from_recipe(args.h1, grid)
-    except RecipeError as exc:
-        raise ConfigError(f"--h1: {exc}") from exc
-    try:
-        h2 = field_from_recipe(args.h2, grid)
-    except RecipeError as exc:
-        raise ConfigError(f"--h2: {exc}") from exc
-    try:
-        return Params(args.rho1, args.rho2, h1, h2)
-    except ValueError as exc:
-        # Params messages open with the field at fault: "h1 must be ..."
-        raise ConfigError(f"--{str(exc).split()[0]}: {exc}") from exc
-
-
-def _join_or_config_error(args, grid):
-    try:
-        return default_join_config(grid, args.k, args.l, args.s)
-    except ValueError as exc:
-        # default_join_config messages open with the parameter at fault: "s ..."
-        raise ConfigError(f"--{str(exc).split()[0]}: {exc}") from exc
-
-
-def _grid_or_config_error(n: int):
-    try:
-        return build_grid(n)
-    except GridError as exc:
-        raise ConfigError(f"--n: {exc}") from exc
+    h1 = _flag("--h1", field_from_recipe, args.h1, grid)
+    h2 = _flag("--h2", field_from_recipe, args.h2, grid)
+    # Params messages open with the field at fault: "h1 must be ..."
+    return _flag(None, Params, args.rho1, args.rho2, h1, h2)
 
 
 def _random_start(grid, seed: float, amplitude: float = 0.1) -> ScalarField:
@@ -211,7 +199,7 @@ def cmd_solve(args, outdir: Path):
         raise ConfigError(f"--tol: must be finite and positive, got {args.tol!r}")
     if args.max_iters < 0:
         raise ConfigError(f"--max-iters: must be nonnegative, got {args.max_iters!r}")
-    grid = _grid_or_config_error(args.n)
+    grid = _flag("--n", build_grid, args.n)
     params = _build_params(args, grid)
     sol = minimize(params, _random_start(grid, args.seed), max_iters=args.max_iters,
                    tol_residual=args.tol)
@@ -234,7 +222,7 @@ def cmd_solve(args, outdir: Path):
 
 
 def cmd_mt_scan(args, outdir: Path):
-    grid = _grid_or_config_error(args.n)
+    grid = _flag("--n", build_grid, args.n)
     scan = mt_threshold_scan(args.a1, args.a2, grid, tuple(args.lambdas))
     rows = []
     all_pass = True
@@ -262,9 +250,10 @@ def cmd_mt_scan(args, outdir: Path):
 
 
 def cmd_bubble_sweep(args, outdir: Path):
-    grid = _grid_or_config_error(args.n)
+    grid = _flag("--n", build_grid, args.n)
     params = _build_params(args, grid)
-    zeta = _join_or_config_error(args, grid)
+    # default_join_config messages open with the parameter at fault: "s ..."
+    zeta = _flag(None, default_join_config, grid, args.k, args.l, args.s)
     sweep = bubble_energy_sweep(zeta, params, tuple(args.lambdas))
     _write_csv(outdir / "bubble-sweep.csv", ["lambda", "energy"],
                zip(sweep.lambdas, sweep.values))
@@ -283,8 +272,9 @@ def cmd_bubble_sweep(args, outdir: Path):
 
 
 def cmd_asymptotics(args, outdir: Path):
-    grid = _grid_or_config_error(args.n)
-    zeta = _join_or_config_error(args, grid)
+    grid = _flag("--n", build_grid, args.n)
+    # default_join_config messages open with the parameter at fault: "s ..."
+    zeta = _flag(None, default_join_config, grid, args.k, args.l, args.s)
     sweeps = component_asymptotics_sweep(zeta, grid, tuple(args.lambdas))
     rows = []
     for name, res in sweeps.items():
@@ -329,17 +319,14 @@ def cmd_radial_sweep(args, outdir: Path):
         raise ConfigError(f"--h2-const: must be finite and nonnegative, got {args.h2_const!r}")
     if not 0.0 < args.r_max < np.inf:
         raise ConfigError(f"--r-max: must be finite and positive, got {args.r_max!r}")
-    try:
-        step_count(args.r_max, args.step)
-    except ValueError as exc:
-        raise ConfigError(f"--step: {exc}") from exc
+    _flag("--step", step_count, args.r_max, args.step)
     rows = alpha_sweep(args.alphas, args.h1_const, args.h2_const,
                        args.r_max, args.step)
     return _report_alpha_rows(rows, outdir)
 
 
 def cmd_quantization_table(args, outdir: Path):
-    table = quantization_table(args.m_min, args.m_max)
+    table = _flag("--m-min", quantization_table, args.m_min, args.m_max)
     _write_csv(outdir / "quantization-table.csv",
                ["family", "m", "sigma1", "sigma2"],
                [(mp.family, mp.m, int(mp.sigma1), int(mp.sigma2)) for mp in table])
@@ -580,45 +567,23 @@ def _apply_config_file(path: str, command: str, commands: dict):
     sub.set_defaults(**defaults)
 
 
-def _probe_argv(argv):
-    """Find the config path and command name without a full parse."""
-    config_path, command = None, None
-    skip_next = False
-    for tok in argv:
-        if skip_next:
-            config_path = tok
-            skip_next = False
-            continue
-        if tok == "--config":
-            skip_next = True
-        elif tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-        elif not tok.startswith("-") and command is None:
-            command = tok
-    return config_path, command
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-    config_path, command = _probe_argv(argv)
-    if command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    if command not in commands:
-        print(f"tzlab: unknown command {command!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if config_path:
-        try:
-            _apply_config_file(config_path, command, commands)
-        except ConfigError as exc:
-            print(f"tzlab: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        if args.config:
+            _apply_config_file(args.config, args.command, commands)
+            # the config file set the subparser's defaults; flags still win
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse already printed the message
-        return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
+        # argparse already printed the message (or the help)
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    except ConfigError as exc:
+        print(f"tzlab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

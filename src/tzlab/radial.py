@@ -19,8 +19,9 @@ Pohozaev identity
 
 -- hold along computed trajectories up to integrator order and serve as
 correctness oracles.  The integrator is classical RK4 with a fixed step
-that divides r_max, so the last node is r_max; the r = 0 singularity of
-u'/r is bypassed by a fourth-order series start over the first few steps.
+that divides r_max, so the last node is r_max, in at most _MAX_STEPS
+steps; the r = 0 singularity of u'/r is bypassed by a fourth-order
+series start over the first few steps.
 Fixed stepping keeps convergence-order measurements clean.  The RK4 loop
 is written out on float locals in the operation order of its vector form
 k = f(r, y), so trajectories are bit for bit those of the vector form.
@@ -58,6 +59,9 @@ _DIRICHLET_STEP = 1e-3
 _DIRICHLET_TOL = 1e-10
 _MAX_SHOOTS = 200
 
+# Each step appends 32 bytes to shoot's buffers: 10^7 steps keep 320 MB.
+_MAX_STEPS = 10**7
+
 
 class StepTooLarge(ValueError):
     """Step too coarse for the concentration scale set by alpha, h1 and h2."""
@@ -92,13 +96,16 @@ class RadialProfile:
 def step_count(r_max: float, step: float) -> int:
     """Number of fixed steps of size ``step`` from the center to ``r_max``.
 
-    Raises ValueError unless 0 < step <= r_max, both finite, and the steps
-    end at r_max: |n step - r_max| <= 1e-9 r_max.
+    Raises ValueError unless 0 < step <= r_max, both finite, there are at
+    most _MAX_STEPS steps, and they end at r_max: |n step - r_max| <= 1e-9 r_max.
     """
     if not (0 < step <= r_max and math.isfinite(r_max / step)):
         raise ValueError(f"need finite r_max and step with 0 < step <= r_max, "
                          f"got r_max={r_max:g}, step={step:g}")
     n = round(r_max / step)
+    if n > _MAX_STEPS:
+        raise ValueError(f"step {step:g} takes {n} steps to r_max {r_max:g}, "
+                         f"more than {_MAX_STEPS}")
     if abs(n * step - r_max) > 1e-9 * r_max:
         raise ValueError(f"step {step:g} does not divide r_max {r_max:g}: "
                          f"{n} steps end at r = {n * step:.10g}")

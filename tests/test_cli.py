@@ -29,7 +29,31 @@ class TestExitCodes:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
-        assert "unknown command" in capsys.readouterr().err
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        for command in ("solve", "mt-scan", "bubble-sweep", "asymptotics",
+                        "radial-sweep", "quantization-table", "verify-all"):
+            assert command in out
+
+    def test_config_after_command_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["quantization-table", "--config", str(tmp_path / "nope.ini"),
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "cannot read" not in err
+        assert not out.exists()
+
+    def test_empty_m_range_names_m_min(self, tmp_path, capsys):
+        rc = main(["quantization-table", "--m-min", "3", "--m-max", "1",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tzlab: --m-min: ")
+        assert not (tmp_path / "quantization-table.csv").exists()
 
     def test_bad_grid_parameter_reports_key(self, tmp_path, capsys):
         rc = main(["solve", "--rho1", "1", "--rho2", "1", "--n", "63",
@@ -118,7 +142,8 @@ class TestExitCodes:
         ["--step", "3e-4"],
         ["--r-max", "2", "--step", "3e-4"],
         ["--step", "0"],
-    ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step"])
+        ["--step", "1e-9"],
+    ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step", "1e-9-too-many"])
     def test_step_not_dividing_r_max_is_config_error(self, tmp_path, capsys,
                                                      monkeypatch, argv):
         def no_shoot(*args):

@@ -155,7 +155,8 @@ class TestShoot:
         ((-350.0, 1e300, 1e-300, 1e-73, 1e-76),
          r"exp overflowed in the step from u\(9\.21e-74\) = -354\.89"),
         # alpha = -400 is inside it too; e^{-2 alpha} overflows before the start
-        ((-400.0, 1.0, 0.0, 1.0, 1e-175), r"exp overflowed in the step from u\(0\) = -400$"),
+        # (at h2 = 0 the step guard reads only h1 e^alpha, so any step will do)
+        ((-400.0, 1.0, 0.0, 1.0, 1e-3), r"exp overflowed in the step from u\(0\) = -400$"),
     ], ids=["series_start_beyond_window", "exp_minus_2u_inside_window", "exp_minus_2alpha"])
     def test_exp_overflow_is_typed(self, args, message):
         # a bare OverflowError from math.exp, or an overflow warning (an error
@@ -193,6 +194,15 @@ class TestShoot:
                             (1e300, 1e-300)):
             with pytest.raises(ValueError, match="0 < step <= r_max"):
                 shoot(0.0, 1.0, 1.0, r_max, step)
+        # refused before the 32 GB of buffers 10^9 steps would take
+        with pytest.raises(ValueError, match="takes 1000000000 steps"):
+            shoot(0.0, 1.0, 1.0, 1.0, 1e-9)
+
+    def test_step_count_cap(self):
+        assert radial.step_count(1.0, 1e-7) == radial._MAX_STEPS
+        with pytest.raises(ValueError, match=f"takes 20000000 steps to r_max 2, "
+                                             f"more than {radial._MAX_STEPS}"):
+            radial.step_count(2.0, 1e-7)
 
 
 class TestPohozaev:
