@@ -12,6 +12,13 @@ d being the flat-torus distance.  At s = 0 the minus term is identically
 zero (so the field does not depend on the minus points), and symmetrically
 at s = 1: the join equivalence is built into the formula.
 
+Each mixture M = sum_i w_i q_i^-2, q_i = 1 + lambda_s^2 d(x, p_i)^2, is
+sampled as a rational sum: d^2 splits into per-axis squares, so q_i is a
+row plus a column and no point costs a square root, log or exp.  With M+
+and M- the plus and minus mixtures, e^phi = M+ / sqrt(M-) and
+e^{-2 phi} = M- / M+^2 come straight off them, and phi is one log of
+e^phi.
+
 Also provides the explicit entire Liouville profile solving
 u'' + u'/r + e^u = 0, used as an exact oracle by the radial solver and the
 sharp-constant probes.
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import ScalarField, TorusGrid, distance_field
+from .surface import ScalarField, TorusGrid, _axis_offsets, distance_field
 
 _WEIGHT_TOL = 1e-12
 
@@ -90,34 +97,59 @@ def lambda_split(s: float, lam: float) -> tuple[float, float]:
     return (1.0 - s) * lam, s * lam
 
 
-def _log_mixture(grid: TorusGrid, lam_s: float, points) -> np.ndarray:
-    """log sum_i w_i (1 + lam_s^2 d(x, p_i)^2)^-2, numerically via logsumexp.
+def _mixture(grid: TorusGrid, lam_s: float, points, out: np.ndarray,
+             scratch: np.ndarray) -> np.ndarray | None:
+    """Write sum_i w_i / q_i^2, q_i = 1 + lam_s^2 d(x, p_i)^2, into ``out``.
 
-    Only points of nonzero weight contribute a term.  With one such point
-    its log term is the result: the logsumexp would add log(1) = 0.0 to it,
-    which is exact.  With several, dropping the zero-weight terms drops only
-    + 0.0 from the sum, so the result is the same to the bit.
+    q_i is (1 + (lam_s dx_i)^2)[None, :] + ((lam_s dy_i)^2)[:, None] from
+    the per-axis torus distances, so no square root is taken.  Points of
+    zero weight are skipped; ``scratch`` is overwritten.  Returns ``out``,
+    or None on a dead side (lam_s = 0), where the mixture is identically
+    sum w_i = 1.
     """
     if lam_s == 0.0:
-        # dead side of the join: the mixture is identically sum w_i = 1
-        return np.zeros((grid.n, grid.n))
-    rows = [np.log(w) - 2.0 * np.log1p((lam_s * distance_field(grid, p)) ** 2)
-            for w, p in points if w != 0.0]
-    if len(rows) == 1:
-        return rows[0]
-    logs = np.stack(rows)
-    peak = logs.max(axis=0)
-    return peak + np.log(np.exp(logs - peak).sum(axis=0))
+        return None
+    first = True
+    for w, p in points:
+        if w == 0.0:
+            continue
+        dxv, dyv = _axis_offsets(grid, p)
+        np.add(1.0 + (lam_s * dxv) ** 2, ((lam_s * dyv) ** 2)[:, None], out=scratch)
+        np.square(scratch, out=scratch)
+        if first:
+            np.divide(w, scratch, out=out)
+            first = False
+        else:
+            out += np.divide(w, scratch, out=scratch)
+    return out
+
+
+def _bubble_exps(zeta: JoinConfig, lam: float, grid: TorusGrid, work: np.ndarray):
+    """(e^phi, e^{-2 phi}) of the bubble phi_{lambda, zeta}, written into two
+    of the three n-by-n buffers of ``work``.
+
+    e^phi = M+ / sqrt(M-) and e^{-2 phi} = M- / M+^2, where a dead side's
+    mixture is 1 and drops out.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    lam1, lam2 = lambda_split(zeta.s, lam)
+    a, b, c = work
+    plus = _mixture(grid, lam1, zeta.plus_points, a, c)
+    minus = _mixture(grid, lam2, zeta.minus_points, b, c)
+    if minus is None:
+        return plus, np.divide(1.0, np.square(plus, out=b), out=b)
+    np.sqrt(minus, out=c)
+    if plus is None:
+        return np.divide(1.0, c, out=c), minus
+    np.divide(plus, c, out=c)
+    return c, np.divide(minus, np.square(plus, out=a), out=b)
 
 
 def build_bubble(zeta: JoinConfig, lam: float, grid: TorusGrid) -> ScalarField:
     """Sample the two-species bubble phi_{lambda, zeta} on the grid."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    lam1, lam2 = lambda_split(zeta.s, lam)
-    plus = _log_mixture(grid, lam1, zeta.plus_points)
-    minus = _log_mixture(grid, lam2, zeta.minus_points)
-    return ScalarField(grid, plus - 0.5 * minus)
+    e_phi, _ = _bubble_exps(zeta, lam, grid, np.empty((3, grid.n, grid.n)))
+    return ScalarField(grid, np.log(e_phi))
 
 
 def liouville_bubble(alpha: float, where, center=(0.5, 0.5)):

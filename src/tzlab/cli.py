@@ -19,7 +19,7 @@ shortest round-trip decimal representation and summaries echo the full
 config.  Exit status: 0 all checks passed, 1 usage or configuration
 error, 2 at least one check failed, 3 a numerical failure (an
 exponential integral underflowed or a radial trajectory overflowed).
-TZLAB_THREADS caps internal parallelism (0 = auto).
+The output directory is created at the first file written.
 
 Config files are INI sections named after the command; keys match the
 long flag names with dashes replaced by underscores.  ``--config PATH``
@@ -103,8 +103,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _create(path: Path, **kwargs):
+    """Open ``path`` for writing, making its directory first: ``--out`` is
+    created at the first write, so a command that fails before writing
+    leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", **kwargs)
+
+
 def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -112,7 +120,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, payload):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
@@ -176,7 +184,7 @@ def _write_solution(outdir: Path, args, sol):
     """
     grid = sol.u.grid
     xs = [repr(x) for x in grid.axis_points.tolist()]
-    with open(outdir / "solution.csv", "w", newline="") as fh:
+    with _create(outdir / "solution.csv", newline="") as fh:
         fh.write("x,y,u\r\n")
         for y, row in zip(grid.axis_points.tolist(), sol.u.values):
             y = repr(y)
@@ -586,7 +594,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     outdir = Path(args.out)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
         checks, extra = args.func(args, outdir)
     except (ConfigError, ValueError) as exc:
         print(f"tzlab: {exc}", file=sys.stderr)

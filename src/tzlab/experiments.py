@@ -19,8 +19,11 @@ and the Moser-Trudinger deficit along the single-bubble families has slope
 flips exactly at the sharp constants.  Every sweep measures its bubbles
 through one primitive, ``_bubble_components``; J_rho and, with unit
 weights, the deficit are one linear combination of its columns
-(``_energy_sweep``).  Sweeps fit ordinary least squares of measured values
-against log(lambda + 1) and compare with these predictions.
+(``_energy_sweep``).  It reads e^phi and e^{-2 phi} off the bubble's
+rational mixtures (see ``bubbles``), so a lambda row takes one log and no
+exp, and the rows run one after another in one three-buffer workspace.
+Sweeps fit ordinary least squares of measured values against
+log(lambda + 1) and compare with these predictions.
 
 Quadrature adequacy: a bubble core spans ~1/lambda, so sweeps require
 lambda * dx <= 2; above that the result is flagged skipped rather than
@@ -32,46 +35,20 @@ phase +-i and sums to zero).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubbles import JoinConfig, build_bubble
-from .energy import Params, _log_integral_exp
+from .bubbles import JoinConfig, _bubble_exps
+from .energy import ExpUnderflow, Params
 from .radial import (classify_mass_pair, limit_mass_relation,
                      pohozaev_residual_profile, shoot)
-from .surface import TorusGrid, grad_norm_sq, mean
+from .surface import ScalarField, TorusGrid, grad_norm_sq, mean
 
 DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
 
 REL_SLOPE_BOUND = 0.10
 ABS_SLOPE_BOUND = 0.5
-
-
-def thread_count() -> int:
-    """Worker cap from TZLAB_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("TZLAB_THREADS", "0").strip()
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TZLAB_THREADS must be an integer, got {raw!r}") from exc
-    if val < 0:
-        raise ValueError("TZLAB_THREADS must be nonnegative")
-    if val == 0:
-        return min(4, os.cpu_count() or 1)
-    return val
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when TZLAB_THREADS allows."""
-    items = list(items)
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def fit_slope(lambdas, values) -> float:
@@ -163,17 +140,27 @@ def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
     if not grid_adequate(grid, lambdas):
         return None
     dx2 = grid.dx**2
+    work = np.empty((3, grid.n, grid.n))
+    rows = []
+    for lam in lambdas:
+        e_phi, e_minus_2phi = _bubble_exps(zeta, lam, grid, work)
+        log_plus = _log_weighted_integral(e_phi, h1, dx2)
+        log_minus = _log_weighted_integral(e_minus_2phi, h2, dx2)
+        phi = ScalarField(grid, np.log(e_phi, out=e_phi))
+        rows.append((0.5 * grad_norm_sq(phi), log_plus, log_minus, mean(phi)))
+    return np.array(rows)
 
-    def row(lam):
-        phi = build_bubble(zeta, lam, grid)
-        return (
-            0.5 * grad_norm_sq(phi),
-            _log_integral_exp(phi.values, h1, dx2),
-            _log_integral_exp(-2.0 * phi.values, h2, dx2),
-            mean(phi),
-        )
 
-    return np.array(parallel_map(row, lambdas))
+def _log_weighted_integral(density: np.ndarray, weight, dx2: float) -> float:
+    """log int weight * density: a dot product with a weight field, a plain
+    sum times a constant weight."""
+    if np.ndim(weight):
+        total = np.vdot(weight, density) * dx2
+    else:
+        total = weight * density.sum() * dx2
+    if total == 0.0 or not np.isfinite(total):
+        raise ExpUnderflow("exponential integral underflowed to zero")
+    return float(np.log(total))
 
 
 def _energy_sweep(name: str, comps, lambdas, a1: float, a2: float,

@@ -94,5 +94,10 @@ def parse_recipe(text: str):
 
 
 def field_from_recipe(text: str, grid: TorusGrid) -> ScalarField:
-    """Sample a recipe onto a grid (see surface.field_from_function)."""
-    return field_from_function(grid, parse_recipe(text))
+    """Sample a recipe onto a grid (see surface.field_from_function).
+
+    Samples that overflow or turn invalid raise no numpy warning: the
+    field's finiteness check rejects them with one ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return field_from_function(grid, parse_recipe(text))

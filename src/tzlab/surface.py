@@ -181,18 +181,27 @@ def grad_norm_sq(f: ScalarField) -> float:
                  / grid.n**4)
 
 
-def distance_field(grid: TorusGrid, point) -> np.ndarray:
-    """Array of torus distances from every node to ``point``.
+def _axis_offsets(grid: TorusGrid, point) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis torus distances (|x_j - px|, |y_i - py|) from the n node
+    coordinates to ``point``, each wrapped and folded into [0, 1/2].
 
-    Equivalent to minimizing the Euclidean distance over the 9 periodic
-    translates; on the square torus the axes decouple, so the wrap and
-    fold run once per axis on the n node coordinates and one broadcast
-    combines them.  Each node sees the same float operations as on full
-    coordinate meshes, so the result is bit for bit the full-mesh form.
+    On the square torus the axes decouple: the squared distance from node
+    (i, j) is dx[j]^2 + dy[i]^2.
     """
     px, py = point
     dxv = np.abs(grid.axis_points - px) % 1.0
     dyv = np.abs(grid.axis_points - py) % 1.0
-    dxv = np.minimum(dxv, 1.0 - dxv)
-    dyv = np.minimum(dyv, 1.0 - dyv)
+    return np.minimum(dxv, 1.0 - dxv), np.minimum(dyv, 1.0 - dyv)
+
+
+def distance_field(grid: TorusGrid, point) -> np.ndarray:
+    """Array of torus distances from every node to ``point``.
+
+    Equivalent to minimizing the Euclidean distance over the 9 periodic
+    translates; the wrap and fold run once per axis (``_axis_offsets``) and
+    one broadcast combines them.  Each node sees the same float operations
+    as on full coordinate meshes, so the result is bit for bit the
+    full-mesh form.
+    """
+    dxv, dyv = _axis_offsets(grid, point)
     return np.sqrt(dxv[None, :] ** 2 + dyv[:, None] ** 2)

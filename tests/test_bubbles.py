@@ -4,7 +4,9 @@ import pytest
 from tzlab import (JoinConfig, ScalarField, build_bubble,
                    build_grid, default_join_config, distance_field, integrate,
                    lambda_split, liouville_bubble, liouville_mass)
-from tzlab.bubbles import _log_mixture
+from tzlab.bubbles import _mixture
+
+from conftest import node_coordinates
 
 
 def node_config(s=0.0, plus=((1.0, (0.5, 0.5)),), minus=((1.0, (0.25, 0.75)),)):
@@ -127,8 +129,8 @@ class TestBuildBubble:
 
 
 def _reference_log_mixture(grid, lam_s, points):
-    """The mixture as a logsumexp over one row per point, -inf for a point
-    of zero weight; _log_mixture must match it bit for bit."""
+    """The log of the mixture as a logsumexp over one row per point, -inf
+    for a point of zero weight."""
     logs = np.full((len(points), grid.n, grid.n), -np.inf)
     for row, (w, p) in enumerate(points):
         if w == 0.0:
@@ -139,37 +141,79 @@ def _reference_log_mixture(grid, lam_s, points):
     return peak + np.log(np.exp(logs - peak).sum(axis=0))
 
 
+def _reference_mixture(grid, lam_s, points):
+    """The rational mixture on full coordinate meshes: w / q^2 with
+    q = (1 + (lam_s dx)^2) + (lam_s dy)^2, summed over the points of
+    nonzero weight in order; _mixture must match it bit for bit."""
+    X, Y = node_coordinates(grid)
+    total = None
+    for w, (px, py) in points:
+        if w == 0.0:
+            continue
+        dx = np.abs(X - px) % 1.0
+        dy = np.abs(Y - py) % 1.0
+        dx = np.minimum(dx, 1.0 - dx)
+        dy = np.minimum(dy, 1.0 - dy)
+        term = w / ((1.0 + (lam_s * dx) ** 2) + (lam_s * dy) ** 2) ** 2
+        total = term if total is None else total + term
+    return total
+
+
+def _run_mixture(grid, lam_s, points):
+    out = np.full((grid.n, grid.n), np.nan)
+    return _mixture(grid, lam_s, points, out, np.full((grid.n, grid.n), np.nan))
+
+
 class TestLogMixture:
     LAMBDAS = (0.5, 30.0, 700.0)
+    POINT_SETS = [
+        ((0.5, (0.25, 0.25)), (0.5, (0.75, 0.75))),
+        ((0.5, (0.1, 0.9)), (0.5, (0.15, 0.85))),
+        ((0.5, (0.2, 0.3)), (0.0, (0.6, 0.6)), (0.5, (0.7, 0.4))),
+        ((0.2, (0.2, 0.3)), (0.3, (0.6, 0.6)), (0.5, (0.7, 0.4))),
+    ]
 
     def _assert_same_bytes(self, got, ref):
         assert got.shape == ref.shape and got.dtype == ref.dtype == np.float64
         assert np.array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()
 
+    def _assert_log_close(self, mixture, points, grid, lam):
+        # log of the rational sum against the logsumexp: roundoff of either form
+        ref = _reference_log_mixture(grid, lam, points)
+        ulps = 8.0 * np.spacing(np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.abs(np.log(mixture) - ref) <= ulps)
+
     @pytest.mark.parametrize("point", [(0.5, 0.5), (0.03, 0.97), (1.2, -0.4)])
     def test_single_point_is_the_logsumexp(self, grid64, point):
+        points = ((1.0, point),)
         for lam in self.LAMBDAS:
-            got = _log_mixture(grid64, lam, ((1.0, point),))
-            self._assert_same_bytes(got, _reference_log_mixture(grid64, lam, ((1.0, point),)))
+            got = _run_mixture(grid64, lam, points)
+            self._assert_same_bytes(got, _reference_mixture(grid64, lam, points))
+            self._assert_log_close(got, points, grid64, lam)
 
     def test_zero_weight_point_drops_out(self, grid64):
         for lam in self.LAMBDAS:
-            alone = _log_mixture(grid64, lam, ((1.0, (0.3, 0.6)),))
+            alone = _run_mixture(grid64, lam, ((1.0, (0.3, 0.6)),))
             for points in (((1.0, (0.3, 0.6)), (0.0, (0.8, 0.1))),
                            ((0.0, (0.8, 0.1)), (1.0, (0.3, 0.6)))):
-                self._assert_same_bytes(_log_mixture(grid64, lam, points), alone)
+                self._assert_same_bytes(_run_mixture(grid64, lam, points), alone)
 
-    @pytest.mark.parametrize("points", [
-        ((0.5, (0.25, 0.25)), (0.5, (0.75, 0.75))),
-        ((0.5, (0.1, 0.9)), (0.5, (0.15, 0.85))),
-        ((0.5, (0.2, 0.3)), (0.0, (0.6, 0.6)), (0.5, (0.7, 0.4))),
-        ((0.2, (0.2, 0.3)), (0.3, (0.6, 0.6)), (0.5, (0.7, 0.4))),
-    ])
+    @pytest.mark.parametrize("points", POINT_SETS)
+    def test_mixture_is_the_rational_sum(self, grid64, points):
+        for lam in self.LAMBDAS:
+            self._assert_same_bytes(_run_mixture(grid64, lam, points),
+                                    _reference_mixture(grid64, lam, points))
+
+    @pytest.mark.parametrize("points", POINT_SETS)
     def test_mixture_is_the_logsumexp(self, grid64, points):
         for lam in self.LAMBDAS:
-            self._assert_same_bytes(_log_mixture(grid64, lam, points),
-                                    _reference_log_mixture(grid64, lam, points))
+            self._assert_log_close(_run_mixture(grid64, lam, points), points, grid64, lam)
+
+    def test_dead_side_writes_nothing(self, grid64):
+        out = np.full((grid64.n, grid64.n), 7.0)
+        assert _mixture(grid64, 0.0, ((1.0, (0.3, 0.6)),), out, np.empty_like(out)) is None
+        assert np.all(out == 7.0)
 
 
 class TestLiouvilleBubble:

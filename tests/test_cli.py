@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,15 @@ from conftest import node_coordinates
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.fixture
+def no_bubble(monkeypatch):
+    """Fail the test if a sweep builds a bubble."""
+    def refuse(*args):
+        raise AssertionError("a bubble was built")
+
+    monkeypatch.setattr(tzlab.experiments, "_bubble_exps", refuse)
 
 
 class TestExitCodes:
@@ -55,11 +65,36 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("tzlab: --m-min: ")
         assert not (tmp_path / "quantization-table.csv").exists()
 
+    def test_config_error_leaves_no_out_directory(self, tmp_path, capsys):
+        argv = ["quantization-table", "--m-min", "3", "--m-max", "1", "--out"]
+        assert main(argv + [str(tmp_path / "qq")]) == EXIT_USAGE
+        assert not (tmp_path / "qq").exists()
+        existing = tmp_path / "kept"
+        existing.mkdir()
+        assert main(argv + [str(existing)]) == EXIT_USAGE
+        assert existing.is_dir() and not any(existing.iterdir())
+
+    def test_nested_out_is_created_at_first_write(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["quantization-table", "--out", str(out)]) == EXIT_OK
+        assert (out / "quantization-table.csv").exists() and (out / "summary.json").exists()
+
     def test_bad_grid_parameter_reports_key(self, tmp_path, capsys):
         rc = main(["solve", "--rho1", "1", "--rho2", "1", "--n", "63",
                    "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
         assert "--n" in capsys.readouterr().err
+
+    def test_overflowing_recipe_is_one_stderr_line(self, tmp_path):
+        src = str(Path(tzlab.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tzlab.cli", "solve", "--rho1", "1", "--rho2", "1",
+             "--h1", "1e308*10", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "tzlab: --h1: field values must be finite\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_recipe_reports_key(self, tmp_path, capsys):
         rc = main(["solve", "--rho1", "1", "--rho2", "1", "--h1", "1+bogus(x)",
@@ -120,14 +155,15 @@ class TestExitCodes:
         ["mt-scan", "--n", "64", "--lambdas", "25,nan"],
         ["asymptotics", "--n", "64", "--lambdas", "25,25"],
     ], ids=["decreasing-n64", "decreasing-n256", "infinite", "zero", "nan", "repeated"])
-    def test_bad_lambdas_rejected_before_any_bubble(self, tmp_path, capsys,
-                                                    monkeypatch, argv):
-        def no_bubble(*args):
-            raise AssertionError("a bubble was built")
-
-        monkeypatch.setattr(tzlab.experiments, "build_bubble", no_bubble)
+    def test_bad_lambdas_rejected_before_any_bubble(self, tmp_path, capsys, no_bubble, argv):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         assert "--lambdas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["asymptotics", "bubble-sweep", "mt-scan"])
+    def test_no_bubble_guard_sees_the_sweeps(self, tmp_path, no_bubble, command):
+        # the guard above is real: a valid sweep under it builds a bubble
+        with pytest.raises(AssertionError, match="a bubble was built"):
+            main([command, "--n", "64", "--lambdas", "10,20", "--out", str(tmp_path)])
 
     def test_bad_lambdas_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -179,11 +215,7 @@ class TestExitCodes:
         (["--k", "5"], "--k"), (["--l", "-1"], "--l"), (["--l", "5"], "--l"),
         (["--k", "3", "--l", "2"], "--k"),
     ], ids=["s-nan", "s-above-1", "k-zero", "k-five", "l-negative", "l-five", "k-plus-l-five"])
-    def test_bad_join_names_its_flag(self, tmp_path, capsys, monkeypatch, command, argv, flag):
-        def no_bubble(*args):
-            raise AssertionError("a bubble was built")
-
-        monkeypatch.setattr(tzlab.experiments, "build_bubble", no_bubble)
+    def test_bad_join_names_its_flag(self, tmp_path, capsys, no_bubble, command, argv, flag):
         rc = main([command, "--n", "64"] + argv + ["--out", str(tmp_path)])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
@@ -209,11 +241,7 @@ class TestExitCodes:
         ("--a1", "nan"), ("--a1", "-5,1"), ("--a2", "4,inf"), ("--a2", "-0.5"),
     ], ids=["a1-nan", "a1-negative", "a2-infinite", "a2-negative"])
     def test_bad_mt_coefficients_rejected_before_any_bubble(self, tmp_path, capsys,
-                                                            monkeypatch, flag, value):
-        def no_bubble(*args):
-            raise AssertionError("a bubble was built")
-
-        monkeypatch.setattr(tzlab.experiments, "build_bubble", no_bubble)
+                                                            no_bubble, flag, value):
         rc = main(["mt-scan", "--n", "64", f"{flag}={value}", "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
         assert f"argument {flag}: " in capsys.readouterr().err
@@ -385,14 +413,22 @@ class TestRadialSweepCommand:
         assert "[FAIL] radial-sweep: all_rows_computed" in captured.out
 
 
+def _main_in_worker_thread(argv):
+    """main(argv) on a thread other than the main one; its exit status."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(main(argv)))
+    worker.start()
+    worker.join(timeout=300)
+    assert not worker.is_alive() and len(result) == 1
+    return result[0]
+
+
 class TestDeterminism:
-    def test_identical_csv_bytes_and_thread_independence(self, tmp_path, monkeypatch):
+    def test_identical_csv_bytes_and_thread_independence(self, tmp_path):
         args = ["asymptotics", "--n", "64", "--lambdas", "10,20,40"]
-        monkeypatch.setenv("TZLAB_THREADS", "1")
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
-        monkeypatch.setenv("TZLAB_THREADS", "4")
-        main(args + ["--out", str(tmp_path / "c")])
+        _main_in_worker_thread(args + ["--out", str(tmp_path / "c")])
         ref = (tmp_path / "a" / "asymptotics.csv").read_bytes()
         assert (tmp_path / "b" / "asymptotics.csv").read_bytes() == ref
         assert (tmp_path / "c" / "asymptotics.csv").read_bytes() == ref
@@ -424,16 +460,16 @@ VERIFY_ALL_CSVS = ["asymptotics.csv", "bubble-sweep.csv", "mt-scan.csv",
 
 
 class TestVerifyAll:
-    def test_thread_independent_csvs_and_check_order(self, tmp_path, monkeypatch, capsys):
+    def test_thread_independent_csvs_and_check_order(self, tmp_path, capsys):
+        # a rerun, on a worker thread, writes the same bytes
         outs = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("TZLAB_THREADS", threads)
-            outs[threads] = tmp_path / threads
-            main(["verify-all", "--n", "64", "--out", str(outs[threads])])
+        for where, run in (("main", main), ("worker", _main_in_worker_thread)):
+            outs[where] = tmp_path / where
+            run(["verify-all", "--n", "64", "--out", str(outs[where])])
             names = [line.split("verify-all: ", 1)[1]
                      for line in capsys.readouterr().out.splitlines()]
             assert names == VERIFY_ALL_CHECKS
-        csvs = sorted(p.name for p in outs["1"].glob("*.csv"))
+        csvs = sorted(p.name for p in outs["main"].glob("*.csv"))
         assert csvs == VERIFY_ALL_CSVS
         for name in csvs:
-            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+            assert (outs["main"] / name).read_bytes() == (outs["worker"] / name).read_bytes()

@@ -4,9 +4,10 @@ import pytest
 from tzlab import (MTCoefficients, Params, build_bubble, build_grid,
                    bubble_energy_sweep, component_asymptotics_sweep,
                    constant_field, default_join_config, alpha_sweep, energy_J,
-                   field_from_recipe, fit_slope, grad_norm_sq, mt_deficit,
+                   field_from_recipe, fit_slope, grad_norm_sq, mean, mt_deficit,
                    mt_threshold_scan, SweepResult)
-from tzlab.experiments import grid_adequate, parallel_map, thread_count
+from tzlab.energy import _log_integral_exp
+from tzlab.experiments import _bubble_components, grid_adequate
 
 
 class TestFitSlope:
@@ -186,6 +187,26 @@ class TestComponentPrimitive:
         ref = [energy_J(build_bubble(zeta, lam, g), p) for lam in self.LAMBDAS]
         np.testing.assert_allclose(res.values, ref, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "cos-sin"])
+    @pytest.mark.parametrize("k,l,s", [
+        (1, 1, 0.5), (1, 1, 0.3), (1, 1, 0.7), (2, 1, 0.5), (2, 2, 0.5), (1, 2, 0.5),
+        (1, 1, 0.0), (1, 1, 1.0),
+    ])
+    def test_rows_match_build_bubble(self, k, l, s, weighted):
+        g = build_grid(128)
+        h1 = h2 = 1.0
+        if weighted:
+            h1 = field_from_recipe("1+0.5*cos(2*pi*x)", g).values
+            h2 = field_from_recipe("1+0.5*sin(2*pi*y)", g).values
+        zeta = default_join_config(g, k, l, s)
+        rows = _bubble_components(zeta, g, self.LAMBDAS, h1, h2)
+        dx2 = g.dx**2
+        for row, lam in zip(rows, self.LAMBDAS):
+            phi = build_bubble(zeta, lam, g)
+            ref = (0.5 * grad_norm_sq(phi), _log_integral_exp(phi.values, h1, dx2),
+                   _log_integral_exp(-2.0 * phi.values, h2, dx2), mean(phi))
+            np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
+
     def test_threshold_cells_match_mt_deficit(self):
         g = build_grid(128)
         a1 = (8 * np.pi - 2, 8 * np.pi + 2)
@@ -249,29 +270,3 @@ class TestAlphaSweep:
         assert rows[0].error is None
         assert rows[1].error is not None
         assert "StepTooLarge" in rows[1].error
-
-
-class TestParallelMap:
-    def test_order_preserved(self):
-        out = parallel_map(lambda x: x * x, range(20))
-        assert out == [x * x for x in range(20)]
-
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("TZLAB_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("TZLAB_THREADS", "0")
-        assert thread_count() >= 1
-        monkeypatch.setenv("TZLAB_THREADS", "zebra")
-        with pytest.raises(ValueError, match="TZLAB_THREADS"):
-            thread_count()
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        g = build_grid(64)
-        zeta = default_join_config(g, 1, 1, 0.5)
-        lams = (10.0, 20.0, 40.0)
-        monkeypatch.setenv("TZLAB_THREADS", "1")
-        serial = component_asymptotics_sweep(zeta, g, lams)
-        monkeypatch.setenv("TZLAB_THREADS", "4")
-        threaded = component_asymptotics_sweep(zeta, g, lams)
-        for name in serial:
-            assert np.array_equal(serial[name].values, threaded[name].values)
