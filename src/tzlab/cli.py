@@ -1,18 +1,12 @@
 """Command-line front end: experiment dispatch, CSV/JSON emission, pass/fail.
 
-Commands
---------
-solve               minimize the mean-field energy, dump the solution field
-mt-scan             deficit slope scan over a coefficient lattice, both families
-bubble-sweep        energy of the join-bubble family against lambda
-asymptotics         the four component slopes of the bubble family
-radial-sweep        central-value sweep of the radial shooting solver
-quantization-table  admissible blow-up mass pairs
-verify-all          quantization-table, mt-scan, asymptotics and bubble-sweep at
-                    their defaults, the radial-sweep Pohozaev rows for h2 in
-                    {0, 1}, plus its own oracles (RK4 order, Liouville mass,
-                    bubble divergence, coercive solve grid, gradient check);
-                    one exit status
+Each command has one parser, built at import and never changed:
+``tzlab --help`` lists the commands with their one-line descriptions,
+``tzlab <command> --help`` a command's flags.  verify-all runs
+quantization-table, mt-scan, asymptotics and bubble-sweep at their
+defaults through those parsers, the radial-sweep Pohozaev rows for h2 in
+{0, 1}, and its own oracles (RK4 order, Liouville mass, bubble
+divergence, coercive solve grid, gradient check), under one exit status.
 
 Outputs are deterministic for a fixed config and seed: CSV floats use the
 shortest round-trip decimal representation and summaries echo the full
@@ -21,10 +15,11 @@ error, 2 at least one check failed, 3 a numerical failure (an
 exponential integral underflowed or a radial trajectory overflowed).
 The output directory is created at the first file written.
 
-Config files are INI sections named after the command; keys match the
-long flag names with dashes replaced by underscores.  ``--config PATH``
-goes before the command, and flags win over the config file.
-``tzlab --help`` lists the commands, ``tzlab <command> --help`` its flags.
+Config files are INI sections named after the command; a key is a long
+flag name with dashes replaced by underscores, exactly.  ``--config PATH``
+goes before the command.  The section becomes ``--flag=value`` tokens that
+the command's parser reads before the command line's flags, so a file
+value is converted and checked as its flag is, and flags win.
 """
 
 from __future__ import annotations
@@ -144,7 +139,7 @@ def _versions():
 
 
 def _config_echo(args) -> dict:
-    skip = {"func", "config"}
+    skip = {"func", "config", "flags"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -400,10 +395,14 @@ def _verify_radial(_args, outdir: Path):
 
 def _verify_solve(args, outdir: Path):
     """Coercive-regime minimization over the rho grid, three seeds each, and
-    the finite-difference gradient check."""
-    grid64 = build_grid(64)
-    h1 = field_from_recipe("1+0.5*cos(2*pi*x)", grid64)
-    h2 = field_from_recipe("1+0.5*sin(2*pi*y)", grid64)
+    the finite-difference gradient check.  Each solve is solve's own config
+    at that rho and seed; solution.json echoes the grid's last, which it dumps."""
+    solve = _COMMANDS["solve"]
+    argv = ["--n", "64", "--h1", "1+0.5*cos(2*pi*x)", "--h2", "1+0.5*sin(2*pi*y)",
+            f"--out={args.out}"]
+    conf = solve.parse_args(argv)
+    grid64 = build_grid(conf.n)
+    h1, h2 = field_from_recipe(conf.h1, grid64), field_from_recipe(conf.h2, grid64)
     solve_rows = []
     solve_ok = True
     for rho1 in _RHO1_GRID:
@@ -411,15 +410,17 @@ def _verify_solve(args, outdir: Path):
             params = Params(rho1, rho2, h1, h2)
             for k_seed in range(3):
                 seed = int(args.seed) + 97 * k_seed
-                sol = minimize(params, _random_start(grid64, seed), max_iters=4000,
-                               tol_residual=1e-9)
+                sol = minimize(params, _random_start(grid64, seed), max_iters=conf.max_iters,
+                               tol_residual=conf.tol)
                 solve_ok &= sol.converged and sol.residual_norm < 1e-7
                 solve_rows.append((rho1, rho2, seed, sol.converged,
                                    sol.residual_norm, sol.energy, sol.iterations))
     _write_csv(outdir / "solve.csv",
                ["rho1", "rho2", "seed", "converged", "residual_norm",
                 "energy", "iterations"], solve_rows)
-    _write_solution(outdir, args, sol)
+    last = solve.parse_args(argv + [f"--rho1={rho1!r}", f"--rho2={rho2!r}", f"--seed={seed}"],
+                            argparse.Namespace(command="solve"))
+    _write_solution(outdir, last, sol)
     worst_fd = _gradient_fd_check(grid64, 20, int(args.seed) + 5)
     checks = {"coercive_grid_converges": solve_ok,
               "gradient_fd_consistent": worst_fd < 1e-5}
@@ -428,9 +429,8 @@ def _verify_solve(args, outdir: Path):
 
 def cmd_verify_all(args, outdir: Path):
     """Run each stage in check order: a command argv, parsed by that
-    command's own subparser so its defaults live in one place, or one of
+    command's own parser so its defaults live in one place, or one of
     verify-all's own oracle groups."""
-    _, commands = build_parser()
     n = str(args.n)
     stages = (
         ("quantization", ["quantization-table"]),
@@ -446,7 +446,7 @@ def cmd_verify_all(args, outdir: Path):
         if callable(stage):
             stage_checks, stage_summary = stage(args, outdir)
         else:
-            stage_args = commands[stage[0]].parse_args(stage[1:])
+            stage_args = _COMMANDS[stage[0]].parse_args(stage[1:])
             stage_checks, stage_summary = stage_args.func(stage_args, outdir)
         if prefix == "bubble_sweep":
             # supercritical rho: the concentrating family must lose energy
@@ -459,21 +459,21 @@ def cmd_verify_all(args, outdir: Path):
 # ---------------------------------------------------------------- wiring
 
 
-def _add_common(sub):
-    sub.add_argument("--out", default=".", help="output directory (default: cwd)")
+def _command(commands: dict, name: str, func, help_line: str):
+    """Add the parser of one command to ``commands``: ``help_line`` is its
+    description and its line in ``tzlab --help``.  A bad value raises
+    ArgumentError, so main can tell a config file's value from a flag's."""
+    sp = argparse.ArgumentParser(prog=f"tzlab {name}", description=help_line,
+                                 exit_on_error=False)
+    sp.add_argument("--out", default=".", help="output directory (default: cwd)")
+    sp.set_defaults(func=func)
+    commands[name] = sp
+    return sp
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tzlab",
-        description="Numerical laboratory for the Tzitzeica mean-field equation.",
-    )
-    parser.add_argument("--config", default=None,
-                        help="INI config file; sections named after commands, flags win")
-    subs = parser.add_subparsers(dest="command", metavar="command")
+def _command_parsers() -> dict:
     commands = {}
-
-    sp = subs.add_parser("solve", help="minimize the mean-field energy")
+    sp = _command(commands, "solve", cmd_solve, "minimize the mean-field energy")
     sp.add_argument("--n", type=int, default=64)
     sp.add_argument("--rho1", type=float, default=None, help="required (flag or config)")
     sp.add_argument("--rho2", type=float, default=None, help="required (flag or config)")
@@ -482,21 +482,15 @@ def build_parser():
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--max-iters", type=int, default=4000)
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_solve)
-    commands["solve"] = sp
 
-    sp = subs.add_parser("mt-scan", help="sharp-constant deficit slope scan")
+    sp = _command(commands, "mt-scan", cmd_mt_scan, "sharp-constant deficit slope scan")
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--a1", type=_coefficient_list, default=list(_A1_DEFAULT),
                     help="comma-separated coefficients of the plus log-integral")
     sp.add_argument("--a2", type=_coefficient_list, default=list(_A2_DEFAULT))
     sp.add_argument("--lambdas", type=_lambda_list, default=list(DEFAULT_LAMBDAS))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_mt_scan)
-    commands["mt-scan"] = sp
 
-    sp = subs.add_parser("bubble-sweep", help="energy of the bubble family")
+    sp = _command(commands, "bubble-sweep", cmd_bubble_sweep, "energy of the bubble family")
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--rho1", type=float, default=10.0 * np.pi)
     sp.add_argument("--rho2", type=float, default=5.0 * np.pi)
@@ -506,86 +500,89 @@ def build_parser():
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--s", type=float, default=0.5)
     sp.add_argument("--lambdas", type=_lambda_list, default=list(DEFAULT_LAMBDAS))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_bubble_sweep)
-    commands["bubble-sweep"] = sp
 
-    sp = subs.add_parser("asymptotics", help="component slopes of the bubble family")
+    sp = _command(commands, "asymptotics", cmd_asymptotics,
+                  "component slopes of the bubble family")
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--s", type=float, default=0.5)
     sp.add_argument("--lambdas", type=_lambda_list, default=list(DEFAULT_LAMBDAS))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_asymptotics)
-    commands["asymptotics"] = sp
 
-    sp = subs.add_parser("radial-sweep", help="central-value sweep of the radial solver")
+    sp = _command(commands, "radial-sweep", cmd_radial_sweep,
+                  "central-value sweep of the radial solver")
     sp.add_argument("--alphas", type=_float_list, default=[0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
     sp.add_argument("--h1-const", type=float, default=1.0)
     sp.add_argument("--h2-const", type=float, default=1.0)
     sp.add_argument("--r-max", type=float, default=1.0)
     sp.add_argument("--step", type=float, default=1e-4)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_radial_sweep)
-    commands["radial-sweep"] = sp
 
-    sp = subs.add_parser("quantization-table", help="admissible blow-up mass pairs")
+    sp = _command(commands, "quantization-table", cmd_quantization_table,
+                  "admissible blow-up mass pairs")
     sp.add_argument("--m-min", type=int, default=-6)
     sp.add_argument("--m-max", type=int, default=6)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_quantization_table)
-    commands["quantization-table"] = sp
 
-    sp = subs.add_parser("verify-all", help="run every check at default scale")
+    sp = _command(commands, "verify-all", cmd_verify_all, "run every check at default scale")
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify_all)
-    commands["verify-all"] = sp
-
-    return parser, commands
+    return commands
 
 
-def _apply_config_file(path: str, command: str, commands: dict):
+# Built once, at import, and never changed: a parse fills a namespace of
+# its own, so concurrent and successive calls of main share nothing.
+_COMMANDS = _command_parsers()
+
+_TOP = argparse.ArgumentParser(
+    prog="tzlab",
+    description="Numerical laboratory for the Tzitzeica mean-field equation.",
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+    epilog="commands:\n" + "\n".join(f"  {name:<20}{sp.description}"
+                                      for name, sp in _COMMANDS.items()),
+)
+_TOP.add_argument("--config", default=None,
+                  help="INI config file; sections named after commands, flags win")
+_TOP.add_argument("command", choices=_COMMANDS, metavar="command",
+                  help="one of the commands below")
+_TOP.add_argument("flags", nargs=argparse.REMAINDER,
+                  help="the command's flags: tzlab <command> --help lists them")
+
+
+def _config_argv(path: str, command: str) -> list[str]:
+    """The ``[command]`` section of the INI file at ``path`` as ``--flag=value``
+    tokens for the command's parser.  A key must be a flag's dest exactly;
+    the flag is spelled out here, so argparse never expands a prefix."""
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read:
+    if not cfg.read(path):
         raise ConfigError(f"--config: cannot read {path!r}")
     if command not in cfg:
-        return
-    sub = commands[command]
-    converters = {}
-    valid = set()
-    for action in sub._actions:
-        if action.dest in ("help",):
-            continue
-        valid.add(action.dest)
-        converters[action.dest] = action.type or str
-    section = cfg[command]
-    defaults = {}
-    for key, raw in section.items():
-        if key not in valid:
+        return []
+    flags = {action.dest: action.option_strings[-1]
+             for action in _COMMANDS[command]._actions if action.dest != "help"}
+    tokens = []
+    for key, raw in cfg[command].items():
+        if key not in flags:
             raise ConfigError(f"config [{command}]: unknown key {key!r}")
-        try:
-            defaults[key] = converters[key](raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"config [{command}] {key} ({flag}): {exc}") from exc
-    sub.set_defaults(**defaults)
+        tokens.append(f"{flags[key]}={raw}")
+    return tokens
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
+        args = _TOP.parse_args(argv)
+        sub = _COMMANDS[args.command]
         if args.config:
-            _apply_config_file(args.config, args.command, commands)
-            # the config file set the subparser's defaults; flags still win
-            args = parser.parse_args(argv)
+            # the file's values parse first; argparse leaves a value already
+            # in the namespace alone unless its flag is given, so flags win
+            try:
+                sub.parse_args(_config_argv(args.config, args.command), args)
+            except argparse.ArgumentError as exc:
+                key = exc.argument_name[2:].replace("-", "_")
+                raise ConfigError(f"config [{args.command}] {key} "
+                                  f"({exc.argument_name}): {exc.message}") from exc
+        try:
+            sub.parse_args(args.flags, args)
+        except argparse.ArgumentError as exc:
+            sub.error(str(exc))
     except SystemExit as exc:
         # argparse already printed the message (or the help)
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

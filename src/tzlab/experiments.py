@@ -41,8 +41,8 @@ import numpy as np
 
 from .bubbles import JoinConfig, _bubble_exps
 from .energy import ExpUnderflow, Params
-from .radial import (classify_mass_pair, limit_mass_relation,
-                     pohozaev_residual_profile, shoot)
+from .radial import (StepTooLarge, TrajectoryOverflow, classify_mass_pair,
+                     limit_mass_relation, pohozaev_residual_profile, shoot)
 from .surface import ScalarField, TorusGrid, grad_norm_sq, mean
 
 DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
@@ -280,12 +280,14 @@ class AlphaRow:
 def alpha_sweep(alphas, h1: float = 1.0, h2: float = 1.0,
                 r_max: float = 1.0, step: float = 1e-4) -> list[AlphaRow]:
     """Shoot for each alpha and report end masses, identity checks and
-    classification; per-row failures are recorded and the sweep continues."""
+    classification.  A fault of one alpha (StepTooLarge, TrajectoryOverflow)
+    is recorded in its row and the sweep continues; a ValueError that holds
+    for every alpha, such as a step that does not divide r_max, propagates."""
 
     def run(alpha):
         try:
             prof = shoot(alpha, h1, h2, r_max, step)
-        except Exception as exc:  # noqa: BLE001 - row-level fault isolation
+        except (StepTooLarge, TrajectoryOverflow) as exc:
             return AlphaRow(alpha=float(alpha), error=f"{type(exc).__name__}: {exc}")
         res, lhs = pohozaev_residual_profile(prof)
         rel = float(np.max(np.abs(res[1:]) / (1.0 + np.abs(lhs[1:]))))

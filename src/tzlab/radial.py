@@ -97,7 +97,8 @@ def step_count(r_max: float, step: float) -> int:
     """Number of fixed steps of size ``step`` from the center to ``r_max``.
 
     Raises ValueError unless 0 < step <= r_max, both finite, there are at
-    most _MAX_STEPS steps, and they end at r_max: |n step - r_max| <= 1e-9 r_max.
+    most _MAX_STEPS steps, they end at r_max: |n step - r_max| <= 1e-9 r_max,
+    and r_max lies beyond the series start, at no fewer than 4 steps.
     """
     if not (0 < step <= r_max and math.isfinite(r_max / step)):
         raise ValueError(f"need finite r_max and step with 0 < step <= r_max, "
@@ -109,6 +110,8 @@ def step_count(r_max: float, step: float) -> int:
     if abs(n * step - r_max) > 1e-9 * r_max:
         raise ValueError(f"step {step:g} does not divide r_max {r_max:g}: "
                          f"{n} steps end at r = {n * step:.10g}")
+    if r_max < (_SERIES_STEPS + 1) * step:
+        raise ValueError("r_max must exceed the series-start region (4 steps)")
     return n
 
 
@@ -141,8 +144,6 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
             "step too large for this alpha, h1 and h2: need "
             "step * exp(max(log h1 + alpha, log h2 - 2 alpha)/2) <= 0.1"
         )
-    if r_max < (_SERIES_STEPS + 1) * step:
-        raise ValueError("r_max must exceed the series-start region (4 steps)")
 
     h = float(step)
     r, u = 0.0, alpha  # start of the step an exp overflow is reported from

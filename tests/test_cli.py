@@ -179,7 +179,9 @@ class TestExitCodes:
         ["--r-max", "2", "--step", "3e-4"],
         ["--step", "0"],
         ["--step", "1e-9"],
-    ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step", "1e-9-too-many"])
+        ["--r-max", "3e-4", "--step", "1e-4"],
+    ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step", "1e-9-too-many",
+            "inside-series-start"])
     def test_step_not_dividing_r_max_is_config_error(self, tmp_path, capsys,
                                                      monkeypatch, argv):
         def no_shoot(*args):
@@ -368,6 +370,115 @@ class TestConfigFile:
         assert rc == EXIT_USAGE
 
 
+class TestParsersBuiltOnce:
+    """Each command's parser is built at import; main parses through it and
+    neither builds nor changes a parser."""
+
+    @pytest.fixture
+    def parser_inits(self, monkeypatch):
+        calls = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["quantization-table"],
+        ["--config", "{cfg}", "quantization-table"],
+        ["verify-all", "--n", "64"],
+    ], ids=["plain", "config", "verify-all"])
+    def test_main_constructs_no_parser(self, tmp_path, capsys, parser_inits, argv):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[quantization-table]\nm_min = -2\n")
+        argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / "out")]
+        assert main(argv) in (EXIT_OK, EXIT_CHECKFAIL)
+        assert (tmp_path / "out" / "summary.json").exists()
+        assert parser_inits == []
+
+    def _m_min(self, out):
+        return json.loads((out / "summary.json").read_text())["config"]["m_min"]
+
+    def test_config_values_do_not_leak_into_later_calls(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[quantization-table]\nm_min = -2\n")
+        assert main(["--config", str(cfg), "quantization-table",
+                     "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["quantization-table", "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert self._m_min(tmp_path / "a") == -2
+        assert self._m_min(tmp_path / "b") == -6
+
+    def test_concurrent_calls_keep_their_own_config(self, tmp_path, monkeypatch):
+        # both calls are inside main at once: each waits for the other
+        # before building its table
+        barrier = threading.Barrier(2, timeout=60)
+        table = tzlab.cli.quantization_table
+
+        def meeting(*args):
+            barrier.wait()
+            return table(*args)
+
+        monkeypatch.setattr(tzlab.cli, "quantization_table", meeting)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[quantization-table]\nm_min = -2\n")
+        argvs = {"a": ["--config", str(cfg), "quantization-table"],
+                 "b": ["quantization-table"]}
+        results = {}
+        workers = [threading.Thread(target=lambda k=k, argv=argv: results.__setitem__(
+            k, main(argv + ["--out", str(tmp_path / k)]))) for k, argv in argvs.items()]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert results == {"a": EXIT_OK, "b": EXIT_OK}
+        assert self._m_min(tmp_path / "a") == -2
+        assert self._m_min(tmp_path / "b") == -6
+
+    @pytest.mark.parametrize("section,line,key", [
+        ("quantization-table", "m_min = x", "m_min (--m-min)"),
+        ("quantization-table", "wibble = 3", "'wibble'"),
+        # a prefix of --max-iters: keys are exact, argparse expands no abbreviation
+        ("solve", "max = 10", "'max'"),
+    ], ids=["bad-value", "unknown-key", "prefix-key"])
+    def test_config_error_names_key_and_section(self, tmp_path, capsys, section, line, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        rc = main(["--config", str(cfg), section, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"tzlab: config [{section}]")
+        assert key in err[0]
+        assert not (tmp_path / "out").exists()
+
+
+COMMAND_HELP = {
+    "solve": "minimize the mean-field energy",
+    "mt-scan": "sharp-constant deficit slope scan",
+    "bubble-sweep": "energy of the bubble family",
+    "asymptotics": "component slopes of the bubble family",
+    "radial-sweep": "central-value sweep of the radial solver",
+    "quantization-table": "admissible blow-up mass pairs",
+    "verify-all": "run every check at default scale",
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_HELP])
+def test_help_in_a_fresh_interpreter(command):
+    # the parsers are built at import: a fault there would break every command
+    src = str(Path(tzlab.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["--help"] if command is None else [command, "--help"]
+    proc = subprocess.run([sys.executable, "-m", "tzlab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    expected = COMMAND_HELP.items() if command is None else [(command, COMMAND_HELP[command])]
+    for name, line in expected:
+        assert name in proc.stdout and line in proc.stdout
+
+
 class TestMtScanCommand:
     def test_default_scan_passes(self, tmp_path):
         rc = main(["mt-scan", "--out", str(tmp_path)])
@@ -473,3 +584,13 @@ class TestVerifyAll:
         assert csvs == VERIFY_ALL_CSVS
         for name in csvs:
             assert (outs["main"] / name).read_bytes() == (outs["worker"] / name).read_bytes()
+
+    def test_solution_json_echoes_the_solve_it_dumps(self, tmp_path, capsys):
+        main(["verify-all", "--n", "64", "--out", str(tmp_path / "all")])
+        config = json.loads((tmp_path / "all" / "solution.json").read_text())["config"]
+        assert config["command"] == "solve" and config["seed"] == 194
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()
+                 if key not in ("command", "out")]
+        assert main(["solve", *flags, "--out", str(tmp_path / "solve")]) == EXIT_OK
+        dump = (tmp_path / "solve" / "solution.csv").read_bytes()
+        assert dump == (tmp_path / "all" / "solution.csv").read_bytes()

@@ -270,3 +270,8 @@ class TestAlphaSweep:
         assert rows[0].error is None
         assert rows[1].error is not None
         assert "StepTooLarge" in rows[1].error
+
+    def test_sweep_wide_value_error_propagates(self):
+        # a step that does not divide r_max is wrong for every alpha: no rows
+        with pytest.raises(ValueError, match="does not divide"):
+            alpha_sweep((0.0,), step=7e-4)

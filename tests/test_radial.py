@@ -168,6 +168,8 @@ class TestShoot:
         # three steps end at r_max, inside the series start
         with pytest.raises(ValueError, match="series-start region"):
             shoot(0.0, 1.0, 0.0, 3e-3, 1e-3)
+        with pytest.raises(ValueError, match="series-start region"):
+            radial.step_count(3e-3, 1e-3)
 
     @pytest.mark.parametrize("step", [7e-4, 3e-4])
     def test_step_must_divide_r_max(self, step):
