@@ -1,12 +1,15 @@
-"""Solving the mean-field equation by H^1-preconditioned L-BFGS descent.
+"""Solving the mean-field equation by preconditioned L-BFGS descent.
 
 Below the sharp thresholds (rho1 < 8 pi, rho2 < 4 pi) the energy is
 coercive and a direct minimizer solves the equation.  The descent
-preconditions the L^2 gradient with (-Lap + I)^{-1} (one FFT pair), which
-makes the iteration mesh-independent: the same tolerance takes a similar
-iteration count at every resolution.  L-BFGS curvature pairs from the last
-few steps then correct the slowest modes, which the preconditioner alone
-contracts slowly near the thresholds.
+preconditions the L^2 gradient with (-Lap + 1 - theta)^{-1} (one FFT pair),
+where theta = min(rho1 + 2 rho2, 2 pi^2) is the curvature that the
+exponential terms take off -Lap at constant weights, capped at half the
+first eigenvalue 4 pi^2 so the preconditioner stays positive.  Its |k|^2
+term makes the iteration mesh-independent: the same tolerance takes a
+similar iteration count at every resolution.  L-BFGS curvature pairs from
+the last few steps then correct the slowest modes, which the preconditioner
+alone contracts slowly near the thresholds.
 """
 
 import numpy as np

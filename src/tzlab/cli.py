@@ -68,18 +68,22 @@ def _float_list(text: str):
     return vals
 
 
+def _increasing(vals) -> bool:
+    return all(a < b for a, b in zip(vals, vals[1:]))
+
+
 def _coefficient_list(text: str):
+    # mt-scan takes the widest gap of the list as the crossing's cell width
     vals = _float_list(text)
-    if not all(0.0 <= v < np.inf for v in vals):
+    if not all(0.0 <= v < np.inf for v in vals) or not _increasing(vals):
         raise argparse.ArgumentTypeError(
-            f"coefficients must be finite and nonnegative: {text!r}")
+            f"coefficients must be finite, nonnegative and strictly increasing: {text!r}")
     return vals
 
 
 def _lambda_list(text: str):
     vals = _float_list(text)
-    if not all(0.0 < v < np.inf for v in vals) or any(
-            b <= a for a, b in zip(vals, vals[1:])):
+    if not all(0.0 < v < np.inf for v in vals) or not _increasing(vals):
         raise argparse.ArgumentTypeError(
             f"lambdas must be finite, positive and strictly increasing: {text!r}")
     return vals

@@ -1,17 +1,22 @@
-"""H^1-preconditioned L-BFGS descent for the mean-field equation.
+"""Mean-field-preconditioned L-BFGS descent for the mean-field equation.
 
 In the coercive regime (rho1 < 8*pi, rho2 < 4*pi) the energy J_rho is
 bounded below and a direct minimizer solves the equation; this module
 finds it by a quasi-Newton descent with an Armijo line search.  The
 search direction is -H r, where H is the L-BFGS inverse Hessian built by
 the two-loop recursion from the last few steps s and residual changes y.
-Its initial inverse Hessian is the H^1 preconditioner (-Lap + I)^{-1},
-applied spectrally as 1/(|k|^2 + 1): the raw L^2 flow is stiff on fine
-grids.  With no curvature pairs the direction is the H^1 gradient
--r^/(|k|^2 + 1); alone, it contracts the slowest mode only by about
-1 - (4 pi^2 - rho1 - 2 rho2)/(4 pi^2 + 1) per step.  A pair is kept only
-when s.y > 0, and a direction that is not a descent direction clears the
-pairs and falls back to the H^1 gradient.
+Its initial inverse Hessian H0 is (-Lap + 1 - theta)^{-1}, applied
+spectrally as 1/(|k|^2 + 1 - theta).  At constant weights the Hessian of
+J_rho on zero-mean fields is -Lap - rho1 - 2 rho2, so theta is the
+mean-field curvature shift rho1 + 2 rho2, capped at half the first
+eigenvalue 4 pi^2 of -Lap on the unit torus: off the zero mode the symbol
+stays at least 2 pi^2 + 1 for every rho.  The unshifted H^1 preconditioner
+(-Lap + I)^{-1} overstates the curvature of the first Fourier shell
+|k|^2 = 4 pi^2 by the factor (4 pi^2 + 1)/(4 pi^2 - rho1 - 2 rho2), about
+23 at rho = (6 pi, 3 pi), and L-BFGS would spend iterations unlearning it.
+With no curvature pairs the direction is -r^/(|k|^2 + 1 - theta).  A pair
+is kept only when s.y > 0, and a direction that is not a descent direction
+clears the pairs and falls back to -H0 r.
 The iterate is kept at zero mean -- the energy is shift invariant, so this
 only removes the flat direction from the search.
 
@@ -51,6 +56,10 @@ _BACKTRACK = 0.5
 _MIN_STEP = 1e-13
 # L-BFGS memory: curvature pairs kept for the two-loop recursion.
 _MEMORY = 5
+# Cap of the curvature shift theta of H0: half the first eigenvalue 4 pi^2
+# of -Lap on the unit torus.  A cap of 0.95 * 4 pi^2 leaves weighted solves
+# at rho = (6 pi, 3 pi) without convergence; 0.5 and 0.9 converge everywhere.
+_SHIFT_CAP = 2.0 * np.pi**2
 
 
 @dataclass
@@ -76,19 +85,22 @@ class _InverseHessian:
     Keeps the last ``_MEMORY`` curvature pairs s^ = t d^, y^ = r^_new - r^_old
     of accepted steps; ``inner`` is the L^2 inner product of two
     half-spectrum arrays.  The initial inverse Hessian H0 divides by the
-    Fourier symbol |k|^2 + 1 of -Lap + I, the H^1 preconditioner, so with no
-    pairs the direction is the H^1 gradient -r^/(|k|^2 + 1).
+    Fourier symbol |k|^2 + 1 - theta of -Lap + 1 - theta, where theta is
+    the curvature shift, so with no pairs the direction is
+    -r^/(|k|^2 + 1 - theta).
     """
 
-    def __init__(self, k2, inner):
-        self.symbol = k2 + 1.0
+    def __init__(self, k2, inner, theta):
+        self.symbol = k2 + (1.0 - theta)
+        # r^ has no zero mode; a unit symbol there keeps 0/0 out at theta = 1
+        self.symbol[0, 0] = 1.0
         self.inner = inner
         self.pairs = deque(maxlen=_MEMORY)  # (s^, y^, 1/(s.y)), oldest first
 
     def direction(self, rh):
         """The search direction -H r^ by the two-loop recursion, and its
         slope int r d.  A direction whose slope is not negative (roundoff
-        has spoiled the pairs) clears them and gives the H^1 gradient."""
+        has spoiled the pairs) clears them and gives -H0 r^."""
         inner = self.inner
         q = rh.copy()
         alphas = []
@@ -118,8 +130,9 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
              tol_residual: float = 1e-9) -> Solution:
     """Minimize J_rho from u0; returns the best iterate in the zero-mean gauge.
 
-    Each iteration searches along the H^1-preconditioned L-BFGS direction
-    from a unit first step.  The energy sequence is nonincreasing
+    Each iteration searches along the L-BFGS direction, started from H0 with
+    the curvature shift theta = min(rho1 + 2 rho2, 2 pi^2), from a unit
+    first step.  The energy sequence is nonincreasing
     (Armijo-enforced, up to roundoff resolution), so the last accepted
     iterate is the best.  The descent stops when the residual norm is at
     most tol_residual, after max_iters iterations, or when the line search
@@ -155,7 +168,7 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     pot, g = _potential(u, p, dx2)
     k2uh, rh, rnorm = residual(uh, g)
     e = 0.5 * inner(uh, k2uh) + pot
-    hessian = _InverseHessian(k2, inner)
+    hessian = _InverseHessian(k2, inner, min(p.rho1 + 2.0 * p.rho2, _SHIFT_CAP))
     evals, backtracks = 1, 0
     iterations = 0
     while rnorm > tol_residual and iterations < max_iters:

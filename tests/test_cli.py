@@ -241,7 +241,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag,value", [
         ("--a1", "nan"), ("--a1", "-5,1"), ("--a2", "4,inf"), ("--a2", "-0.5"),
-    ], ids=["a1-nan", "a1-negative", "a2-infinite", "a2-negative"])
+        ("--a1", "27.13,25.13,23.13"), ("--a2", "12,12"),
+    ], ids=["a1-nan", "a1-negative", "a2-infinite", "a2-negative",
+            "a1-descending", "a2-repeated"])
     def test_bad_mt_coefficients_rejected_before_any_bubble(self, tmp_path, capsys,
                                                             no_bubble, flag, value):
         rc = main(["mt-scan", "--n", "64", f"{flag}={value}", "--out", str(tmp_path)])
@@ -488,6 +490,17 @@ class TestMtScanCommand:
                            "predicted_slope", "rel_error", "pass", "skipped"]
         assert len(rows) == 1 + 2 * 9  # both families over the 3x3 lattice
         summary = json.loads((tmp_path / "summary.json").read_text())
+        assert abs(summary["summary"]["plus_crossing"] - 8 * np.pi) < 2.0
+        assert abs(summary["summary"]["minus_crossing"] - 4 * np.pi) < 1.0
+
+    def test_custom_ascending_lists_pass(self, tmp_path):
+        # the same lists in descending order are a usage error (exit 1); in
+        # ascending order each crossing lies within one cell of the sharp value
+        rc = main(["mt-scan", "--a1", "23.13,25.13,27.13", "--a2", "11.57,12.57,13.57",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert all(summary["checks"].values())
         assert abs(summary["summary"]["plus_crossing"] - 8 * np.pi) < 2.0
         assert abs(summary["summary"]["minus_crossing"] - 4 * np.pi) < 1.0
 

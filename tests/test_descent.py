@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tzlab import (Params, ScalarField, build_grid, constant_field, energy_J,
                    field_from_function, field_from_recipe, integrate, mean,
                    minimize, residual_J)
 from tzlab import descent
+from tzlab.cli import _random_start
 
 from conftest import smooth_field
 
@@ -124,6 +127,25 @@ class TestMinimize:
             with pytest.raises(ValueError, match="tol_residual"):
                 minimize(unit_params, constant_field(grid64, 0.0), tol_residual=tol)
 
+    @pytest.mark.parametrize("m1,m2", [(7.5, 3.9), (7.9, 3.9)])
+    def test_near_critical_convergence(self, grid64, m1, m2):
+        # next to the thresholds 8 pi and 4 pi the Hessian -Lap - rho1 - 2 rho2
+        # of the constant-weight solution u = 0 is nearly singular on the first
+        # Fourier shell; the shifted H0 converges in 354 and 358 iterations,
+        # the unshifted H^1 start needed 1351 and 1407
+        one = constant_field(grid64, 1.0)
+        sol = minimize(Params(m1 * np.pi, m2 * np.pi, one, one),
+                       _random_start(grid64, 1), tol_residual=1e-9, max_iters=600)
+        assert sol.converged and sol.residual_norm <= 1e-9
+
+    def test_unit_shift_is_finite(self, grid64, rng):
+        # rho1 + 2 rho2 = 1 puts the symbol's zero mode at |k|^2 + 1 - theta = 0
+        one = constant_field(grid64, 1.0)
+        sol = minimize(Params(1.0, 0.0, one, one), smooth_field(grid64, rng, amplitude=0.1),
+                       tol_residual=1e-10)
+        assert sol.converged
+        assert np.abs(sol.u.values).max() < 1e-6
+
     def test_coercive_sample_robustness(self, rng):
         # light version of the full coercive-grid robustness check
         grid = build_grid(32)
@@ -174,10 +196,10 @@ class TestSpectralIterate:
 
     def test_coercive_grid_iteration_counts(self):
         # iteration counts of the 3x3 coercive grid at n=64 from one fixed
-        # start, as the L-BFGS descent counts them; none may exceed the H^1
-        # steepest descent's count
-        pinned = {(2, 1): 11, (2, 2): 14, (2, 3): 21, (4, 1): 14, (4, 2): 18,
-                  (4, 3): 28, (6, 1): 19, (6, 2): 24, (6, 3): 37}
+        # start, as the L-BFGS descent from the shifted H0 counts them; none
+        # may exceed the H^1 steepest descent's count
+        pinned = {(2, 1): 7, (2, 2): 9, (2, 3): 14, (4, 1): 8, (4, 2): 11,
+                  (4, 3): 19, (6, 1): 13, (6, 2): 17, (6, 3): 29}
         grid = build_grid(64)
         h1 = field_from_recipe("1+0.5*cos(2*pi*x)", grid)
         h2 = field_from_recipe("1+0.5*sin(2*pi*y)", grid)
@@ -246,14 +268,18 @@ class TestLBFGS:
                 assert sol.energy == pytest.approx(ref_e, rel=1e-12, abs=1e-12)
                 assert np.abs(sol.u.values - ref_u).max() <= 1e-8
 
-    @pytest.fixture
-    def hessian(self, grid64):
-        weight = grid64.multiplicity / float(grid64.n) ** 4
+    @staticmethod
+    def make_hessian(grid, theta):
+        weight = grid.multiplicity / float(grid.n) ** 4
 
         def inner(fh, gh):
             return float(np.vdot(fh, weight * gh).real)
 
-        return descent._InverseHessian(grid64.k2_half, inner)
+        return descent._InverseHessian(grid.k2_half, inner, theta)
+
+    @pytest.fixture
+    def hessian(self, grid64):
+        return self.make_hessian(grid64, 0.0)
 
     def spectrum(self, grid, seed):
         vals = smooth_field(grid, np.random.default_rng(seed)).values
@@ -266,6 +292,41 @@ class TestLBFGS:
         dh, slope = hessian.direction(rh)
         assert np.array_equal(dh, -rh / (grid64.k2_half + 1.0))
         assert slope == hessian.inner(rh, dh) < 0.0
+
+    @pytest.mark.parametrize("theta", [4.0 * np.pi, 2.0 * np.pi**2], ids=["4pi", "cap"])
+    def test_empty_history_is_shifted_gradient(self, grid64, theta):
+        hessian = self.make_hessian(grid64, theta)
+        rh = self.spectrum(grid64, 1)
+        dh, slope = hessian.direction(rh)
+        assert np.array_equal(dh, -rh / (grid64.k2_half + 1.0 - theta))
+        assert slope == hessian.inner(rh, dh) < 0.0
+
+    @pytest.mark.parametrize("m1,m2,theta", [
+        (2.0, 1.0, 4.0 * np.pi),  # rho1 + 2 rho2 below the cap
+        (8.0, 4.0, 2.0 * np.pi**2),  # the corner of the coercive region
+        (9.0, 2.0, 2.0 * np.pi**2),  # past the threshold 8 pi
+    ], ids=["below-cap", "corner", "past-8pi"])
+    def test_minimize_shifts_by_capped_mean_field_curvature(self, grid64, monkeypatch,
+                                                            m1, m2, theta):
+        made = []
+
+        class Recorded(descent._InverseHessian):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(descent, "_InverseHessian", Recorded)
+        one = constant_field(grid64, 1.0)
+        p = Params(m1 * np.pi, m2 * np.pi, one, one)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # outside the coercive region
+            minimize(p, smooth_field(grid64, np.random.default_rng(5), amplitude=0.1),
+                     max_iters=1)
+        symbol = made[0].symbol
+        off_zero = grid64.k2_half > 0.0
+        assert np.array_equal(symbol[off_zero], grid64.k2_half[off_zero] + (1.0 - theta))
+        # positive definite with room to spare, whatever rho is
+        assert symbol[off_zero].min() >= 2.0 * np.pi**2 + 1.0
 
     def test_one_pair_meets_secant_equation(self, grid64, hessian):
         sh, yh = self.spectrum(grid64, 2), self.spectrum(grid64, 3)
