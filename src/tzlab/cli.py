@@ -2,11 +2,15 @@
 
 Each command has one parser, built at import and never changed:
 ``tzlab --help`` lists the commands with their one-line descriptions,
-``tzlab <command> --help`` a command's flags.  verify-all runs
-quantization-table, mt-scan, asymptotics and bubble-sweep at their
-defaults through those parsers, the radial-sweep Pohozaev rows for h2 in
-{0, 1}, and its own oracles (RK4 order, Liouville mass, bubble
-divergence, coercive solve grid, gradient check), under one exit status.
+``tzlab <command> --help`` a command's flags.  verify-all is one table
+of stages, under one exit status.  A stage is a command line, parsed as
+``main`` parses one and run as that command, then an optional oracle for
+what no command checks: the RK4 order and the Liouville mass after
+radial-sweep, the energy divergence after bubble-sweep, the
+finite-difference gradient after solve.  Every stage is parsed before the
+first one runs.  solve's ``--rho1``/``--rho2``/``--seed`` and
+radial-sweep's ``--h2-const`` take comma lists, so its coercive grid and
+its two h2 rows are one command line each.
 
 Outputs are deterministic for a fixed config and seed: CSV floats use the
 shortest round-trip decimal representation and summaries echo the full
@@ -50,8 +54,6 @@ EXIT_OK, EXIT_USAGE, EXIT_CHECKFAIL, EXIT_NUMERIC = 0, 1, 2, 3
 
 _A1_DEFAULT = tuple(8.0 * np.pi + d for d in (-2.0, 0.0, 2.0))
 _A2_DEFAULT = tuple(4.0 * np.pi + d for d in (-1.0, 0.0, 1.0))
-_RHO1_GRID = tuple(np.pi * m for m in (2.0, 4.0, 6.0))
-_RHO2_GRID = tuple(np.pi * m for m in (1.0, 2.0, 3.0))
 
 
 class ConfigError(Exception):
@@ -68,25 +70,41 @@ def _float_list(text: str):
     return vals
 
 
-def _increasing(vals) -> bool:
-    return all(a < b for a, b in zip(vals, vals[1:]))
+def _fit_axis(vals) -> bool:
+    # a slope fit or a crossing needs two values, in increasing order
+    return len(vals) >= 2 and all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def _coefficient_list(text: str):
     # mt-scan takes the widest gap of the list as the crossing's cell width
     vals = _float_list(text)
-    if not all(0.0 <= v < np.inf for v in vals) or not _increasing(vals):
+    if not all(0.0 <= v < np.inf for v in vals) or not _fit_axis(vals):
         raise argparse.ArgumentTypeError(
-            f"coefficients must be finite, nonnegative and strictly increasing: {text!r}")
+            f"coefficients must be at least two, finite, nonnegative and strictly "
+            f"increasing: {text!r}")
     return vals
 
 
 def _lambda_list(text: str):
     vals = _float_list(text)
-    if not all(0.0 < v < np.inf for v in vals) or not _increasing(vals):
+    if not all(0.0 < v < np.inf for v in vals) or not _fit_axis(vals):
         raise argparse.ArgumentTypeError(
-            f"lambdas must be finite, positive and strictly increasing: {text!r}")
+            f"lambdas must be at least two, finite, positive and strictly increasing: {text!r}")
     return vals
+
+
+def _seed(text: str) -> int:
+    # numpy's generators take no negative seed
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
+
+
+def _seed_list(text: str):
+    seeds = [_seed(t) for t in text.split(",") if t.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError("empty list")
+    return seeds
 
 
 def _fmt(value) -> str:
@@ -159,24 +177,22 @@ def _flag(flag, fn, *args):
         raise ConfigError(f"{flag or '--' + str(exc).split()[0]}: {exc}") from exc
 
 
-def _build_params(args, grid) -> Params:
-    h1 = _flag("--h1", field_from_recipe, args.h1, grid)
-    h2 = _flag("--h2", field_from_recipe, args.h2, grid)
-    # Params messages open with the field at fault: "h1 must be ..."
-    return _flag(None, Params, args.rho1, args.rho2, h1, h2)
+def _weights(args, grid):
+    return (_flag("--h1", field_from_recipe, args.h1, grid),
+            _flag("--h2", field_from_recipe, args.h2, grid))
 
 
-def _random_start(grid, seed: float, amplitude: float = 0.1) -> ScalarField:
-    rng = np.random.default_rng(int(seed))
-    vals = amplitude * rng.standard_normal((grid.n, grid.n))
+def _random_start(grid, seed: int) -> ScalarField:
+    vals = 0.1 * np.random.default_rng(seed).standard_normal((grid.n, grid.n))
     return ScalarField(grid, vals - vals.mean())
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _write_solution(outdir: Path, args, sol):
-    """solution.csv (row-major field dump, x fastest) and solution.json.
+def _write_solution(outdir: Path, args, sol, **echo):
+    """solution.csv (row-major field dump, x fastest) and solution.json,
+    whose config is that of ``args`` with ``echo``'s values in place.
 
     The dump is streamed one grid row at a time; its bytes are those of
     ``_write_csv(path, ["x", "y", "u"], rows)``.
@@ -189,7 +205,7 @@ def _write_solution(outdir: Path, args, sol):
             y = repr(y)
             fh.write("".join(f"{x},{y},{v!r}\r\n" for x, v in zip(xs, row.tolist())))
     _write_json(outdir / "solution.json", {
-        "config": _config_echo(args),
+        "config": {**_config_echo(args), **echo},
         "versions": _versions(),
         "converged": bool(sol.converged),
         "energy": sol.energy,
@@ -207,17 +223,27 @@ def cmd_solve(args, outdir: Path):
     if args.max_iters < 0:
         raise ConfigError(f"--max-iters: must be nonnegative, got {args.max_iters!r}")
     grid = _flag("--n", build_grid, args.n)
-    params = _build_params(args, grid)
-    sol = minimize(params, _random_start(grid, args.seed), max_iters=args.max_iters,
-                   tol_residual=args.tol)
-    _write_solution(outdir, args, sol)
-    checks = {
-        # on a finite grid a discrete minimizer exists for any rho, so
-        # convergence alone does not back a solution outside this region
-        "coercive_regime": params.coercive,
-        "converged": bool(sol.converged),
-        "residual_below_tol": bool(sol.residual_norm <= args.tol),
-    }
+    h1, h2 = _weights(args, grid)
+    # rho1 outermost, the seed innermost; every pair is checked before the
+    # first descent.  Params messages open with the field at fault: "h1 ..."
+    grid_params = [_flag(None, Params, rho1, rho2, h1, h2)
+                   for rho1 in args.rho1 for rho2 in args.rho2]
+    checks = dict.fromkeys(("coercive_regime", "converged", "residual_below_tol"), True)
+    rows = []
+    for params in grid_params:
+        for seed in args.seed:
+            sol = minimize(params, _random_start(grid, seed), max_iters=args.max_iters,
+                           tol_residual=args.tol)
+            rows.append((params.rho1, params.rho2, seed, sol.converged,
+                         sol.residual_norm, sol.energy, sol.iterations))
+            # on a finite grid a discrete minimizer exists for any rho, so
+            # convergence alone does not back a solution outside this region
+            checks["coercive_regime"] &= params.coercive
+            checks["converged"] &= bool(sol.converged)
+            checks["residual_below_tol"] &= bool(sol.residual_norm <= args.tol)
+    _write_csv(outdir / "solve.csv", ["rho1", "rho2", "seed", "converged",
+                                      "residual_norm", "energy", "iterations"], rows)
+    _write_solution(outdir, args, sol, rho1=params.rho1, rho2=params.rho2, seed=seed)
     summary = {
         "energy": sol.energy,
         "residual_norm": sol.residual_norm,
@@ -243,8 +269,7 @@ def cmd_mt_scan(args, outdir: Path):
                ["family", "a1", "a2", "fitted_slope", "predicted_slope",
                 "rel_error", "pass", "skipped"], rows)
     sharp1, sharp2 = 8.0 * np.pi, 4.0 * np.pi
-    cell1 = max(np.diff(scan.a1_list)) if len(scan.a1_list) > 1 else 1.0
-    cell2 = max(np.diff(scan.a2_list)) if len(scan.a2_list) > 1 else 1.0
+    cell1, cell2 = max(np.diff(scan.a1_list)), max(np.diff(scan.a2_list))
     checks = {
         "all_cells_pass": all_pass,
         "plus_crossing_at_sharp": bool(
@@ -258,7 +283,7 @@ def cmd_mt_scan(args, outdir: Path):
 
 def cmd_bubble_sweep(args, outdir: Path):
     grid = _flag("--n", build_grid, args.n)
-    params = _build_params(args, grid)
+    params = _flag(None, Params, args.rho1, args.rho2, *_weights(args, grid))
     # default_join_config messages open with the parameter at fault: "s ..."
     zeta = _flag(None, default_join_config, grid, args.k, args.l, args.s)
     sweep = bubble_energy_sweep(zeta, params, tuple(args.lambdas))
@@ -301,8 +326,18 @@ def cmd_asymptotics(args, outdir: Path):
     return checks, summary
 
 
-def _report_alpha_rows(rows, outdir: Path):
-    """Write radial-sweep.csv from alpha_sweep rows; checks and summary."""
+def cmd_radial_sweep(args, outdir: Path):
+    if not all(-np.inf < alpha < np.inf for alpha in args.alphas):
+        raise ConfigError(f"--alphas: must be finite, got {args.alphas!r}")
+    if not 0.0 < args.h1_const < np.inf:
+        raise ConfigError(f"--h1-const: must be finite and positive, got {args.h1_const!r}")
+    if not all(0.0 <= h2 < np.inf for h2 in args.h2_const):
+        raise ConfigError(f"--h2-const: must be finite and nonnegative, got {args.h2_const!r}")
+    if not 0.0 < args.r_max < np.inf:
+        raise ConfigError(f"--r-max: must be finite and positive, got {args.r_max!r}")
+    _flag("--step", step_count, args.r_max, args.step)
+    rows = [row for h2 in args.h2_const
+            for row in alpha_sweep(args.alphas, args.h1_const, h2, args.r_max, args.step)]
     _write_csv(outdir / "radial-sweep.csv",
                ["alpha", "sigma1", "sigma2", "pohozaev_max_rel", "relation",
                 "family", "m", "distance", "error"],
@@ -315,21 +350,6 @@ def _report_alpha_rows(rows, outdir: Path):
     }
     summary = {"rows": len(rows), "failed_rows": len(rows) - len(ok_rows)}
     return checks, summary
-
-
-def cmd_radial_sweep(args, outdir: Path):
-    if not all(-np.inf < alpha < np.inf for alpha in args.alphas):
-        raise ConfigError(f"--alphas: must be finite, got {args.alphas!r}")
-    if not 0.0 < args.h1_const < np.inf:
-        raise ConfigError(f"--h1-const: must be finite and positive, got {args.h1_const!r}")
-    if not 0.0 <= args.h2_const < np.inf:
-        raise ConfigError(f"--h2-const: must be finite and nonnegative, got {args.h2_const!r}")
-    if not 0.0 < args.r_max < np.inf:
-        raise ConfigError(f"--r-max: must be finite and positive, got {args.r_max!r}")
-    _flag("--step", step_count, args.r_max, args.step)
-    rows = alpha_sweep(args.alphas, args.h1_const, args.h2_const,
-                       args.r_max, args.step)
-    return _report_alpha_rows(rows, outdir)
 
 
 def cmd_quantization_table(args, outdir: Path):
@@ -347,9 +367,11 @@ def cmd_quantization_table(args, outdir: Path):
     return checks, {"pairs": len(table)}
 
 
-def _gradient_fd_check(grid, n_fields: int, seed: int) -> float:
-    """Worst relative error of central differences against the residual."""
-    rng = np.random.default_rng(seed)
+def _gradient_oracle(args, summary) -> dict:
+    """Worst relative error of central differences of J_rho against the
+    residual, over 20 random smooth (rho, h1, h2, u, v) on solve's grid."""
+    grid = build_grid(args.n)
+    rng = np.random.default_rng(args.seed[0] + 5)
     eps = 1e-4
 
     def smooth(amplitude=1.0):
@@ -362,7 +384,7 @@ def _gradient_fd_check(grid, n_fields: int, seed: int) -> float:
         return ScalarField(grid, amplitude * vals / max(1.0, np.abs(vals).max()))
 
     worst = 0.0
-    for _ in range(n_fields):
+    for _ in range(20):
         h1 = smooth(0.3) + 1.5
         h2 = smooth(0.3) + 1.5
         p = Params(rng.uniform(0.0, 8.0 * np.pi), rng.uniform(0.0, 4.0 * np.pi), h1, h2)
@@ -370,91 +392,57 @@ def _gradient_fd_check(grid, n_fields: int, seed: int) -> float:
         fd = (energy_J(u + eps * v, p) - energy_J(u - eps * v, p)) / (2.0 * eps)
         analytic = integrate(residual_J(u, p) * v)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
-    return worst
+    summary["worst_gradient_fd_rel_error"] = worst
+    return {"gradient_fd_consistent": worst < 1e-5}
 
 
-def _verify_radial(_args, outdir: Path):
-    """The radial-sweep Pohozaev rows for h2 in {0, 1}, then the RK4 order
-    and the Liouville blow-up mass, which no command checks."""
-    rows = [row for h2c in (0.0, 1.0)
-            for row in alpha_sweep((0.0, 5.0, 8.0), 1.0, h2c, 1.0, 1e-4)]
-    checks, summary = _report_alpha_rows(rows, outdir)
-
+def _radial_oracle(_args, summary) -> dict:
+    """The RK4 order and the Liouville blow-up mass, which radial-sweep does
+    not check."""
     orders = []
     for h2c in (0.0, 1.0):
         # the residual at the boundary is pure integration error
         res_end = [abs(float(pohozaev_residual_profile(shoot(8.0, 1.0, h2c, 1.0, step))[0][-1]))
                    for step in (1e-3, 5e-4)]
         orders.append(float(np.log2(res_end[0] / res_end[1])))
-    checks["order_at_least_3_5"] = all(o >= 3.5 for o in orders)
-
     prof = shoot(10.0, 1.0, 0.0, 1.0, 1e-4)
     sigma1_end = float(prof.sigma1[-1])
     mp = classify_mass_pair(sigma1_end, float(prof.sigma2[-1]), 0.05)
-    checks["liouville_mass"] = abs(sigma1_end - liouville_mass(10.0, 1.0)) < 2e-3
-    checks["liouville_class_is_type_I_1"] = (mp.family, mp.m) == ("I", 1)
     summary.update(convergence_orders=orders, liouville_sigma1=sigma1_end)
-    return checks, summary
+    return {"order_at_least_3_5": all(o >= 3.5 for o in orders),
+            "liouville_mass": abs(sigma1_end - liouville_mass(10.0, 1.0)) < 2e-3,
+            "liouville_class_is_type_I_1": (mp.family, mp.m) == ("I", 1)}
 
 
-def _verify_solve(args, outdir: Path):
-    """Coercive-regime minimization over the rho grid, three seeds each, and
-    the finite-difference gradient check.  Each solve is solve's own config
-    at that rho and seed; solution.json echoes the grid's last, which it dumps."""
-    solve = _COMMANDS["solve"]
-    argv = ["--n", "64", "--h1", "1+0.5*cos(2*pi*x)", "--h2", "1+0.5*sin(2*pi*y)",
-            f"--out={args.out}"]
-    conf = solve.parse_args(argv)
-    grid64 = build_grid(conf.n)
-    h1, h2 = field_from_recipe(conf.h1, grid64), field_from_recipe(conf.h2, grid64)
-    solve_rows = []
-    solve_ok = True
-    for rho1 in _RHO1_GRID:
-        for rho2 in _RHO2_GRID:
-            params = Params(rho1, rho2, h1, h2)
-            for k_seed in range(3):
-                seed = int(args.seed) + 97 * k_seed
-                sol = minimize(params, _random_start(grid64, seed), max_iters=conf.max_iters,
-                               tol_residual=conf.tol)
-                solve_ok &= sol.converged and sol.residual_norm < 1e-7
-                solve_rows.append((rho1, rho2, seed, sol.converged,
-                                   sol.residual_norm, sol.energy, sol.iterations))
-    _write_csv(outdir / "solve.csv",
-               ["rho1", "rho2", "seed", "converged", "residual_norm",
-                "energy", "iterations"], solve_rows)
-    last = solve.parse_args(argv + [f"--rho1={rho1!r}", f"--rho2={rho2!r}", f"--seed={seed}"],
-                            argparse.Namespace(command="solve"))
-    _write_solution(outdir, last, sol)
-    worst_fd = _gradient_fd_check(grid64, 20, int(args.seed) + 5)
-    checks = {"coercive_grid_converges": solve_ok,
-              "gradient_fd_consistent": worst_fd < 1e-5}
-    return checks, {"worst_gradient_fd_rel_error": worst_fd}
+def _divergence_oracle(_args, summary) -> dict:
+    # supercritical rho: the concentrating family must lose energy
+    return {"diverges": bool(summary["energy_drop_first_to_last"] >= 30.0)}
 
 
 def cmd_verify_all(args, outdir: Path):
-    """Run each stage in check order: a command argv, parsed by that
-    command's own parser so its defaults live in one place, or one of
-    verify-all's own oracle groups."""
-    n = str(args.n)
+    """Run each stage in check order: its command line, parsed as ``main``
+    parses one so the command's defaults live in one place, then its
+    oracle, if it has one."""
+    n, seed = f"--n={args.n}", args.seed
+    rho1, rho2 = (",".join(repr(np.pi * m) for m in ms) for ms in ((2, 4, 6), (1, 2, 3)))
     stages = (
-        ("quantization", ["quantization-table"]),
-        ("radial", _verify_radial),
-        ("mt_scan", ["mt-scan", "--n", n]),
-        ("asymptotics", ["asymptotics", "--n", n]),
-        ("bubble_sweep", ["bubble-sweep", "--n", n]),
-        ("solve", _verify_solve),
+        ("quantization", ["quantization-table"], None),
+        ("radial", ["radial-sweep", "--alphas=0,5,8", "--h2-const=0,1"], _radial_oracle),
+        ("mt_scan", ["mt-scan", n], None),
+        ("asymptotics", ["asymptotics", n], None),
+        ("bubble_sweep", ["bubble-sweep", n], _divergence_oracle),
+        # the coercive rho grid, three random starts at each point
+        ("solve", ["solve", "--n=64", "--h1=1+0.5*cos(2*pi*x)", "--h2=1+0.5*sin(2*pi*y)",
+                   f"--rho1={rho1}", f"--rho2={rho2}",
+                   f"--seed={seed},{seed + 97},{seed + 194}"], _gradient_oracle),
     )
-    checks: dict[str, bool] = {}
-    summary: dict = {}
-    for prefix, stage in stages:
-        if callable(stage):
-            stage_checks, stage_summary = stage(args, outdir)
-        else:
-            stage_args = _COMMANDS[stage[0]].parse_args(stage[1:])
-            stage_checks, stage_summary = stage_args.func(stage_args, outdir)
-        if prefix == "bubble_sweep":
-            # supercritical rho: the concentrating family must lose energy
-            stage_checks["diverges"] = bool(stage_summary["energy_drop_first_to_last"] >= 30.0)
+    parsed = [(prefix, _parse([*argv, f"--out={args.out}"]), oracle)
+              for prefix, argv, oracle in stages]
+    checks, summary = {}, {}
+    for prefix, stage_args, oracle in parsed:
+        stage_checks, stage_summary = stage_args.func(stage_args, outdir)
+        if oracle is not None:
+            stage_checks.update(oracle(stage_args, stage_summary))
         checks.update({f"{prefix}.{k}": v for k, v in stage_checks.items()})
         summary[prefix] = stage_summary
     return checks, summary
@@ -479,13 +467,13 @@ def _command_parsers() -> dict:
     commands = {}
     sp = _command(commands, "solve", cmd_solve, "minimize the mean-field energy")
     sp.add_argument("--n", type=int, default=64)
-    sp.add_argument("--rho1", type=float, default=None, help="required (flag or config)")
-    sp.add_argument("--rho2", type=float, default=None, help="required (flag or config)")
+    sp.add_argument("--rho1", type=_float_list, help="comma list; required (flag or config)")
+    sp.add_argument("--rho2", type=_float_list, help="comma list; required (flag or config)")
     sp.add_argument("--h1", default="1")
     sp.add_argument("--h2", default="1")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--max-iters", type=int, default=4000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed_list, default=[0], help="comma list; seed innermost")
 
     sp = _command(commands, "mt-scan", cmd_mt_scan, "sharp-constant deficit slope scan")
     sp.add_argument("--n", type=int, default=256)
@@ -517,7 +505,7 @@ def _command_parsers() -> dict:
                   "central-value sweep of the radial solver")
     sp.add_argument("--alphas", type=_float_list, default=[0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
     sp.add_argument("--h1-const", type=float, default=1.0)
-    sp.add_argument("--h2-const", type=float, default=1.0)
+    sp.add_argument("--h2-const", type=_float_list, default=[1.0], help="comma list; h2-major")
     sp.add_argument("--r-max", type=float, default=1.0)
     sp.add_argument("--step", type=float, default=1e-4)
 
@@ -528,7 +516,7 @@ def _command_parsers() -> dict:
 
     sp = _command(commands, "verify-all", cmd_verify_all, "run every check at default scale")
     sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     return commands
 
 
@@ -570,23 +558,31 @@ def _config_argv(path: str, command: str) -> list[str]:
     return tokens
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``[--config PATH] command flags...`` parsed by the top parser, then by
+    the command's own.  A bad flag exits through argparse; a bad config
+    file raises ConfigError."""
+    args = _TOP.parse_args(argv)
+    sub = _COMMANDS[args.command]
+    if args.config:
+        # the file's values parse first; argparse leaves a value already
+        # in the namespace alone unless its flag is given, so flags win
+        try:
+            sub.parse_args(_config_argv(args.config, args.command), args)
+        except argparse.ArgumentError as exc:
+            key = exc.argument_name[2:].replace("-", "_")
+            raise ConfigError(f"config [{args.command}] {key} "
+                              f"({exc.argument_name}): {exc.message}") from exc
+    try:
+        sub.parse_args(args.flags, args)
+    except argparse.ArgumentError as exc:
+        sub.error(str(exc))
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _TOP.parse_args(argv)
-        sub = _COMMANDS[args.command]
-        if args.config:
-            # the file's values parse first; argparse leaves a value already
-            # in the namespace alone unless its flag is given, so flags win
-            try:
-                sub.parse_args(_config_argv(args.config, args.command), args)
-            except argparse.ArgumentError as exc:
-                key = exc.argument_name[2:].replace("-", "_")
-                raise ConfigError(f"config [{args.command}] {key} "
-                                  f"({exc.argument_name}): {exc.message}") from exc
-        try:
-            sub.parse_args(args.flags, args)
-        except argparse.ArgumentError as exc:
-            sub.error(str(exc))
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse already printed the message (or the help)
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

@@ -81,8 +81,9 @@ class SweepResult:
     def from_values(cls, name, lambdas, values, predicted):
         """Fit and judge values against the slope bounds; values None marks a skipped sweep."""
         lambdas = np.asarray(lambdas, dtype=float)
-        if np.any(np.diff(lambdas) <= 0):
-            raise ValueError("lambdas must be strictly increasing")
+        # one lambda would fit 0/0
+        if lambdas.size < 2 or np.any(np.diff(lambdas) <= 0):
+            raise ValueError("lambdas must be at least two, strictly increasing")
         if values is None:
             return cls(name, lambdas, np.full_like(lambdas, np.nan),
                        float("nan"), float(predicted), float("nan"), False, True)

@@ -154,7 +154,11 @@ class TestExitCodes:
         ["mt-scan", "--n", "64", "--lambdas", "0,25"],
         ["mt-scan", "--n", "64", "--lambdas", "25,nan"],
         ["asymptotics", "--n", "64", "--lambdas", "25,25"],
-    ], ids=["decreasing-n64", "decreasing-n256", "infinite", "zero", "nan", "repeated"])
+        ["asymptotics", "--n", "64", "--lambdas", "25"],
+        ["bubble-sweep", "--n", "64", "--lambdas", "25"],
+        ["mt-scan", "--n", "64", "--lambdas", "25"],
+    ], ids=["decreasing-n64", "decreasing-n256", "infinite", "zero", "nan", "repeated",
+            "one-asymptotics", "one-bubble-sweep", "one-mt-scan"])
     def test_bad_lambdas_rejected_before_any_bubble(self, tmp_path, capsys, no_bubble, argv):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         assert "--lambdas" in capsys.readouterr().err
@@ -172,6 +176,31 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
         assert "--lambdas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("asymptotics", "lambdas", "25"), ("bubble-sweep", "lambdas", "25"),
+        ("mt-scan", "lambdas", "25"), ("mt-scan", "a1", "25"), ("mt-scan", "a2", "12.5"),
+    ])
+    def test_one_value_fit_list_in_config_file(self, tmp_path, capsys, no_bubble,
+                                               command, key, value):
+        # a slope fit over one lambda is 0/0; a crossing needs two coefficients
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]\n{key} = {value}\n")
+        rc = main(["--config", str(cfg), command, "--n", "64", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        assert f"{key} (--{key})" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--rho1", "1", "--rho2", "1", "--seed=-1"],
+        ["solve", "--rho1", "1", "--rho2", "1", "--seed=0,-1"],
+        ["solve", "--rho1", "1", "--rho2", "1", "--seed=1.5"],
+        ["verify-all", "--seed=-1"],
+    ], ids=["solve", "solve-list", "solve-fraction", "verify-all"])
+    def test_bad_seed_names_the_flag_and_writes_nothing(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "argument --seed: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["--step", "7e-4"],
@@ -198,6 +227,7 @@ class TestExitCodes:
         ("--alphas", "nan"), ("--alphas", "2,inf"), ("--h1-const", "nan"),
         ("--h1-const", "0"), ("--h1-const", "inf"), ("--h2-const", "-1"),
         ("--h2-const", "nan"), ("--r-max", "nan"), ("--r-max", "inf"), ("--r-max", "-1"),
+        ("--h2-const", "0,-1"),
     ])
     def test_bad_radial_input_names_its_flag(self, tmp_path, capsys, monkeypatch,
                                              flag, value):
@@ -241,9 +271,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag,value", [
         ("--a1", "nan"), ("--a1", "-5,1"), ("--a2", "4,inf"), ("--a2", "-0.5"),
-        ("--a1", "27.13,25.13,23.13"), ("--a2", "12,12"),
+        ("--a1", "27.13,25.13,23.13"), ("--a2", "12,12"), ("--a1", "25"), ("--a2", "12.5"),
     ], ids=["a1-nan", "a1-negative", "a2-infinite", "a2-negative",
-            "a1-descending", "a2-repeated"])
+            "a1-descending", "a2-repeated", "a1-one", "a2-one"])
     def test_bad_mt_coefficients_rejected_before_any_bubble(self, tmp_path, capsys,
                                                             no_bubble, flag, value):
         rc = main(["mt-scan", "--n", "64", f"{flag}={value}", "--out", str(tmp_path)])
@@ -316,6 +346,37 @@ class TestSolve:
         with pytest.warns(UserWarning, match="coercive"):
             rc = main(["solve", "--rho1", "2000", "--rho2", "0", "--n", "16",
                        "--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"]["coercive_regime"] is False
+
+    def test_lists_run_rho1_outermost_seed_innermost(self, tmp_path):
+        rc = main(["solve", "--rho1", "1,2", "--rho2", "3,4", "--seed", "5,6", "--n", "8",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        rows = read_csv(tmp_path / "solve.csv")
+        assert rows[0] == ["rho1", "rho2", "seed", "converged", "residual_norm",
+                           "energy", "iterations"]
+        assert [tuple(r[:3]) for r in rows[1:]] == [
+            (rho1, rho2, seed) for rho1 in ("1.0", "2.0") for rho2 in ("3.0", "4.0")
+            for seed in ("5", "6")]
+        # solution.* are the last solve's, at its scalar config
+        config = json.loads((tmp_path / "solution.json").read_text())["config"]
+        assert (config["rho1"], config["rho2"], config["seed"]) == (2.0, 4.0, 6)
+        last = tmp_path / "last"
+        main(["solve", "--rho1", "2", "--rho2", "4", "--seed", "6", "--n", "8",
+              "--out", str(last)])
+        for name in ("solution.csv", "solution.json"):
+            ref = (last / name).read_text().replace(str(last), str(tmp_path))
+            assert (tmp_path / name).read_text() == ref
+        assert read_csv(last / "solve.csv")[1] == rows[-1]
+
+    @pytest.mark.parametrize("rho1,rho2", [("2000,1", "1"), ("1,2000", "1"), ("1", "1,20,2")],
+                             ids=["rho1-first", "rho1-last", "rho2-middle"])
+    def test_one_noncoercive_pair_fails_the_list(self, tmp_path, rho1, rho2):
+        with pytest.warns(UserWarning, match="coercive"):
+            rc = main(["solve", "--rho1", rho1, "--rho2", rho2, "--n", "16",
+                       "--max-iters", "50", "--out", str(tmp_path)])
         assert rc == EXIT_CHECKFAIL
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["checks"]["coercive_regime"] is False
@@ -514,6 +575,14 @@ class TestRadialSweepCommand:
         assert rows[0][0] == "alpha"
         assert len(rows) == 3
 
+    def test_h2_list_runs_h2_major(self, tmp_path):
+        rc = main(["radial-sweep", "--alphas", "0,5", "--h2-const", "0,1",
+                   "--step", "0.0005", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        rows = read_csv(tmp_path / "radial-sweep.csv")
+        assert [(r[0], float(r[2]) > 0.0) for r in rows[1:]] == [
+            ("0.0", False), ("5.0", False), ("0.0", True), ("5.0", True)]
+
     def test_sigma_reported_at_r_max(self, tmp_path):
         # step 5e-4 divides r_max 2: the masses are the Liouville ones at r = 2
         rc = main(["radial-sweep", "--alphas", "4", "--h2-const", "0", "--r-max", "2",
@@ -576,7 +645,8 @@ VERIFY_ALL_CHECKS = [
     "asymptotics.log_int_plus_slope", "asymptotics.log_int_minus_slope",
     "asymptotics.mean_slope", "bubble_sweep.slope_matches",
     "bubble_sweep.grid_adequate", "bubble_sweep.diverges",
-    "solve.coercive_grid_converges", "solve.gradient_fd_consistent",
+    "solve.coercive_regime", "solve.converged", "solve.residual_below_tol",
+    "solve.gradient_fd_consistent",
 ]
 VERIFY_ALL_CSVS = ["asymptotics.csv", "bubble-sweep.csv", "mt-scan.csv",
                    "quantization-table.csv", "radial-sweep.csv", "solution.csv",
@@ -607,3 +677,16 @@ class TestVerifyAll:
         assert main(["solve", *flags, "--out", str(tmp_path / "solve")]) == EXIT_OK
         dump = (tmp_path / "solve" / "solution.csv").read_bytes()
         assert dump == (tmp_path / "all" / "solution.csv").read_bytes()
+
+    def test_stages_are_the_commands(self, tmp_path):
+        # verify-all's solve and radial stages, run as commands, write its bytes
+        main(["verify-all", "--n", "64", "--out", str(tmp_path / "all")])
+        pi = np.pi
+        main(["solve", "--n=64", "--h1=1+0.5*cos(2*pi*x)", "--h2=1+0.5*sin(2*pi*y)",
+              f"--rho1={2 * pi!r},{4 * pi!r},{6 * pi!r}", f"--rho2={pi!r},{2 * pi!r},{3 * pi!r}",
+              "--seed=0,97,194", "--out", str(tmp_path / "solve")])
+        main(["radial-sweep", "--alphas", "0,5,8", "--h2-const", "0,1",
+              "--out", str(tmp_path / "radial")])
+        for out, name in (("solve", "solve.csv"), ("solve", "solution.csv"),
+                          ("radial", "radial-sweep.csv")):
+            assert (tmp_path / out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()

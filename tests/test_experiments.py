@@ -39,6 +39,11 @@ class TestSweepResult:
         with pytest.raises(ValueError, match="increasing"):
             SweepResult.from_values("x", [400.0, 25.0], None, 1.0)
 
+    def test_requires_two_lambdas(self):
+        # one lambda would fit a 0/0 slope
+        with pytest.raises(ValueError, match="at least two"):
+            SweepResult.from_values("x", [25.0], [0.0], 1.0)
+
 
 class TestAdequacy:
     def test_rule(self):
