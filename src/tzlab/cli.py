@@ -19,6 +19,11 @@ error, 2 at least one check failed, 3 a numerical failure (an
 exponential integral underflowed or a radial trajectory overflowed).
 The output directory is created at the first file written.
 
+A rule on one flag's value is the flag's argparse type, checked as the
+flag or its config-file key is parsed, before anything runs or is written.
+A rule that relates flags or needs the grid lives in the command, behind
+``_flag``.  Every usage error is one ``tzlab: ...`` line and exit 1.
+
 Config files are INI sections named after the command; a key is a long
 flag name with dashes replaced by underscores, exactly.  ``--config PATH``
 goes before the command.  The section becomes ``--flag=value`` tokens that
@@ -60,51 +65,52 @@ class ConfigError(Exception):
     """Bad configuration; message names the offending key."""
 
 
-def _float_list(text: str):
-    try:
-        vals = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
-    return vals
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ConfigError, so main prints each
+    as one line where argparse would print its usage block and exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _fit_axis(vals) -> bool:
-    # a slope fit or a crossing needs two values, in increasing order
-    return len(vals) >= 2 and all(a < b for a, b in zip(vals, vals[1:]))
+def _value(convert, ok, what=None):
+    """An argparse type: ``convert(text)``, rejected unless ``ok(value)``
+    holds, with "must be ``what``".  ``ok`` may instead be a library check
+    that raises ValueError: its message, as any ValueError of ``convert``,
+    is reported as it stands."""
+    def parse(text):
+        try:
+            value = convert(text)
+            passed = ok(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not passed:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
 
 
-def _coefficient_list(text: str):
-    # mt-scan takes the widest gap of the list as the crossing's cell width
-    vals = _float_list(text)
-    if not all(0.0 <= v < np.inf for v in vals) or not _fit_axis(vals):
-        raise argparse.ArgumentTypeError(
-            f"coefficients must be at least two, finite, nonnegative and strictly "
-            f"increasing: {text!r}")
-    return vals
+def _list(item, fit=False):
+    """An argparse type: a comma list of ``item`` values.  A ``fit`` list
+    feeds a slope fit or a crossing, so it needs at least two values,
+    strictly increasing."""
+    def increasing(vals):
+        return len(vals) >= 2 and all(a < b for a, b in zip(vals, vals[1:]))
+    return _value(lambda text: [item(t) for t in text.split(",") if t.strip()],
+                  increasing if fit else bool,
+                  "at least two values, strictly increasing" if fit else "a nonempty list")
 
 
-def _lambda_list(text: str):
-    vals = _float_list(text)
-    if not all(0.0 < v < np.inf for v in vals) or not _fit_axis(vals):
-        raise argparse.ArgumentTypeError(
-            f"lambdas must be at least two, finite, positive and strictly increasing: {text!r}")
-    return vals
-
-
-def _seed(text: str) -> int:
-    # numpy's generators take no negative seed
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
-    return int(text)
-
-
-def _seed_list(text: str):
-    seeds = [_seed(t) for t in text.split(",") if t.strip()]
-    if not seeds:
-        raise argparse.ArgumentTypeError("empty list")
-    return seeds
+_finite = _value(float, np.isfinite, "finite")
+_positive = _value(float, lambda v: 0.0 < v < np.inf, "finite and positive")
+_nonnegative = _value(float, lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
+# seeds too: numpy's generators take no negative seed
+_count = _value(int, lambda v: v >= 0, "a nonnegative integer")
+# the grid's own rule and message: "n must be even", "n must be at least 8"
+_grid_size = _value(int, build_grid)
+_lambdas = _list(_positive, fit=True)
+# mt-scan takes the widest gap of a list as its crossing's cell width
+_coefficients = _list(_nonnegative, fit=True)
 
 
 def _fmt(value) -> str:
@@ -218,11 +224,7 @@ def _write_solution(outdir: Path, args, sol, **echo):
 def cmd_solve(args, outdir: Path):
     if args.rho1 is None or args.rho2 is None:
         raise ConfigError("--rho1 and --rho2 are required (flag or config file)")
-    if not 0.0 < args.tol < np.inf:
-        raise ConfigError(f"--tol: must be finite and positive, got {args.tol!r}")
-    if args.max_iters < 0:
-        raise ConfigError(f"--max-iters: must be nonnegative, got {args.max_iters!r}")
-    grid = _flag("--n", build_grid, args.n)
+    grid = build_grid(args.n)
     h1, h2 = _weights(args, grid)
     # rho1 outermost, the seed innermost; every pair is checked before the
     # first descent.  Params messages open with the field at fault: "h1 ..."
@@ -255,7 +257,7 @@ def cmd_solve(args, outdir: Path):
 
 
 def cmd_mt_scan(args, outdir: Path):
-    grid = _flag("--n", build_grid, args.n)
+    grid = build_grid(args.n)
     scan = mt_threshold_scan(args.a1, args.a2, grid, tuple(args.lambdas))
     rows = []
     all_pass = True
@@ -282,7 +284,7 @@ def cmd_mt_scan(args, outdir: Path):
 
 
 def cmd_bubble_sweep(args, outdir: Path):
-    grid = _flag("--n", build_grid, args.n)
+    grid = build_grid(args.n)
     params = _flag(None, Params, args.rho1, args.rho2, *_weights(args, grid))
     # default_join_config messages open with the parameter at fault: "s ..."
     zeta = _flag(None, default_join_config, grid, args.k, args.l, args.s)
@@ -304,7 +306,7 @@ def cmd_bubble_sweep(args, outdir: Path):
 
 
 def cmd_asymptotics(args, outdir: Path):
-    grid = _flag("--n", build_grid, args.n)
+    grid = build_grid(args.n)
     # default_join_config messages open with the parameter at fault: "s ..."
     zeta = _flag(None, default_join_config, grid, args.k, args.l, args.s)
     sweeps = component_asymptotics_sweep(zeta, grid, tuple(args.lambdas))
@@ -327,14 +329,6 @@ def cmd_asymptotics(args, outdir: Path):
 
 
 def cmd_radial_sweep(args, outdir: Path):
-    if not all(-np.inf < alpha < np.inf for alpha in args.alphas):
-        raise ConfigError(f"--alphas: must be finite, got {args.alphas!r}")
-    if not 0.0 < args.h1_const < np.inf:
-        raise ConfigError(f"--h1-const: must be finite and positive, got {args.h1_const!r}")
-    if not all(0.0 <= h2 < np.inf for h2 in args.h2_const):
-        raise ConfigError(f"--h2-const: must be finite and nonnegative, got {args.h2_const!r}")
-    if not 0.0 < args.r_max < np.inf:
-        raise ConfigError(f"--r-max: must be finite and positive, got {args.r_max!r}")
     _flag("--step", step_count, args.r_max, args.step)
     rows = [row for h2 in args.h2_const
             for row in alpha_sweep(args.alphas, args.h1_const, h2, args.r_max, args.step)]
@@ -454,9 +448,8 @@ def cmd_verify_all(args, outdir: Path):
 def _command(commands: dict, name: str, func, help_line: str):
     """Add the parser of one command to ``commands``: ``help_line`` is its
     description and its line in ``tzlab --help``.  A bad value raises
-    ArgumentError, so main can tell a config file's value from a flag's."""
-    sp = argparse.ArgumentParser(prog=f"tzlab {name}", description=help_line,
-                                 exit_on_error=False)
+    ArgumentError, so _parse can tell a config file's value from a flag's."""
+    sp = _Parser(prog=f"tzlab {name}", description=help_line, exit_on_error=False)
     sp.add_argument("--out", default=".", help="output directory (default: cwd)")
     sp.set_defaults(func=func)
     commands[name] = sp
@@ -466,48 +459,50 @@ def _command(commands: dict, name: str, func, help_line: str):
 def _command_parsers() -> dict:
     commands = {}
     sp = _command(commands, "solve", cmd_solve, "minimize the mean-field energy")
-    sp.add_argument("--n", type=int, default=64)
-    sp.add_argument("--rho1", type=_float_list, help="comma list; required (flag or config)")
-    sp.add_argument("--rho2", type=_float_list, help="comma list; required (flag or config)")
+    sp.add_argument("--n", type=_grid_size, default=64)
+    for flag in ("--rho1", "--rho2"):
+        sp.add_argument(flag, type=_list(_nonnegative),
+                        help="comma list; required (flag or config)")
     sp.add_argument("--h1", default="1")
     sp.add_argument("--h2", default="1")
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--max-iters", type=int, default=4000)
-    sp.add_argument("--seed", type=_seed_list, default=[0], help="comma list; seed innermost")
+    sp.add_argument("--tol", type=_positive, default=1e-9)
+    sp.add_argument("--max-iters", type=_count, default=4000)
+    sp.add_argument("--seed", type=_list(_count), default=[0], help="comma list; seed innermost")
 
     sp = _command(commands, "mt-scan", cmd_mt_scan, "sharp-constant deficit slope scan")
-    sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--a1", type=_coefficient_list, default=list(_A1_DEFAULT),
+    sp.add_argument("--n", type=_grid_size, default=256)
+    sp.add_argument("--a1", type=_coefficients, default=list(_A1_DEFAULT),
                     help="comma-separated coefficients of the plus log-integral")
-    sp.add_argument("--a2", type=_coefficient_list, default=list(_A2_DEFAULT))
-    sp.add_argument("--lambdas", type=_lambda_list, default=list(DEFAULT_LAMBDAS))
+    sp.add_argument("--a2", type=_coefficients, default=list(_A2_DEFAULT))
+    sp.add_argument("--lambdas", type=_lambdas, default=list(DEFAULT_LAMBDAS))
 
     sp = _command(commands, "bubble-sweep", cmd_bubble_sweep, "energy of the bubble family")
-    sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--rho1", type=float, default=10.0 * np.pi)
-    sp.add_argument("--rho2", type=float, default=5.0 * np.pi)
+    sp.add_argument("--n", type=_grid_size, default=256)
+    sp.add_argument("--rho1", type=_nonnegative, default=10.0 * np.pi)
+    sp.add_argument("--rho2", type=_nonnegative, default=5.0 * np.pi)
     sp.add_argument("--h1", default="1")
     sp.add_argument("--h2", default="1")
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--s", type=float, default=0.5)
-    sp.add_argument("--lambdas", type=_lambda_list, default=list(DEFAULT_LAMBDAS))
+    sp.add_argument("--lambdas", type=_lambdas, default=list(DEFAULT_LAMBDAS))
 
     sp = _command(commands, "asymptotics", cmd_asymptotics,
                   "component slopes of the bubble family")
-    sp.add_argument("--n", type=int, default=256)
+    sp.add_argument("--n", type=_grid_size, default=256)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--s", type=float, default=0.5)
-    sp.add_argument("--lambdas", type=_lambda_list, default=list(DEFAULT_LAMBDAS))
+    sp.add_argument("--lambdas", type=_lambdas, default=list(DEFAULT_LAMBDAS))
 
     sp = _command(commands, "radial-sweep", cmd_radial_sweep,
                   "central-value sweep of the radial solver")
-    sp.add_argument("--alphas", type=_float_list, default=[0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
-    sp.add_argument("--h1-const", type=float, default=1.0)
-    sp.add_argument("--h2-const", type=_float_list, default=[1.0], help="comma list; h2-major")
-    sp.add_argument("--r-max", type=float, default=1.0)
-    sp.add_argument("--step", type=float, default=1e-4)
+    sp.add_argument("--alphas", type=_list(_finite), default=[0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+    sp.add_argument("--h1-const", type=_positive, default=1.0)
+    sp.add_argument("--h2-const", type=_list(_nonnegative), default=[1.0],
+                    help="comma list; h2-major")
+    sp.add_argument("--r-max", type=_positive, default=1.0)
+    sp.add_argument("--step", type=_positive, default=1e-4)
 
     sp = _command(commands, "quantization-table", cmd_quantization_table,
                   "admissible blow-up mass pairs")
@@ -515,8 +510,8 @@ def _command_parsers() -> dict:
     sp.add_argument("--m-max", type=int, default=6)
 
     sp = _command(commands, "verify-all", cmd_verify_all, "run every check at default scale")
-    sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--n", type=_grid_size, default=256)
+    sp.add_argument("--seed", type=_count, default=0)
     return commands
 
 
@@ -524,7 +519,7 @@ def _command_parsers() -> dict:
 # its own, so concurrent and successive calls of main share nothing.
 _COMMANDS = _command_parsers()
 
-_TOP = argparse.ArgumentParser(
+_TOP = _Parser(
     prog="tzlab",
     description="Numerical laboratory for the Tzitzeica mean-field equation.",
     formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -544,14 +539,17 @@ def _config_argv(path: str, command: str) -> list[str]:
     tokens for the command's parser.  A key must be a flag's dest exactly;
     the flag is spelled out here, so argparse never expands a prefix."""
     cfg = configparser.ConfigParser()
-    if not cfg.read(path):
-        raise ConfigError(f"--config: cannot read {path!r}")
-    if command not in cfg:
-        return []
+    try:
+        if not cfg.read(path, encoding="utf-8"):
+            raise ConfigError(f"--config: cannot read {path!r}")
+        section = dict(cfg[command]) if command in cfg else {}  # interpolates
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span lines; the report is one
+        raise ConfigError(f"--config: {path!r}: {' '.join(str(exc).split())}") from exc
     flags = {action.dest: action.option_strings[-1]
              for action in _COMMANDS[command]._actions if action.dest != "help"}
     tokens = []
-    for key, raw in cfg[command].items():
+    for key, raw in section.items():
         if key not in flags:
             raise ConfigError(f"config [{command}]: unknown key {key!r}")
         tokens.append(f"{flags[key]}={raw}")
@@ -560,8 +558,8 @@ def _config_argv(path: str, command: str) -> list[str]:
 
 def _parse(argv) -> argparse.Namespace:
     """``[--config PATH] command flags...`` parsed by the top parser, then by
-    the command's own.  A bad flag exits through argparse; a bad config
-    file raises ConfigError."""
+    the command's own.  Every error raises ConfigError: a bad value names
+    its flag, or its config file's section and key."""
     args = _TOP.parse_args(argv)
     sub = _COMMANDS[args.command]
     if args.config:
@@ -576,37 +574,36 @@ def _parse(argv) -> argparse.Namespace:
     try:
         sub.parse_args(args.flags, args)
     except argparse.ArgumentError as exc:
-        sub.error(str(exc))
+        raise ConfigError(f"{exc.argument_name}: {exc.message}") from exc
     return args
 
 
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
-    except SystemExit as exc:
-        # argparse already printed the message (or the help)
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    except ConfigError as exc:
-        print(f"tzlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    outdir = Path(args.out)
-    try:
+        outdir = Path(args.out)
         checks, extra = args.func(args, outdir)
+        passed = all(checks.values())
+        _write_json(outdir / "summary.json", {
+            "command": args.command,
+            "config": _config_echo(args),
+            "versions": _versions(),
+            "checks": checks,
+            "passed": passed,
+            "summary": extra,
+        })
+    except SystemExit:  # argparse printed the help; its errors raise ConfigError
+        return EXIT_OK
     except (ConfigError, ValueError) as exc:
         print(f"tzlab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # --out names a file, or a path through one
+        print(f"tzlab: --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ExpUnderflow, TrajectoryOverflow) as exc:
         print(f"tzlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    passed = all(checks.values())
-    _write_json(outdir / "summary.json", {
-        "command": args.command,
-        "config": _config_echo(args),
-        "versions": _versions(),
-        "checks": checks,
-        "passed": passed,
-        "summary": extra,
-    })
     for name, ok in checks.items():
         print(f"[{'PASS' if ok else 'FAIL'}] {args.command}: {name}")
     return EXIT_OK if passed else EXIT_CHECKFAIL

@@ -33,6 +33,39 @@ def no_bubble(monkeypatch):
     monkeypatch.setattr(tzlab.experiments, "_bubble_exps", refuse)
 
 
+@pytest.fixture
+def no_shoot(monkeypatch):
+    """Fail the test if a radial trajectory is shot."""
+    def refuse(*args):
+        raise AssertionError("a trajectory was shot")
+
+    monkeypatch.setattr(tzlab.experiments, "shoot", refuse)
+
+
+@pytest.fixture
+def no_descent(monkeypatch):
+    """Fail the test if a descent starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a descent was started")
+
+    monkeypatch.setattr(tzlab.cli, "minimize", refuse)
+
+
+@pytest.fixture
+def no_work(no_bubble, no_shoot, no_descent):
+    """Fail the test if a command builds a bubble, shoots or descends."""
+
+
+def assert_usage_error(rc, capsys, prefix, out=None):
+    """Exit 1 with exactly one stderr line, which starts with ``prefix``,
+    and no ``out`` directory left behind; the line."""
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    assert out is None or not out.exists()
+    return err[0]
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -79,11 +112,16 @@ class TestExitCodes:
         assert main(["quantization-table", "--out", str(out)]) == EXIT_OK
         assert (out / "quantization-table.csv").exists() and (out / "summary.json").exists()
 
-    def test_bad_grid_parameter_reports_key(self, tmp_path, capsys):
-        rc = main(["solve", "--rho1", "1", "--rho2", "1", "--n", "63",
-                   "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        assert "--n" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,value", [
+        (["solve", "--rho1", "1", "--rho2", "1"], "63"), (["mt-scan"], "0"),
+        (["bubble-sweep"], "6"), (["asymptotics"], "x"), (["verify-all"], "0"),
+        (["verify-all"], "63"),
+    ], ids=["solve-63", "mt-scan-0", "bubble-sweep-6", "asymptotics-x", "verify-all-0",
+            "verify-all-63"])
+    def test_bad_grid_parameter_reports_key(self, tmp_path, capsys, no_work, argv, value):
+        # --n is checked as it is parsed: verify-all writes no stage's CSV
+        rc = main(argv + ["--n", value, "--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, "tzlab: --n: ", tmp_path / "o")
 
     def test_overflowing_recipe_is_one_stderr_line(self, tmp_path):
         src = str(Path(tzlab.cli.__file__).resolve().parents[1])
@@ -116,13 +154,20 @@ class TestExitCodes:
         assert "--h1" in err and "smallest normal" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag,value", [("--h1", "1e-320"), ("--rho1", "-1")])
-    def test_params_rejection_names_its_flag(self, tmp_path, capsys, flag, value):
-        rc = main(["solve", "--rho1", "5", "--rho2", "3", "--n", "16",
-                   f"{flag}={value}", "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith(f"tzlab: {flag}: ")
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["solve", "--rho1", "5", "--rho2", "3", "--n", "16"], "--h1", "1e-320"),
+        (["solve", "--rho1", "5", "--rho2", "3", "--n", "16"], "--rho1", "-1"),
+        (["solve", "--rho1", "5", "--rho2", "3", "--n", "16"], "--rho2", "3,nan"),
+        (["solve", "--rho1", "5", "--rho2", "3", "--n", "16"], "--rho1", "5,inf"),
+        (["bubble-sweep", "--n", "64"], "--rho1", "-1"),
+        (["bubble-sweep", "--n", "64"], "--rho2", "inf"),
+        (["bubble-sweep", "--n", "64"], "--h2", "1e-320"),
+    ], ids=["--h1-1e-320", "--rho1--1", "--rho2-list-nan", "--rho1-list-inf",
+            "bubble-sweep-rho1-negative", "bubble-sweep-rho2-inf", "bubble-sweep-h2-1e-320"])
+    def test_params_rejection_names_its_flag(self, tmp_path, capsys, no_work,
+                                             argv, flag, value):
+        rc = main(argv + [f"{flag}={value}", "--out", str(tmp_path / "o")])
+        err = assert_usage_error(rc, capsys, f"tzlab: {flag}: ", tmp_path / "o")
         assert [f for f in ("--rho1", "--rho2", "--h1", "--h2") if f in err] == [flag]
 
     @pytest.mark.parametrize("recipe", ["(" * 400 + "1" + ")" * 400, "-" * 3000 + "1",
@@ -159,15 +204,33 @@ class TestExitCodes:
         ["mt-scan", "--n", "64", "--lambdas", "25"],
     ], ids=["decreasing-n64", "decreasing-n256", "infinite", "zero", "nan", "repeated",
             "one-asymptotics", "one-bubble-sweep", "one-mt-scan"])
-    def test_bad_lambdas_rejected_before_any_bubble(self, tmp_path, capsys, no_bubble, argv):
-        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
-        assert "--lambdas" in capsys.readouterr().err
+    def test_bad_lambdas_rejected_before_any_bubble(self, tmp_path, capsys, no_work, argv):
+        rc = main(argv + ["--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, "tzlab: --lambdas: ", tmp_path / "o")
 
     @pytest.mark.parametrize("command", ["asymptotics", "bubble-sweep", "mt-scan"])
     def test_no_bubble_guard_sees_the_sweeps(self, tmp_path, no_bubble, command):
         # the guard above is real: a valid sweep under it builds a bubble
         with pytest.raises(AssertionError, match="a bubble was built"):
             main([command, "--n", "64", "--lambdas", "10,20", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("guard,argv", [
+        ("no_shoot", ["radial-sweep", "--alphas", "2", "--step", "1e-3"]),
+        ("no_descent", ["solve", "--rho1", "1", "--rho2", "1", "--n", "8"]),
+    ], ids=["shoot", "descent"])
+    def test_shoot_and_descent_guards_see_the_work(self, request, tmp_path, guard, argv):
+        request.getfixturevalue(guard)
+        with pytest.raises(AssertionError, match="was (shot|started)"):
+            main(argv + ["--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("out", ["kept.txt", "kept.txt/sub"],
+                             ids=["existing-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, out):
+        kept = tmp_path / "kept.txt"
+        kept.write_text("kept\n")
+        rc = main(["quantization-table", "--out", str(tmp_path / out)])
+        assert_usage_error(rc, capsys, "tzlab: --out: ")
+        assert kept.read_text() == "kept\n"
 
     def test_bad_lambdas_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -187,9 +250,8 @@ class TestExitCodes:
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[{command}]\n{key} = {value}\n")
         rc = main(["--config", str(cfg), command, "--n", "64", "--out", str(tmp_path / "o")])
-        assert rc == EXIT_USAGE
-        assert f"{key} (--{key})" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert_usage_error(rc, capsys, f"tzlab: config [{command}] {key} (--{key}): ",
+                           tmp_path / "o")
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--rho1", "1", "--rho2", "1", "--seed=-1"],
@@ -197,10 +259,9 @@ class TestExitCodes:
         ["solve", "--rho1", "1", "--rho2", "1", "--seed=1.5"],
         ["verify-all", "--seed=-1"],
     ], ids=["solve", "solve-list", "solve-fraction", "verify-all"])
-    def test_bad_seed_names_the_flag_and_writes_nothing(self, tmp_path, capsys, argv):
-        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert "argument --seed: " in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+    def test_bad_seed_names_the_flag_and_writes_nothing(self, tmp_path, capsys, no_work, argv):
+        rc = main(argv + ["--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, "tzlab: --seed: ", tmp_path / "o")
 
     @pytest.mark.parametrize("argv", [
         ["--step", "7e-4"],
@@ -209,37 +270,24 @@ class TestExitCodes:
         ["--step", "0"],
         ["--step", "1e-9"],
         ["--r-max", "3e-4", "--step", "1e-4"],
+        ["--step", "nan"],
+        ["--step", "-1e-4"],
     ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step", "1e-9-too-many",
-            "inside-series-start"])
-    def test_step_not_dividing_r_max_is_config_error(self, tmp_path, capsys,
-                                                     monkeypatch, argv):
-        def no_shoot(*args):
-            raise AssertionError("a trajectory was shot")
-
-        monkeypatch.setattr(tzlab.experiments, "shoot", no_shoot)
-        rc = main(["radial-sweep", "--alphas", "2"] + argv + ["--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("tzlab: --step: ")
-        assert not (tmp_path / "radial-sweep.csv").exists()
+            "inside-series-start", "nan-step", "negative-step"])
+    def test_step_not_dividing_r_max_is_config_error(self, tmp_path, capsys, no_work, argv):
+        rc = main(["radial-sweep", "--alphas", "2"] + argv + ["--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, "tzlab: --step: ", tmp_path / "o")
 
     @pytest.mark.parametrize("flag,value", [
         ("--alphas", "nan"), ("--alphas", "2,inf"), ("--h1-const", "nan"),
         ("--h1-const", "0"), ("--h1-const", "inf"), ("--h2-const", "-1"),
         ("--h2-const", "nan"), ("--r-max", "nan"), ("--r-max", "inf"), ("--r-max", "-1"),
-        ("--h2-const", "0,-1"),
+        ("--h2-const", "0,-1"), ("--alphas", "1,x"), ("--alphas", ","), ("--h1-const", "-1"),
     ])
-    def test_bad_radial_input_names_its_flag(self, tmp_path, capsys, monkeypatch,
-                                             flag, value):
-        def no_shoot(*args):
-            raise AssertionError("a trajectory was shot")
-
-        monkeypatch.setattr(tzlab.experiments, "shoot", no_shoot)
-        rc = main(["radial-sweep", "--alphas", "2", f"{flag}={value}", "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"tzlab: {flag}: ")
-        assert not (tmp_path / "radial-sweep.csv").exists()
+    def test_bad_radial_input_names_its_flag(self, tmp_path, capsys, no_work, flag, value):
+        rc = main(["radial-sweep", "--alphas", "2", f"{flag}={value}",
+                   "--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, f"tzlab: {flag}: ", tmp_path / "o")
 
     @pytest.mark.parametrize("command", ["bubble-sweep", "asymptotics"])
     @pytest.mark.parametrize("argv,flag", [
@@ -247,27 +295,20 @@ class TestExitCodes:
         (["--k", "5"], "--k"), (["--l", "-1"], "--l"), (["--l", "5"], "--l"),
         (["--k", "3", "--l", "2"], "--k"),
     ], ids=["s-nan", "s-above-1", "k-zero", "k-five", "l-negative", "l-five", "k-plus-l-five"])
-    def test_bad_join_names_its_flag(self, tmp_path, capsys, no_bubble, command, argv, flag):
-        rc = main([command, "--n", "64"] + argv + ["--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"tzlab: {flag}: ")
+    def test_bad_join_names_its_flag(self, tmp_path, capsys, no_work, command, argv, flag):
+        rc = main([command, "--n", "64"] + argv + ["--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, f"tzlab: {flag}: ", tmp_path / "o")
 
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"),
-        ("--max-iters", "-5"),
-    ], ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iters-negative"])
-    def test_bad_solve_stopping_rule_is_config_error(self, tmp_path, capsys,
-                                                     monkeypatch, flag, value):
-        def no_descent(*args, **kwargs):
-            raise AssertionError("a descent was started")
-
-        monkeypatch.setattr(tzlab.cli, "minimize", no_descent)
+        ("--max-iters", "-5"), ("--max-iters", "1.5"),
+    ], ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iters-negative",
+            "max-iters-fraction"])
+    def test_bad_solve_stopping_rule_is_config_error(self, tmp_path, capsys, no_work,
+                                                     flag, value):
         rc = main(["solve", "--rho1", "5", "--rho2", "3", "--n", "16",
-                   f"{flag}={value}", "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"tzlab: {flag}: ")
+                   f"{flag}={value}", "--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, f"tzlab: {flag}: ", tmp_path / "o")
 
     @pytest.mark.parametrize("flag,value", [
         ("--a1", "nan"), ("--a1", "-5,1"), ("--a2", "4,inf"), ("--a2", "-0.5"),
@@ -275,10 +316,9 @@ class TestExitCodes:
     ], ids=["a1-nan", "a1-negative", "a2-infinite", "a2-negative",
             "a1-descending", "a2-repeated", "a1-one", "a2-one"])
     def test_bad_mt_coefficients_rejected_before_any_bubble(self, tmp_path, capsys,
-                                                            no_bubble, flag, value):
-        rc = main(["mt-scan", "--n", "64", f"{flag}={value}", "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        assert f"argument {flag}: " in capsys.readouterr().err
+                                                            no_work, flag, value):
+        rc = main(["mt-scan", "--n", "64", f"{flag}={value}", "--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, f"tzlab: {flag}: ", tmp_path / "o")
 
     def test_bad_mt_coefficients_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -432,6 +472,35 @@ class TestConfigFile:
                    "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("content", [
+        b"m_min = -2\n",
+        b"[quantization-table]\nm_min = -2\nm_min = -3\n",
+        b"[quantization-table]\nm_min\n",
+        b"[quantization-table]\nm_min = -2\xff\n",
+        b"[quantization-table]\nm_min = %(nowhere)s\n",
+    ], ids=["no-section", "repeated-key", "no-value", "not-utf8", "interpolation"])
+    def test_malformed_config_file_is_one_line(self, tmp_path, capsys, content):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(content)
+        rc = main(["--config", str(cfg), "quantization-table", "--out", str(tmp_path / "out")])
+        assert_usage_error(rc, capsys, f"tzlab: --config: {str(cfg)!r}: ", tmp_path / "out")
+
+
+# (section, key, value): a value its flag's type rejects as it is parsed
+CONFIG_BAD_VALUES = [
+    ("solve", "n", "63"), ("solve", "rho1", "-1"), ("solve", "rho2", "3,nan"),
+    ("solve", "tol", "nan"), ("solve", "max_iters", "-5"), ("solve", "seed", "0,-1"),
+    ("mt-scan", "n", "0"), ("mt-scan", "a1", "27,25"), ("mt-scan", "a2", "-1,1"),
+    ("mt-scan", "lambdas", "25"),
+    ("bubble-sweep", "n", "6"), ("bubble-sweep", "rho1", "inf"),
+    ("bubble-sweep", "rho2", "-1"), ("bubble-sweep", "lambdas", "0,25"),
+    ("asymptotics", "n", "x"), ("asymptotics", "lambdas", "400,25"),
+    ("radial-sweep", "alphas", "nan"), ("radial-sweep", "h1_const", "0"),
+    ("radial-sweep", "h2_const", "0,-1"), ("radial-sweep", "r_max", "inf"),
+    ("radial-sweep", "step", "0"),
+    ("verify-all", "n", "63"), ("verify-all", "seed", "1.5"),
+]
+
 
 class TestParsersBuiltOnce:
     """Each command's parser is built at import; main parses through it and
@@ -501,20 +570,21 @@ class TestParsersBuiltOnce:
         assert self._m_min(tmp_path / "b") == -6
 
     @pytest.mark.parametrize("section,line,key", [
-        ("quantization-table", "m_min = x", "m_min (--m-min)"),
-        ("quantization-table", "wibble = 3", "'wibble'"),
+        ("quantization-table", "m_min = x", " m_min (--m-min): "),
+        ("quantization-table", "wibble = 3", ": unknown key 'wibble'"),
         # a prefix of --max-iters: keys are exact, argparse expands no abbreviation
-        ("solve", "max = 10", "'max'"),
-    ], ids=["bad-value", "unknown-key", "prefix-key"])
-    def test_config_error_names_key_and_section(self, tmp_path, capsys, section, line, key):
+        ("solve", "max = 10", ": unknown key 'max'"),
+        # one bad value for each flag whose type holds its rule
+        *[(section, f"{key} = {value}", f" {key} (--{key.replace('_', '-')}): ")
+          for section, key, value in CONFIG_BAD_VALUES],
+    ], ids=["bad-value", "unknown-key", "prefix-key",
+            *[f"{section}-{key}" for section, key, _ in CONFIG_BAD_VALUES]])
+    def test_config_error_names_key_and_section(self, tmp_path, capsys, no_work,
+                                                section, line, key):
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[{section}]\n{line}\n")
         rc = main(["--config", str(cfg), section, "--out", str(tmp_path / "out")])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"tzlab: config [{section}]")
-        assert key in err[0]
-        assert not (tmp_path / "out").exists()
+        assert_usage_error(rc, capsys, f"tzlab: config [{section}]{key}", tmp_path / "out")
 
 
 COMMAND_HELP = {
