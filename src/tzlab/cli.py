@@ -12,6 +12,9 @@ first one runs.  solve's ``--rho1``/``--rho2``/``--seed`` and
 radial-sweep's ``--h2-const`` take comma lists, so its coercive grid and
 its two h2 rows are one command line each.
 
+Each command and each oracle returns one ``_Check`` list, from which alone
+``main`` prints [PASS]/[FAIL] and writes summary.json.
+
 Outputs are deterministic for a fixed config and seed: CSV floats use the
 shortest round-trip decimal representation and summaries echo the full
 config.  Exit status: 0 all checks passed, 1 usage or configuration
@@ -37,8 +40,10 @@ import argparse
 import configparser
 import csv
 import json
+import operator
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +51,9 @@ from . import __version__
 from .bubbles import liouville_mass
 from .descent import minimize
 from .energy import ExpUnderflow, Params, energy_J, residual_J
-from .experiments import (DEFAULT_LAMBDAS, alpha_sweep, bubble_energy_sweep,
-                          component_asymptotics_sweep, default_join_config,
-                          mt_threshold_scan)
+from .experiments import (_MAX_LAMBDA_DX, DEFAULT_LAMBDAS, alpha_sweep,
+                          bubble_energy_sweep, component_asymptotics_sweep,
+                          default_join_config, mt_threshold_scan)
 from .radial import (TrajectoryOverflow, classify_mass_pair, limit_mass_relation,
                      pohozaev_residual_profile, quantization_table, shoot,
                      step_count)
@@ -63,6 +68,27 @@ _A2_DEFAULT = tuple(4.0 * np.pi + d for d in (-1.0, 0.0, 1.0))
 
 class ConfigError(Exception):
     """Bad configuration; message names the offending key."""
+
+
+class _Check(NamedTuple):
+    """One check: the measured value, the bound it is held to, the verdict.
+    A value of None is a measurement that could not be made."""
+
+    name: str
+    value: float | None
+    bound: float
+    passed: bool
+
+
+def _compare(name, value, bound, holds) -> _Check:
+    """A check that passes when ``holds(value, bound)``; a missing value fails."""
+    return _Check(name, value, bound, value is not None and bool(holds(value, bound)))
+
+
+def _slope_check(name, sweep) -> _Check:
+    """fitted - predicted slope, held to the sweep's own bound and verdict."""
+    offset = None if sweep.skipped else sweep.fitted_slope - sweep.predicted_slope
+    return _Check(name, offset, sweep.bound, sweep.passed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,8 +179,6 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -217,6 +241,8 @@ def _write_solution(outdir: Path, args, sol, **echo):
         "energy": sol.energy,
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
+        "energy_evals": sol.energy_evals,
+        "backtracks": sol.backtracks,
         "field_csv": "solution.csv",
     })
 
@@ -230,7 +256,6 @@ def cmd_solve(args, outdir: Path):
     # first descent.  Params messages open with the field at fault: "h1 ..."
     grid_params = [_flag(None, Params, rho1, rho2, h1, h2)
                    for rho1 in args.rho1 for rho2 in args.rho2]
-    checks = dict.fromkeys(("coercive_regime", "converged", "residual_below_tol"), True)
     rows = []
     for params in grid_params:
         for seed in args.seed:
@@ -238,49 +263,42 @@ def cmd_solve(args, outdir: Path):
                            tol_residual=args.tol)
             rows.append((params.rho1, params.rho2, seed, sol.converged,
                          sol.residual_norm, sol.energy, sol.iterations))
-            # on a finite grid a discrete minimizer exists for any rho, so
-            # convergence alone does not back a solution outside this region
-            checks["coercive_regime"] &= params.coercive
-            checks["converged"] &= bool(sol.converged)
-            checks["residual_below_tol"] &= bool(sol.residual_norm <= args.tol)
     _write_csv(outdir / "solve.csv", ["rho1", "rho2", "seed", "converged",
                                       "residual_norm", "energy", "iterations"], rows)
     _write_solution(outdir, args, sol, rho1=params.rho1, rho2=params.rho2, seed=seed)
-    summary = {
-        "energy": sol.energy,
-        "residual_norm": sol.residual_norm,
-        "iterations": sol.iterations,
-        "energy_evals": sol.energy_evals,
-        "backtracks": sol.backtracks,
-    }
-    return checks, summary
+    _, _, _, converged, residuals, _, _ = zip(*rows)
+    return [
+        # on a finite grid a discrete minimizer exists for any rho, so
+        # convergence alone does not back a solution outside this region
+        _compare("coercive_regime", sum(not p.coercive for p in grid_params), 0, operator.le),
+        _compare("converged", sum(not c for c in converged), 0, operator.le),
+        # np.max, unlike max, lets a NaN residual through to fail
+        _compare("residual_below_tol", float(np.max(residuals)), args.tol, operator.le),
+    ]
 
 
 def cmd_mt_scan(args, outdir: Path):
     grid = build_grid(args.n)
     scan = mt_threshold_scan(args.a1, args.a2, grid, tuple(args.lambdas))
     rows = []
-    all_pass = True
     for i, a1 in enumerate(scan.a1_list):
         for j, a2 in enumerate(scan.a2_list):
             for family, cell in (("plus", scan.plus[i][j]), ("minus", scan.minus[i][j])):
                 rows.append((family, a1, a2, cell.fitted_slope, cell.predicted_slope,
                              cell.rel_error, cell.passed, cell.skipped))
-                all_pass &= bool(cell.passed)
     _write_csv(outdir / "mt-scan.csv",
                ["family", "a1", "a2", "fitted_slope", "predicted_slope",
                 "rel_error", "pass", "skipped"], rows)
-    sharp1, sharp2 = 8.0 * np.pi, 4.0 * np.pi
-    cell1, cell2 = max(np.diff(scan.a1_list)), max(np.diff(scan.a2_list))
-    checks = {
-        "all_cells_pass": all_pass,
-        "plus_crossing_at_sharp": bool(
-            scan.plus_crossing is not None and abs(scan.plus_crossing - sharp1) <= cell1),
-        "minus_crossing_at_sharp": bool(
-            scan.minus_crossing is not None and abs(scan.minus_crossing - sharp2) <= cell2),
-    }
-    summary = {"plus_crossing": scan.plus_crossing, "minus_crossing": scan.minus_crossing}
-    return checks, summary
+    failed_cells = sum(not passed for *_, passed, _skipped in rows)
+    checks = [_compare("all_cells_pass", failed_cells, 0, operator.le)]
+    # a crossing is held to one cell of the sharp value: the widest gap of its list
+    for family, crossing, sharp, coeffs in (("plus", scan.plus_crossing, 8.0 * np.pi, scan.a1_list),
+                                            ("minus", scan.minus_crossing, 4.0 * np.pi,
+                                             scan.a2_list)):
+        offset = None if crossing is None else crossing - sharp
+        checks.append(_compare(f"{family}_crossing_at_sharp", offset, max(np.diff(coeffs)),
+                               lambda value, cell: abs(value) <= cell))
+    return checks
 
 
 def cmd_bubble_sweep(args, outdir: Path):
@@ -291,18 +309,9 @@ def cmd_bubble_sweep(args, outdir: Path):
     sweep = bubble_energy_sweep(zeta, params, tuple(args.lambdas))
     _write_csv(outdir / "bubble-sweep.csv", ["lambda", "energy"],
                zip(sweep.lambdas, sweep.values))
-    drop = float(sweep.values[0] - sweep.values[-1]) if not sweep.skipped else float("nan")
-    checks = {
-        "slope_matches": bool(sweep.passed),
-        "grid_adequate": not sweep.skipped,
-    }
-    summary = {
-        "fitted_slope": sweep.fitted_slope,
-        "predicted_slope": sweep.predicted_slope,
-        "rel_error": sweep.rel_error,
-        "energy_drop_first_to_last": drop,
-    }
-    return checks, summary
+    return [_slope_check("slope_matches", sweep),
+            _Check("grid_adequate", max(args.lambdas) * grid.dx, _MAX_LAMBDA_DX,
+                   not sweep.skipped)]
 
 
 def cmd_asymptotics(args, outdir: Path):
@@ -315,17 +324,7 @@ def cmd_asymptotics(args, outdir: Path):
         for lam, val in zip(res.lambdas, res.values):
             rows.append((name, lam, val))
     _write_csv(outdir / "asymptotics.csv", ["component", "lambda", "value"], rows)
-    checks = {f"{name}_slope": bool(res.passed) for name, res in sweeps.items()}
-    summary = {
-        name: {
-            "fitted_slope": res.fitted_slope,
-            "predicted_slope": res.predicted_slope,
-            "rel_error": res.rel_error,
-            "skipped": res.skipped,
-        }
-        for name, res in sweeps.items()
-    }
-    return checks, summary
+    return [_slope_check(f"{name}_slope", res) for name, res in sweeps.items()]
 
 
 def cmd_radial_sweep(args, outdir: Path):
@@ -337,13 +336,10 @@ def cmd_radial_sweep(args, outdir: Path):
                 "family", "m", "distance", "error"],
                [(r.alpha, r.sigma1, r.sigma2, r.pohozaev_max_rel, r.relation,
                  r.family, r.m, r.distance, r.error) for r in rows])
-    ok_rows = [r for r in rows if r.error is None]
-    checks = {
-        "all_rows_computed": len(ok_rows) == len(rows),
-        "pohozaev_small": bool(ok_rows) and all(r.pohozaev_max_rel < 1e-6 for r in ok_rows),
-    }
-    summary = {"rows": len(rows), "failed_rows": len(rows) - len(ok_rows)}
-    return checks, summary
+    residuals = [r.pohozaev_max_rel for r in rows if r.error is None]
+    return [_compare("all_rows_computed", len(rows) - len(residuals), 0, operator.le),
+            _compare("pohozaev_small", float(np.max(residuals)) if residuals else None, 1e-6,
+                     operator.lt)]
 
 
 def cmd_quantization_table(args, outdir: Path):
@@ -351,17 +347,15 @@ def cmd_quantization_table(args, outdir: Path):
     _write_csv(outdir / "quantization-table.csv",
                ["family", "m", "sigma1", "sigma2"],
                [(mp.family, mp.m, int(mp.sigma1), int(mp.sigma2)) for mp in table])
-    on_curve = all(limit_mass_relation(int(mp.sigma1), int(mp.sigma2)) == 0 for mp in table)
-    divisible = all(int(mp.sigma1) % 4 == 0 and int(mp.sigma2) % 2 == 0 for mp in table)
-    checks = {
-        "hyperbola_exact": on_curve,
-        "divisibility": divisible,
-        "origin_excluded": all((mp.sigma1, mp.sigma2) != (0, 0) for mp in table),
-    }
-    return checks, {"pairs": len(table)}
+    off_curve = sum(limit_mass_relation(int(mp.sigma1), int(mp.sigma2)) != 0 for mp in table)
+    indivisible = sum(int(mp.sigma1) % 4 != 0 or int(mp.sigma2) % 2 != 0 for mp in table)
+    at_origin = sum((mp.sigma1, mp.sigma2) == (0, 0) for mp in table)
+    return [_compare("hyperbola_exact", off_curve, 0, operator.le),
+            _compare("divisibility", indivisible, 0, operator.le),
+            _compare("origin_excluded", at_origin, 0, operator.le)]
 
 
-def _gradient_oracle(args, summary) -> dict:
+def _gradient_oracle(args, _outdir) -> list[_Check]:
     """Worst relative error of central differences of J_rho against the
     residual, over 20 random smooth (rho, h1, h2, u, v) on solve's grid."""
     grid = build_grid(args.n)
@@ -386,11 +380,10 @@ def _gradient_oracle(args, summary) -> dict:
         fd = (energy_J(u + eps * v, p) - energy_J(u - eps * v, p)) / (2.0 * eps)
         analytic = integrate(residual_J(u, p) * v)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
-    summary["worst_gradient_fd_rel_error"] = worst
-    return {"gradient_fd_consistent": worst < 1e-5}
+    return [_compare("gradient_fd_consistent", worst, 1e-5, operator.lt)]
 
 
-def _radial_oracle(_args, summary) -> dict:
+def _radial_oracle(_args, _outdir) -> list[_Check]:
     """The RK4 order and the Liouville blow-up mass, which radial-sweep does
     not check."""
     orders = []
@@ -400,17 +393,21 @@ def _radial_oracle(_args, summary) -> dict:
                    for step in (1e-3, 5e-4)]
         orders.append(float(np.log2(res_end[0] / res_end[1])))
     prof = shoot(10.0, 1.0, 0.0, 1.0, 1e-4)
-    sigma1_end = float(prof.sigma1[-1])
-    mp = classify_mass_pair(sigma1_end, float(prof.sigma2[-1]), 0.05)
-    summary.update(convergence_orders=orders, liouville_sigma1=sigma1_end)
-    return {"order_at_least_3_5": all(o >= 3.5 for o in orders),
-            "liouville_mass": abs(sigma1_end - liouville_mass(10.0, 1.0)) < 2e-3,
-            "liouville_class_is_type_I_1": (mp.family, mp.m) == ("I", 1)}
+    sigma1_end, tol = float(prof.sigma1[-1]), 0.05
+    mp = classify_mass_pair(sigma1_end, float(prof.sigma2[-1]), tol)
+    return [_compare("order_at_least_3_5", float(np.min(orders)), 3.5, operator.ge),
+            _compare("liouville_mass", abs(sigma1_end - liouville_mass(10.0, 1.0)), 2e-3,
+                     operator.lt),
+            # the distance to the nearest lattice pair, which must be (I, 1)
+            _Check("liouville_class_is_type_I_1", mp.distance, tol,
+                   (mp.family, mp.m) == ("I", 1))]
 
 
-def _divergence_oracle(_args, summary) -> dict:
-    # supercritical rho: the concentrating family must lose energy
-    return {"diverges": bool(summary["energy_drop_first_to_last"] >= 30.0)}
+def _divergence_oracle(_args, outdir) -> list[_Check]:
+    # supercritical rho: the energies its stage wrote must fall, first to last lambda
+    with open(outdir / "bubble-sweep.csv", newline="") as fh:
+        energies = [float(energy) for _, energy in list(csv.reader(fh))[1:]]
+    return [_compare("diverges", energies[0] - energies[-1], 30.0, operator.ge)]
 
 
 def cmd_verify_all(args, outdir: Path):
@@ -432,14 +429,13 @@ def cmd_verify_all(args, outdir: Path):
     )
     parsed = [(prefix, _parse([*argv, f"--out={args.out}"]), oracle)
               for prefix, argv, oracle in stages]
-    checks, summary = {}, {}
+    checks = []
     for prefix, stage_args, oracle in parsed:
-        stage_checks, stage_summary = stage_args.func(stage_args, outdir)
+        stage_checks = stage_args.func(stage_args, outdir)
         if oracle is not None:
-            stage_checks.update(oracle(stage_args, stage_summary))
-        checks.update({f"{prefix}.{k}": v for k, v in stage_checks.items()})
-        summary[prefix] = stage_summary
-    return checks, summary
+            stage_checks += oracle(stage_args, outdir)
+        checks += [c._replace(name=f"{prefix}.{c.name}") for c in stage_checks]
+    return checks
 
 
 # ---------------------------------------------------------------- wiring
@@ -546,6 +542,8 @@ def _config_argv(path: str, command: str) -> list[str]:
     except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser's messages span lines; the report is one
         raise ConfigError(f"--config: {path!r}: {' '.join(str(exc).split())}") from exc
+    if cfg.defaults():  # they would reach only the commands that have a section
+        raise ConfigError(f"--config: {path!r}: [DEFAULT] keys are not supported")
     flags = {action.dest: action.option_strings[-1]
              for action in _COMMANDS[command]._actions if action.dest != "help"}
     tokens = []
@@ -582,15 +580,15 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         outdir = Path(args.out)
-        checks, extra = args.func(args, outdir)
-        passed = all(checks.values())
+        checks = args.func(args, outdir)
+        passed = all(c.passed for c in checks)
         _write_json(outdir / "summary.json", {
             "command": args.command,
             "config": _config_echo(args),
             "versions": _versions(),
-            "checks": checks,
+            "checks": {c.name: c.passed for c in checks},
+            "values": {c.name: {"value": c.value, "bound": c.bound} for c in checks},
             "passed": passed,
-            "summary": extra,
         })
     except SystemExit:  # argparse printed the help; its errors raise ConfigError
         return EXIT_OK
@@ -604,8 +602,8 @@ def main(argv=None) -> int:
     except (ExpUnderflow, TrajectoryOverflow) as exc:
         print(f"tzlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    for name, ok in checks.items():
-        print(f"[{'PASS' if ok else 'FAIL'}] {args.command}: {name}")
+    for check in checks:
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {args.command}: {check.name}")
     return EXIT_OK if passed else EXIT_CHECKFAIL
 
 

@@ -50,6 +50,8 @@ DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
 REL_SLOPE_BOUND = 0.10
 ABS_SLOPE_BOUND = 0.5
 
+_MAX_LAMBDA_DX = 2.0
+
 
 def fit_slope(lambdas, values) -> float:
     """Least-squares slope of values against log(lambda + 1)."""
@@ -61,12 +63,16 @@ def fit_slope(lambdas, values) -> float:
 
 def grid_adequate(grid: TorusGrid, lambdas) -> bool:
     """Bubble cores must span a few cells: max(lambda) * dx <= 2."""
-    return max(lambdas) * grid.dx <= 2.0
+    return max(lambdas) * grid.dx <= _MAX_LAMBDA_DX
 
 
 @dataclass
 class SweepResult:
-    """Fitted-versus-predicted slope of one value family over lambda."""
+    """Fitted-versus-predicted slope of one value family over lambda.
+
+    ``bound`` is the tolerance on |fitted - predicted|:
+    max(ABS_SLOPE_BOUND, REL_SLOPE_BOUND * |predicted|).
+    """
 
     name: str
     lambdas: np.ndarray
@@ -74,28 +80,29 @@ class SweepResult:
     fitted_slope: float
     predicted_slope: float
     rel_error: float
+    bound: float
     passed: bool
     skipped: bool = False
 
     @classmethod
     def from_values(cls, name, lambdas, values, predicted):
-        """Fit and judge values against the slope bounds; values None marks a skipped sweep."""
+        """Fit and judge values against the slope bound; values None marks a
+        skipped sweep.  A sweep passes only with both slopes finite: an
+        overflowed prediction has an infinite bound that any fit would meet."""
         lambdas = np.asarray(lambdas, dtype=float)
         # one lambda would fit 0/0
         if lambdas.size < 2 or np.any(np.diff(lambdas) <= 0):
             raise ValueError("lambdas must be at least two, strictly increasing")
+        bound = max(ABS_SLOPE_BOUND, REL_SLOPE_BOUND * abs(float(predicted)))
         if values is None:
             return cls(name, lambdas, np.full_like(lambdas, np.nan),
-                       float("nan"), float(predicted), float("nan"), False, True)
+                       float("nan"), float(predicted), float("nan"), bound, False, True)
         values = np.asarray(values, dtype=float)
         fitted = fit_slope(lambdas, values)
-        if predicted == 0.0:
-            rel = abs(fitted)
-            ok = abs(fitted) <= ABS_SLOPE_BOUND
-        else:
-            rel = abs(fitted - predicted) / abs(predicted)
-            ok = abs(fitted - predicted) <= max(ABS_SLOPE_BOUND, REL_SLOPE_BOUND * abs(predicted))
-        return cls(name, lambdas, values, fitted, float(predicted), rel, ok)
+        rel = abs(fitted - predicted) / abs(predicted) if predicted != 0.0 else abs(fitted)
+        ok = bool(np.isfinite(fitted) and np.isfinite(predicted)
+                  and abs(fitted - predicted) <= bound)
+        return cls(name, lambdas, values, fitted, float(predicted), rel, bound, ok)
 
 
 def quarter_offset_point(grid: TorusGrid, x: float, y: float) -> tuple[float, float]:

@@ -337,6 +337,15 @@ class TestExitCodes:
         assert summary["passed"] is False
         assert summary["checks"]["grid_adequate"] is False
 
+    def test_overflowed_slope_prediction_fails(self, tmp_path):
+        # 16 pi - 2 rho1 overflows to -inf, and max(0.5, 10% of inf) would
+        # let any fit pass
+        rc = main(["bubble-sweep", "--n", "8", "--lambdas", "1,2", "--rho1", "1e308",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"]["slope_matches"] is False
+
 
 class TestSolve:
     def test_documented_invocation(self, tmp_path):
@@ -353,8 +362,8 @@ class TestSolve:
     def test_summary_reports_descent_counters(self, tmp_path):
         main(["solve", "--rho1", "12.566", "--rho2", "6.283", "--n", "32",
               "--out", str(tmp_path)])
-        summary = json.loads((tmp_path / "summary.json").read_text())["summary"]
-        assert summary["energy_evals"] == 1 + summary["iterations"] + summary["backtracks"]
+        sol = json.loads((tmp_path / "solution.json").read_text())
+        assert sol["energy_evals"] == 1 + sol["iterations"] + sol["backtracks"]
         assert read_csv(tmp_path / "solution.csv")[0] == ["x", "y", "u"]
 
     def test_streamed_dump_matches_write_csv(self, tmp_path):
@@ -478,7 +487,12 @@ class TestConfigFile:
         b"[quantization-table]\nm_min\n",
         b"[quantization-table]\nm_min = -2\xff\n",
         b"[quantization-table]\nm_min = %(nowhere)s\n",
-    ], ids=["no-section", "repeated-key", "no-value", "not-utf8", "interpolation"])
+        # [DEFAULT] keys would reach only the commands that have a section:
+        # without one they were ignored, with one they were unknown keys
+        b"[DEFAULT]\nn = 6\n",
+        b"[DEFAULT]\nn = 64\n[quantization-table]\nm_min = -2\n",
+    ], ids=["no-section", "repeated-key", "no-value", "not-utf8", "interpolation",
+            "default-only", "default-and-section"])
     def test_malformed_config_file_is_one_line(self, tmp_path, capsys, content):
         cfg = tmp_path / "run.ini"
         cfg.write_bytes(content)
@@ -620,9 +634,9 @@ class TestMtScanCommand:
         assert rows[0] == ["family", "a1", "a2", "fitted_slope",
                            "predicted_slope", "rel_error", "pass", "skipped"]
         assert len(rows) == 1 + 2 * 9  # both families over the 3x3 lattice
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert abs(summary["summary"]["plus_crossing"] - 8 * np.pi) < 2.0
-        assert abs(summary["summary"]["minus_crossing"] - 4 * np.pi) < 1.0
+        values = json.loads((tmp_path / "summary.json").read_text())["values"]
+        assert abs(values["plus_crossing_at_sharp"]["value"]) < 2.0
+        assert abs(values["minus_crossing_at_sharp"]["value"]) < 1.0
 
     def test_custom_ascending_lists_pass(self, tmp_path):
         # the same lists in descending order are a usage error (exit 1); in
@@ -632,8 +646,8 @@ class TestMtScanCommand:
         assert rc == EXIT_OK
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert all(summary["checks"].values())
-        assert abs(summary["summary"]["plus_crossing"] - 8 * np.pi) < 2.0
-        assert abs(summary["summary"]["minus_crossing"] - 4 * np.pi) < 1.0
+        assert abs(summary["values"]["plus_crossing_at_sharp"]["value"]) < 2.0
+        assert abs(summary["values"]["minus_crossing_at_sharp"]["value"]) < 1.0
 
 
 class TestRadialSweepCommand:
@@ -703,6 +717,53 @@ class TestDeterminism:
         assert rows[0] == ["lambda", "energy"]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert {"command", "config", "versions", "checks", "passed"} <= set(summary)
+
+
+def _count(value, bound):
+    return isinstance(value, int) and bound == 0 and value <= bound
+
+
+# the comparison each check's passed states: the name after verify-all's prefix
+CHECK_RULES = {
+    **dict.fromkeys(["hyperbola_exact", "divisibility", "origin_excluded", "all_rows_computed",
+                     "all_cells_pass", "coercive_regime", "converged"], _count),
+    **dict.fromkeys(["pohozaev_small", "liouville_mass", "gradient_fd_consistent"],
+                    lambda value, bound: value < bound),
+    **dict.fromkeys(["residual_below_tol", "grid_adequate", "liouville_class_is_type_I_1"],
+                    lambda value, bound: value <= bound),
+    **dict.fromkeys(["order_at_least_3_5", "diverges"], lambda value, bound: value >= bound),
+    **dict.fromkeys(["plus_crossing_at_sharp", "minus_crossing_at_sharp", "slope_matches",
+                     "gradient_slope", "log_int_plus_slope", "log_int_minus_slope",
+                     "mean_slope"], lambda value, bound: abs(value) <= bound),
+}
+
+
+class TestCheckValues:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--rho1", "1,2", "--rho2", "1", "--n", "8"],
+        ["solve", "--rho1", "1", "--rho2", "1", "--n", "8", "--max-iters", "0"],
+        ["mt-scan", "--n", "64", "--lambdas", "5,10,20"],
+        ["bubble-sweep", "--n", "64", "--lambdas", "10,20"],
+        ["asymptotics", "--n", "64", "--lambdas", "10,20,40"],
+        ["radial-sweep", "--alphas", "0,5", "--step", "5e-4"],
+        ["quantization-table", "--m-min", "-2", "--m-max", "2"],
+        # at n = 64 the bubble sweeps are skipped, at 256 they are measured
+        ["verify-all", "--n", "64"],
+        ["verify-all", "--n", "256"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+    def test_each_check_carries_value_and_bound(self, tmp_path, argv):
+        rc = main([*argv, "--out", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "summary" not in summary
+        checks, values = summary["checks"], summary["values"]
+        assert list(values) == list(checks)
+        for name, passed in checks.items():
+            value, bound = values[name]["value"], values[name]["bound"]
+            assert bound is not None, name
+            holds = value is not None and CHECK_RULES[name.split(".")[-1]](value, bound)
+            assert passed is holds, (name, value, bound, passed)
+        assert summary["passed"] is all(checks.values())
+        assert rc == (EXIT_OK if summary["passed"] else EXIT_CHECKFAIL)
 
 
 VERIFY_ALL_CHECKS = [

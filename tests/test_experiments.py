@@ -32,6 +32,19 @@ class TestSweepResult:
         steep = SweepResult.from_values("x", lams, 0.8 * np.log(lams + 1), 0.0)
         assert not steep.passed
 
+    def test_bound_is_ten_percent_or_half(self):
+        lams = np.array([10.0, 100.0])
+        assert SweepResult.from_values("x", lams, [0.0, 0.0], 20.0).bound == pytest.approx(2.0)
+        assert SweepResult.from_values("x", lams, [0.0, 0.0], -3.0).bound == 0.5
+        assert SweepResult.from_values("x", lams, None, -30.0).bound == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("predicted", [-np.inf, np.inf, np.nan])
+    def test_overflowed_prediction_never_passes(self, predicted):
+        # max(0.5, 10% of an infinite prediction) is a bound any fit would meet
+        lams = np.array([10.0, 100.0])
+        res = SweepResult.from_values("x", lams, 5.0 * np.log(lams + 1), predicted)
+        assert res.passed is False
+
     def test_requires_increasing_lambdas(self):
         with pytest.raises(ValueError, match="increasing"):
             SweepResult.from_values("x", [10.0, 10.0], [0.0, 0.0], 1.0)
