@@ -23,8 +23,13 @@ only removes the flat direction from the search.
 The iterate u is carried together with its half-spectrum transform u^, so
 one iteration costs one real transform pair: an ``rfft2`` of the density
 term g of the residual, r^ = |k|^2 u^ + g^, and an ``irfft2`` of the
-search direction d^.  Norms, the Armijo slope and the recursion's inner
-products are Parseval sums, and the pairs are kept in the half spectrum.
+search direction d^.  Every half spectrum is carried pre-weighted: each
+``rfft2`` is multiplied by sqrt(multiplicity)/n^2 (a column of the half
+spectrum stands for one or two of the full one), and d^ is divided by it
+once before its ``irfft2``.  So int f g is the bare Parseval sum
+``np.vdot(f^, g^).real``, and norms, the Armijo slope and the recursion's
+inner products form no weighted temporary.  The pairs are kept in the
+half spectrum, and the two-loop recursion updates its vectors in place.
 Along u + t d the Dirichlet term 1/2 int |grad(u + t d)|^2 =
 1/2 (A + 2tB + t^2 C) is quadratic in t with coefficients from u^ and d^,
 so a trial step costs no transform, only the two exps of the energy's
@@ -79,49 +84,56 @@ class Solution:
     backtracks: int
 
 
+def _parseval_scale(grid) -> np.ndarray:
+    """sqrt(multiplicity) / n^2 per half-spectrum column: an ``rfft2`` times
+    it is pre-weighted, so int f g = Re(conj(f^) g^) summed over the half
+    spectrum, ``np.vdot(f^, g^).real``."""
+    return np.sqrt(grid.multiplicity) / float(grid.n) ** 2
+
+
 class _InverseHessian:
-    """L-BFGS inverse Hessian H of J_rho over the half spectrum.
+    """L-BFGS inverse Hessian H of J_rho over the pre-weighted half spectrum.
 
     Keeps the last ``_MEMORY`` curvature pairs s^ = t d^, y^ = r^_new - r^_old
-    of accepted steps; ``inner`` is the L^2 inner product of two
-    half-spectrum arrays.  The initial inverse Hessian H0 divides by the
+    of accepted steps; the L^2 inner product of two pre-weighted spectra is
+    ``np.vdot(f, g).real``.  The initial inverse Hessian H0 divides by the
     Fourier symbol |k|^2 + 1 - theta of -Lap + 1 - theta, where theta is
     the curvature shift, so with no pairs the direction is
     -r^/(|k|^2 + 1 - theta).
     """
 
-    def __init__(self, k2, inner, theta):
+    def __init__(self, k2, theta):
         self.symbol = k2 + (1.0 - theta)
         # r^ has no zero mode; a unit symbol there keeps 0/0 out at theta = 1
         self.symbol[0, 0] = 1.0
-        self.inner = inner
         self.pairs = deque(maxlen=_MEMORY)  # (s^, y^, 1/(s.y)), oldest first
 
     def direction(self, rh):
         """The search direction -H r^ by the two-loop recursion, and its
         slope int r d.  A direction whose slope is not negative (roundoff
         has spoiled the pairs) clears them and gives -H0 r^."""
-        inner = self.inner
         q = rh.copy()
+        scaled = np.empty_like(q)  # a * y^ or b * s^, without a temporary per pair
         alphas = []
         for sh, yh, rho in reversed(self.pairs):
-            a = rho * inner(sh, q)
-            q -= a * yh
+            a = rho * np.vdot(sh, q).real
+            q -= np.multiply(yh, a, out=scaled)
             alphas.append(a)
-        z = q / self.symbol
+        z = q
+        z /= self.symbol
         for (sh, yh, rho), a in zip(self.pairs, reversed(alphas)):
-            z += (a - rho * inner(yh, z)) * sh
-        dh = -z
-        slope = inner(rh, dh)
+            z += np.multiply(sh, a - rho * np.vdot(yh, z).real, out=scaled)
+        dh = np.negative(z, out=z)
+        slope = float(np.vdot(rh, dh).real)
         if not slope < 0.0:
             self.pairs.clear()
             dh = -rh / self.symbol
-            slope = inner(rh, dh)
+            slope = float(np.vdot(rh, dh).real)
         return dh, slope
 
     def update(self, sh, yh):
         """Keep the pair (s^, y^) if its curvature s.y is positive."""
-        sy = self.inner(sh, yh)
+        sy = np.vdot(sh, yh).real
         if sy > 0.0:
             self.pairs.append((sh, yh, 1.0 / sy))
 
@@ -150,36 +162,39 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     grid = p.grid
     dx2 = grid.dx**2
     k2 = grid.k2_half
-    # int f g = sum(weight * Re(conj(f^) g^)) over the half spectrum
-    weight = grid.multiplicity / float(grid.n) ** 4
+    scale = _parseval_scale(grid)
 
     def inner(fh, gh) -> float:
-        return float(np.vdot(fh, weight * gh).real)
+        return float(np.vdot(fh, gh).real)
 
     def residual(uh, g):
         # the residual has zero mean; its zero mode is pure roundoff
         k2uh = k2 * uh
-        rh = k2uh + np.fft.rfft2(g)
+        rh = np.fft.rfft2(g)
+        rh *= scale
+        rh += k2uh
         rh[0, 0] = 0.0
         return k2uh, rh, float(np.sqrt(inner(rh, rh)))
 
     u = u0.values - mean(u0)
     uh = np.fft.rfft2(u)
+    uh *= scale
     pot, g = _potential(u, p, dx2)
     k2uh, rh, rnorm = residual(uh, g)
     e = 0.5 * inner(uh, k2uh) + pot
-    hessian = _InverseHessian(k2, inner, min(p.rho1 + 2.0 * p.rho2, _SHIFT_CAP))
+    hessian = _InverseHessian(k2, min(p.rho1 + 2.0 * p.rho2, _SHIFT_CAP))
     evals, backtracks = 1, 0
     iterations = 0
     while rnorm > tol_residual and iterations < max_iters:
         iterations += 1
         dh, slope = hessian.direction(rh)
-        d = np.fft.irfft2(dh, s=u.shape)
+        d = np.fft.irfft2(dh / scale, s=u.shape)
         a, b, c = inner(uh, k2uh), inner(k2uh, dh), inner(dh, k2 * dh)
         t = _STEP0
         guard = _ROUNDOFF_SLACK * (1.0 + abs(e))
         while t >= _MIN_STEP:
-            u_new = u + t * d
+            u_new = t * d
+            u_new += u
             pot, g = _potential(u_new, p, dx2)
             evals += 1
             e_new = 0.5 * (a + t * (2.0 * b + t * c)) + pot
@@ -189,8 +204,9 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
             t *= _BACKTRACK
         else:
             break  # the line search stalled; keep the last accepted iterate
-        u, uh, e, rh_old = u_new, uh + t * dh, e_new, rh
+        sh = t * dh
+        u, uh, e, rh_old = u_new, uh + sh, e_new, rh
         k2uh, rh, rnorm = residual(uh, g)
-        hessian.update(t * dh, rh - rh_old)
+        hessian.update(sh, rh - rh_old)
     return Solution(ScalarField(grid, u), e, rnorm, iterations,
                     rnorm <= tol_residual, evals, backtracks)

@@ -16,10 +16,11 @@ rho2 = 0, and the improved deficit for mass spread over k and l regions
 is the deficit at (8 k pi, 4 l pi).  All exponential integrals go through
 one helper, ``_exp_integral``, that subtracts the max exponent before its
 single ``np.exp`` (concentrating families push u to +-O(100), where naive
-doubles overflow), sums, scales by the cell area and returns both the
-log-integral and the normalized density; no scipy is needed.  The exp
-terms of J_rho and their gradient live in ``_potential``, which the
-energy, the residual and the descent share.  The unknown additive constants
+doubles overflow), exponentiates in place, sums, scales by the cell area
+and returns the log-integral with the unnormalized density and its
+integral; no scipy is needed.  The exp terms of J_rho and their gradient
+live in ``_potential``, one fused pass per species, which the energy, the
+residual and the descent share.  The unknown additive constants
 of the inequalities are never estimated; sharpness is probed through
 slopes in log(lambda), which are constant-free.
 """
@@ -41,23 +42,25 @@ class ExpUnderflow(ArithmeticError):
 
 
 def _exp_integral(exponent: np.ndarray, weight, dx2: float):
-    """From one exp: log( sum weight * e^exponent * dx2 ) and the density
-    weight * e^exponent / int weight * e^exponent.
+    """From one exp, overwriting ``exponent``: log( sum weight * e^exponent
+    * dx2 ), the unnormalized density weight * e^(exponent - max exponent)
+    and its integral, by which the density divides to integrate to 1.
 
     The max exponent is subtracted before the exp and added back to the log.
     """
     shift = exponent.max()
-    density = weight * np.exp(exponent - shift)
+    exponent -= shift
+    density = np.exp(exponent, out=exponent)
+    density *= weight
     total = density.sum() * dx2
     if total == 0.0 or not np.isfinite(total):
         raise ExpUnderflow("exponential integral underflowed to zero")
-    density /= total
-    return float(shift + np.log(total)), density
+    return float(shift + np.log(total)), density, total
 
 
 def _log_integral_exp(exponent: np.ndarray, weight, dx2: float) -> float:
     """log( sum weight * e^exponent * dx2 ), stabilized by the max exponent."""
-    return _exp_integral(exponent, weight, dx2)[0]
+    return _exp_integral(exponent.copy(), weight, dx2)[0]
 
 
 def _potential(values: np.ndarray, p: Params, dx2: float):
@@ -66,13 +69,20 @@ def _potential(values: np.ndarray, p: Params, dx2: float):
         -rho1 (log int h1 e^u - ubar) - rho2/2 (log int h2 e^{-2u} + 2 ubar),
         -rho1 (h1 e^u / int h1 e^u - 1) + rho2 (h2 e^{-2u} / int h2 e^{-2u} - 1).
 
-    One exp per species serves both.
+    One fused pass per species: one exp, in place, serves both, and the
+    normalization 1/int of each density is folded into its scale factor in
+    the gradient, which accumulates in the first species' array.  The
+    energy, the residual and the descent all evaluate through here.
     """
     ubar = float(values.sum() * dx2)
-    log1, f1 = _exp_integral(values, p.h1.values, dx2)
-    log2, f2 = _exp_integral(-2.0 * values, p.h2.values, dx2)
+    log1, grad, total1 = _exp_integral(values.copy(), p.h1.values, dx2)
+    log2, f2, total2 = _exp_integral(-2.0 * values, p.h2.values, dx2)
     value = -p.rho1 * (log1 - ubar) - 0.5 * p.rho2 * (log2 + 2.0 * ubar)
-    return value, -p.rho1 * (f1 - 1.0) + p.rho2 * (f2 - 1.0)
+    grad *= -p.rho1 / total1
+    f2 *= p.rho2 / total2
+    grad += f2
+    grad += p.rho1 - p.rho2
+    return value, grad
 
 
 @dataclass(frozen=True)

@@ -719,6 +719,35 @@ class TestDeterminism:
         assert {"command", "config", "versions", "checks", "passed"} <= set(summary)
 
 
+def _strict_json(path):
+    """The JSON document at ``path``; NaN and Infinity, which JSON lacks, raise."""
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv,nulls", [
+        # 16 pi - 2 rho1 overflows: the slope offset and its bound are infinite
+        (["bubble-sweep", "--n", "8", "--lambdas", "1,2", "--rho1", "1e308"],
+         {"slope_matches": {"value": None, "bound": None}}),
+        # at n = 64 the bubble sweeps are skipped: no energy falls, the drop is NaN
+        (["verify-all", "--n", "64"], {"bubble_sweep.diverges": {"value": None, "bound": 30.0}}),
+    ], ids=["bubble-sweep-overflow", "verify-all-64"])
+    def test_non_finite_numbers_are_null(self, tmp_path, argv, nulls):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_CHECKFAIL
+        summary = _strict_json(tmp_path / "summary.json")
+        for name, entry in nulls.items():
+            assert summary["values"][name] == entry
+            assert summary["checks"][name] is False
+        if argv[0] == "verify-all":
+            assert _strict_json(tmp_path / "solution.json")["converged"] is True
+
+    def test_writer_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            tzlab.cli._write_json(tmp_path / "x.json", {"value": float("nan")})
+
+
 def _count(value, bound):
     return isinstance(value, int) and bound == 0 and value <= bound
 

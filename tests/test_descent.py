@@ -131,8 +131,9 @@ class TestMinimize:
     def test_near_critical_convergence(self, grid64, m1, m2):
         # next to the thresholds 8 pi and 4 pi the Hessian -Lap - rho1 - 2 rho2
         # of the constant-weight solution u = 0 is nearly singular on the first
-        # Fourier shell; the shifted H0 converges in 354 and 358 iterations,
-        # the unshifted H^1 start needed 1351 and 1407
+        # Fourier shell; the shifted H0 converges in 265 and 396 iterations,
+        # the unshifted H^1 start needed 1351 and 1407.  The counts move with
+        # roundoff in the Parseval sums
         one = constant_field(grid64, 1.0)
         sol = minimize(Params(m1 * np.pi, m2 * np.pi, one, one),
                        _random_start(grid64, 1), tol_residual=1e-9, max_iters=600)
@@ -213,6 +214,27 @@ class TestSpectralIterate:
         assert all(counts[key] <= _STEEPEST_COUNTS[key] for key in pinned)
 
 
+def _inner(fh, gh):
+    """int f g of two pre-weighted half spectra."""
+    return float(np.vdot(fh, gh).real)
+
+
+class TestParsevalScale:
+    """Pre-weighted half spectra: int f g is a bare vdot."""
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_vdot_is_integral(self, n):
+        grid = build_grid(n)
+        rng = np.random.default_rng(n)
+        scale = descent._parseval_scale(grid)
+        for _ in range(5):
+            # white noise fills every column, 0 and n/2 included
+            f, g = (ScalarField(grid, rng.standard_normal((n, n))) for _ in range(2))
+            fh, gh = (np.fft.rfft2(v.values) * scale for v in (f, g))
+            bound = 1e-13 * np.sqrt(integrate(f * f) * integrate(g * g))
+            assert abs(_inner(fh, gh) - integrate(f * g)) <= bound
+
+
 def _reference_steepest_descent(p, u0, tol_residual=1e-9, max_iters=4000):
     """(u, energy, iterations) of the H^1 steepest descent that the L-BFGS
     direction replaced: d = -(-Lap + I)^{-1} r on the full spectrum, the
@@ -270,20 +292,16 @@ class TestLBFGS:
 
     @staticmethod
     def make_hessian(grid, theta):
-        weight = grid.multiplicity / float(grid.n) ** 4
-
-        def inner(fh, gh):
-            return float(np.vdot(fh, weight * gh).real)
-
-        return descent._InverseHessian(grid.k2_half, inner, theta)
+        return descent._InverseHessian(grid.k2_half, theta)
 
     @pytest.fixture
     def hessian(self, grid64):
         return self.make_hessian(grid64, 0.0)
 
     def spectrum(self, grid, seed):
+        """A zero-mean pre-weighted half spectrum, as minimize carries them."""
         vals = smooth_field(grid, np.random.default_rng(seed)).values
-        vh = np.fft.rfft2(vals - vals.mean())
+        vh = np.fft.rfft2(vals - vals.mean()) * descent._parseval_scale(grid)
         vh[0, 0] = 0.0
         return vh
 
@@ -291,7 +309,7 @@ class TestLBFGS:
         rh = self.spectrum(grid64, 1)
         dh, slope = hessian.direction(rh)
         assert np.array_equal(dh, -rh / (grid64.k2_half + 1.0))
-        assert slope == hessian.inner(rh, dh) < 0.0
+        assert slope == _inner(rh, dh) < 0.0
 
     @pytest.mark.parametrize("theta", [4.0 * np.pi, 2.0 * np.pi**2], ids=["4pi", "cap"])
     def test_empty_history_is_shifted_gradient(self, grid64, theta):
@@ -299,7 +317,7 @@ class TestLBFGS:
         rh = self.spectrum(grid64, 1)
         dh, slope = hessian.direction(rh)
         assert np.array_equal(dh, -rh / (grid64.k2_half + 1.0 - theta))
-        assert slope == hessian.inner(rh, dh) < 0.0
+        assert slope == _inner(rh, dh) < 0.0
 
     @pytest.mark.parametrize("m1,m2,theta", [
         (2.0, 1.0, 4.0 * np.pi),  # rho1 + 2 rho2 below the cap
@@ -330,7 +348,7 @@ class TestLBFGS:
 
     def test_one_pair_meets_secant_equation(self, grid64, hessian):
         sh, yh = self.spectrum(grid64, 2), self.spectrum(grid64, 3)
-        if hessian.inner(sh, yh) < 0.0:
+        if _inner(sh, yh) < 0.0:
             sh = -sh
         hessian.update(sh, yh)
         assert len(hessian.pairs) == 1
@@ -358,8 +376,8 @@ class TestLBFGS:
     def test_ascent_direction_falls_back_to_h1_gradient(self, grid64, hessian):
         # a pair with s.y < 0, as roundoff could leave it: -H y = -s = y
         yh = self.spectrum(grid64, 6)
-        hessian.pairs.append((-yh, yh, -1.0 / hessian.inner(yh, yh)))
+        hessian.pairs.append((-yh, yh, -1.0 / _inner(yh, yh)))
         dh, slope = hessian.direction(yh)
         assert len(hessian.pairs) == 0
         assert np.array_equal(dh, -yh / (grid64.k2_half + 1.0))
-        assert slope == hessian.inner(yh, dh) < 0.0
+        assert slope == _inner(yh, dh) < 0.0
