@@ -34,9 +34,11 @@ dirichlet_alpha solves the zero-boundary problem on the unit disk by
 Illinois regula falsi on the central value alpha.
 
 Blow-up limits of such profiles have quantized masses: the admissible
-pairs lie on the hyperbola (sigma1 - sigma2)^2 = 4 (sigma1 + sigma2/2) in
-one of two integer families, and this module generates and classifies
-against that lattice.
+pairs lie on the hyperbola (sigma1 - sigma2)^2 = 4 (sigma1 + sigma2/2),
+where the one integer d = sigma1 - sigma2 fixes the pair:
+sigma1 = d(d+2)/6, sigma2 = d(d-4)/6.  Family I(m) is d = 6m - 2 and
+family II(m) is d = 6m - 6, minus the origin d = 0; this module generates
+and classifies against that lattice.
 """
 
 from __future__ import annotations
@@ -295,47 +297,36 @@ class MassPair:
         return f"Type{self.family}({self.m})"
 
 
-def _family_pair(family: str, m: int) -> tuple[int, int]:
-    if family == "I":
-        return 2 * m * (3 * m - 1), 2 * (3 * m - 1) * (m - 1)
-    if family == "II":
-        return 2 * (3 * m - 2) * (m - 1), 2 * (3 * m - 5) * (m - 1)
-    raise ValueError(f"unknown family {family!r}")
+def _pair(d: int) -> tuple[int, int]:
+    """The lattice pair with sigma1 - sigma2 = d: (d(d+2)/6, d(d-4)/6)."""
+    return d * (d + 2) // 6, d * (d - 4) // 6
 
 
 def _lattice(m_lo: int, m_hi: int):
-    """(pair, key, family, m) of both families for m_lo <= m <= m_hi, minus the origin;
-    key = (|m|, family rank, m) breaks ties.  No integer m gives a negative
-    entry: family I has sigma2 < 0 only for 1/3 < m < 1, family II has
-    sigma1 < 0 only for 2/3 < m < 1 and sigma2 < 0 only for 1 < m < 5/3."""
+    """(pair, key, family, m) of both families for m_lo <= m <= m_hi, minus
+    the origin II(1) at d = 0: I(m) has d = 6m - 2 and II(m) d = 6m - 6, so
+    no pair is shared, and key = (|m|, family rank, m) breaks distance ties.
+    No entry is negative: sigma1 < 0 needs -2 < d < 0 and sigma2 < 0 needs
+    0 < d < 4, and no admissible d (even, d != 2 mod 6, d != 0) lies there."""
     for m in range(m_lo, m_hi + 1):
-        for fam_rank, family in enumerate(("I", "II")):
-            pair = _family_pair(family, m)
-            if pair != (0, 0):
-                yield pair, (abs(m), fam_rank, m), family, m
+        for rank, (family, d) in enumerate((("I", 6 * m - 2), ("II", 6 * m - 6))):
+            if d:
+                yield _pair(d), (abs(m), rank, m), family, m
 
 
 def quantization_table(m_min: int, m_max: int) -> list[MassPair]:
     """Admissible blow-up mass pairs for lattice parameters m_min..m_max.
 
-    Two integer families, minus the excluded origin (0, 0); no entry is
-    negative, since no integer m lies where one would be (see _lattice).
-    Deduplicated (ties keep the smaller |m|, family I first) and sorted by
-    (sigma1, sigma2).  Every returned pair satisfies the hyperbola relation
-    exactly in integer arithmetic, with sigma1 divisible by 4 and sigma2 by 2.
+    Two integer families, minus the excluded origin (0, 0), sorted by
+    (sigma1, sigma2); each pair appears once and none is negative (see
+    _lattice).  Every returned pair satisfies the hyperbola relation exactly
+    in integer arithmetic, with sigma1 divisible by 4 and sigma2 by 2.
     """
     if m_min > m_max:
         raise ValueError("m_min must not exceed m_max")
-    chosen: dict[tuple[int, int], tuple[tuple[int, int, int], str, int]] = {}
-    for pair, key, family, m in _lattice(int(m_min), int(m_max)):
-        if pair not in chosen or key < chosen[pair][0]:
-            chosen[pair] = (key, family, m)
-    table = [
-        MassPair(pair[0], pair[1], fam, m, 0.0)
-        for pair, (_, fam, m) in chosen.items()
-    ]
-    table.sort(key=lambda mp: (mp.sigma1, mp.sigma2))
-    return table
+    return sorted((MassPair(*pair, family, m, 0.0)
+                   for pair, _, family, m in _lattice(int(m_min), int(m_max))),
+                  key=lambda mp: (mp.sigma1, mp.sigma2))
 
 
 def classify_mass_pair(sigma1: float, sigma2: float, tol: float = 0.05) -> MassPair:

@@ -180,6 +180,16 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("tzlab: --h1: ")
 
+    def test_library_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # only ConfigError means usage; a ValueError from inside a command
+        # is a program fault and propagates
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(tzlab.cli, "alpha_sweep", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["radial-sweep", "--out", str(tmp_path)])
+
     def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         def underflow(*args, **kwargs):
             raise ExpUnderflow("exponential integral underflowed to zero")
@@ -419,6 +429,22 @@ class TestSolve:
             ref = (last / name).read_text().replace(str(last), str(tmp_path))
             assert (tmp_path / name).read_text() == ref
         assert read_csv(last / "solve.csv")[1] == rows[-1]
+
+    def test_residual_check_recomputes_the_residual(self, tmp_path, monkeypatch):
+        # a descent that returns its start field unchanged but reports it solved
+        def claims_converged(params, u0, **kwargs):
+            return Solution(u0, 0.0, 0.0, 0, True, 1, 0)
+
+        monkeypatch.setattr(tzlab.cli, "minimize", claims_converged)
+        rc = main(["solve", "--rho1", "5", "--rho2", "3", "--n", "16",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"]["converged"] is True
+        assert summary["checks"]["residual_below_tol"] is False
+        assert summary["values"]["residual_below_tol"]["value"] > 1e-3
+        # the CSV keeps the descent's own figure
+        assert read_csv(tmp_path / "solve.csv")[1][4] == "0.0"
 
     @pytest.mark.parametrize("rho1,rho2", [("2000,1", "1"), ("1,2000", "1"), ("1", "1,20,2")],
                              ids=["rho1-first", "rho1-last", "rho2-middle"])

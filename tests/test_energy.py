@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tzlab import (MTCoefficients, Params, build_grid, build_bubble,
+from tzlab import (MTCoefficients, Params, ScalarField, build_grid, build_bubble,
                    constant_field, default_join_config, energy_J,
                    field_from_function, fit_slope, grad_norm_sq, integrate,
                    liouville_bubble, mean, mt_deficit, residual_J)
@@ -101,6 +104,38 @@ class TestResidualJ:
             fd = (energy_J(u + eps * v, p) - energy_J(u - eps * v, p)) / (2 * eps)
             analytic = integrate(residual_J(u, p) * v)
             assert fd == pytest.approx(analytic, rel=1e-5)
+
+
+@st.composite
+def _problems(draw):
+    """(u, Params) on an n = 8 or 16 grid: nodal values of u in [-3, 3], of
+    the weights in [0.5, 2], and rho anywhere in the coercive region."""
+    grid = build_grid(draw(st.sampled_from((8, 16))))
+
+    def field(lo, hi):
+        return ScalarField(grid, draw(arrays(np.float64, (grid.n, grid.n),
+                                             elements=st.floats(lo, hi))))
+
+    u, h1, h2 = field(-3.0, 3.0), field(0.5, 2.0), field(0.5, 2.0)
+    rho1 = draw(st.floats(0.0, 8.0 * np.pi, exclude_max=True))
+    rho2 = draw(st.floats(0.0, 4.0 * np.pi, exclude_max=True))
+    return u, Params(rho1, rho2, h1, h2)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_problems(), st.floats(-50.0, 50.0))
+    def test_energy_shift_invariant(self, problem, c):
+        u, p = problem
+        assert energy_J(u + c, p) == pytest.approx(energy_J(u, p), rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_problems())
+    def test_residual_integrates_to_zero(self, problem):
+        u, p = problem
+        r = residual_J(u, p)
+        # roundoff of sums over n^2 terms as large as the residual itself
+        assert abs(integrate(r)) <= 1e-13 * (1.0 + np.abs(r.values).max())
 
 
 def energy_I(u, rho, h):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tzlab import radial
 from tzlab import (MassPair, StepTooLarge, TrajectoryOverflow,
@@ -313,11 +315,21 @@ def _reference_classify(s1, s2, tol):
     return MassPair(s1, s2, *((family, m) if dist <= tol else (None, None)), dist)
 
 
+# d = sigma1 - sigma2 of every lattice pair with |d| <= 600: I(m) is
+# d = 6m - 2, II(m) is d = 6m - 6, and d = 0 is the excluded origin
+_ADMISSIBLE_D = [d for d in range(-600, 601) if d % 6 in (0, 4) and d != 0]
+
+
+def _family_of(d):
+    return ("I", (d + 2) // 6) if d % 6 == 4 else ("II", d // 6 + 1)
+
+
 class TestLatticeEnumeration:
     def test_no_integer_m_gives_a_negative_entry(self):
-        for m in range(-50, 51):
-            for family in ("I", "II"):
-                assert min(radial._family_pair(family, m)) >= 0
+        for d in _ADMISSIBLE_D:
+            s1, s2 = radial._pair(d)
+            assert s1 - s2 == d
+            assert min(s1, s2) >= 0
 
     @pytest.mark.parametrize("m_min, m_max", [(-3, 3), (-6, 6), (0, 0), (2, 9), (-9, -2)])
     def test_table_matches_reference(self, m_min, m_max):
@@ -335,6 +347,27 @@ class TestLatticeEnumeration:
         for s1, s2 in points:
             for tol in (0.05, 1e9):
                 assert classify_mass_pair(s1, s2, tol) == _reference_classify(s1, s2, tol)
+
+
+class TestLatticeProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from(_ADMISSIBLE_D), st.floats(1e-3, 0.5),
+           st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
+    def test_classifier_round_trip(self, d, tol, f1, f2):
+        # other pairs lie at l-infinity distance >= 1, as their d differ by >= 2
+        s1, s2 = radial._pair(d)
+        e1, e2 = f1 * tol, f2 * tol
+        mp = classify_mass_pair(s1 + e1, s2 + e2, tol)
+        assert (mp.family, mp.m) == _family_of(d)
+        assert mp.distance == pytest.approx(max(abs(e1), abs(e2)), abs=1e-10)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(-60, 60), st.integers(-60, 60))
+    def test_table_row_count(self, a, b):
+        m_min, m_max = min(a, b), max(a, b)
+        # two pairs per m, minus the origin II(1) when the range holds m = 1
+        assert len(quantization_table(m_min, m_max)) == (
+            2 * (m_max - m_min + 1) - (m_min <= 1 <= m_max))
 
 
 class TestClassify:
