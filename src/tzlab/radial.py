@@ -30,8 +30,15 @@ e^{-2u} terms, which the vector form adds as signed zeros, and sigma2
 keeps its series-start value; for h2 > 0 the step carries all four
 equations.
 
-dirichlet_alpha solves the zero-boundary problem on the unit disk by
-Illinois regula falsi on the central value alpha.
+dirichlet_alpha solves the zero-boundary problem on the unit disk for the
+central value alpha in two steps: Illinois regula falsi on a bracket with
+shots at the coarse step 5e-3 locates alpha to |u(1)| < 1e-8, then secant
+steps on shots at the fine step 1e-3, the first with the slope of the last
+two coarse shots, polish it to |u(1)| < 1e-10; the answer is always a
+1e-3 shot.  When the coarse step fails shoot's resolution guard at an end
+of the bracket (whose rate is convex in alpha, so the ends decide), when
+its ends do not straddle u(1) = 0, or when the polish leaves the bracket or
+takes more than four shots, the Illinois search runs at the fine step alone.
 
 Blow-up limits of such profiles have quantized masses: the admissible
 pairs lie on the hyperbola (sigma1 - sigma2)^2 = 4 (sigma1 + sigma2/2),
@@ -56,10 +63,12 @@ _SERIES_STEPS = 3
 _U_MIN, _U_MAX = -700.0, 350.0
 
 # dirichlet_alpha: shooting step, stopping tolerance and the cap on shots
-# inside the bracket.
+# inside the bracket; the coarse step that locates alpha before the polish
+# on the shooting step (200 RK4 steps to r = 1 instead of 1000).
 _DIRICHLET_STEP = 1e-3
 _DIRICHLET_TOL = 1e-10
 _MAX_SHOOTS = 200
+_LOCATE_STEP = 5 * _DIRICHLET_STEP
 
 # Each step appends 32 bytes to shoot's buffers: 10^7 steps keep 320 MB.
 _MAX_STEPS = 10**7
@@ -121,6 +130,18 @@ def _left_window(r: float, u: float) -> TrajectoryOverflow:
     return TrajectoryOverflow(f"u({r:.6g}) = {u:.6g} left [{_U_MIN}, {_U_MAX}]")
 
 
+def _resolves(alpha: float, h1: float, h2: float, step: float) -> bool:
+    """shoot's resolution guard: step * exp(max(log h1 + alpha, log h2 - 2 alpha)/2)
+    <= 0.1, the h2 term only when h2 > 0.  In logs, so that a large h1, h2 or
+    |alpha| cannot overflow it; needs h1 > 0.  The rate is a maximum of affine
+    functions of alpha, so convex: a step the guard passes at two central
+    values it passes at every value between them."""
+    log_rate = math.log(h1) + alpha
+    if h2 > 0.0:
+        log_rate = max(log_rate, math.log(h2) - 2.0 * alpha)
+    return math.log(step) + log_rate / 2.0 <= math.log(0.1)
+
+
 def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
           r_max: float = 1.0, step: float = 1e-4) -> RadialProfile:
     """Integrate the radial equation from the center out to r_max.
@@ -137,11 +158,7 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     n_total = step_count(r_max, step)
     if not _U_MIN <= alpha <= _U_MAX:
         raise TrajectoryOverflow(f"alpha={alpha} outside [{_U_MIN}, {_U_MAX}]")
-    # in logs, so that a large h1, h2 or |alpha| cannot overflow the guard
-    log_rate = math.log(h1) + alpha
-    if h2 > 0.0:
-        log_rate = max(log_rate, math.log(h2) - 2.0 * alpha)
-    if math.log(step) + log_rate / 2.0 > math.log(0.1):
+    if not _resolves(alpha, h1, h2, step):
         raise StepTooLarge(
             "step too large for this alpha, h1 and h2: need "
             "step * exp(max(log h1 + alpha, log h2 - 2 alpha)/2) <= 0.1"
@@ -348,49 +365,124 @@ def classify_mass_pair(sigma1: float, sigma2: float, tol: float = 0.05) -> MassP
     return MassPair(sigma1, sigma2, None, None, dist)
 
 
-def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
-    """Solve the zero-boundary problem on the unit disk.
+def _illinois(shot, lo, hi, tol: float):
+    """Illinois regula falsi for u(1) = 0 between the shots ``lo`` and ``hi``.
 
-    Finds the central value alpha with u(1) = 0 by Illinois regula falsi
-    on ``bracket``, whose ends must give boundary values of opposite signs:
-    each shot replaces the bracket end of its own sign, and when the same
+    A shot is (alpha, u(1), profile), and shot(alpha) makes one.  Each shot
+    inside the bracket replaces the end of its own sign, and when the same
     end is kept twice in a row its boundary value is halved, so both ends
-    converge.  Stops when |u(1)| < 1e-10 or the bracket is narrower than
-    that; after _MAX_SHOOTS shots without either, returns the bracket
-    midpoint.  Returns (alpha, profile) with alpha a float and profile the
-    shot that decided it.
+    converge.  Returns (prev, last, converged), the last two shots made,
+    newest last.  converged: last is an end with u(1) = 0, or has
+    |u(1)| < tol, or narrowed the bracket below _DIRICHLET_TOL; otherwise,
+    after _MAX_SHOOTS shots inside, last is a shot at the bracket midpoint.
+    Raises ValueError when the ends do not straddle u(1) = 0.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-
-    def boundary(alpha):
-        prof = shoot(alpha, h1, h2, 1.0, _DIRICHLET_STEP)
-        return float(prof.u[-1]), prof
-
-    (f_lo, p_lo), (f_hi, p_hi) = boundary(lo), boundary(hi)
+    (a_lo, f_lo, _), (a_hi, f_hi, _) = lo, hi
     if f_lo == 0.0:
-        return lo, p_lo
+        return hi, lo, True
     if f_hi == 0.0:
-        return hi, p_hi
+        return lo, hi, True
     if f_lo * f_hi > 0:
-        raise ValueError(
-            f"bracket {bracket} does not straddle u(1)=0: "
-            f"u({lo})={f_lo:.4g}, u({hi})={f_hi:.4g}"
-        )
+        raise ValueError(f"bracket ({a_lo!r}, {a_hi!r}) does not straddle u(1)=0: "
+                         f"u({a_lo})={f_lo:.4g}, u({a_hi})={f_hi:.4g}")
+    prev = hi
     kept = 0  # -1 after lo was kept, +1 after hi was kept
     for _ in range(_MAX_SHOOTS):
-        mid = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        f_mid, p_mid = boundary(mid)
-        if abs(f_mid) < _DIRICHLET_TOL or hi - lo < _DIRICHLET_TOL:
-            return mid, p_mid
+        last = shot(a_lo - f_lo * (a_hi - a_lo) / (f_hi - f_lo))
+        mid, f_mid, _ = last
+        if abs(f_mid) < tol or a_hi - a_lo < _DIRICHLET_TOL:
+            return prev, last, True
         if f_lo * f_mid <= 0:
-            hi, f_hi = mid, f_mid
+            a_hi, f_hi = mid, f_mid
             if kept == -1:
                 f_lo *= 0.5
             kept = -1
         else:
-            lo, f_lo = mid, f_mid
+            a_lo, f_lo = mid, f_mid
             if kept == 1:
                 f_hi *= 0.5
             kept = 1
-    mid = 0.5 * (lo + hi)
-    return mid, shoot(mid, h1, h2, 1.0, _DIRICHLET_STEP)
+        prev = last
+    return prev, shot(0.5 * (a_lo + a_hi)), False
+
+
+def _polish(shot, prev, last, lo: float, hi: float):
+    """Secant steps on fine shots from the located central value.
+
+    The first fine shot is at last's alpha and steps with the slope of the
+    coarse shots prev and last; each later step takes the slope of the last
+    two fine shots.  Returns (alpha, profile) of the first fine shot with
+    |u(1)| < _DIRICHLET_TOL, or None when a step would leave (lo, hi), the
+    secant is flat, or four shots do not get there.
+    """
+    (a0, f0, _), (a1, f1, _) = prev, last
+    alpha, f, prof = shot(a1)
+    for _ in range(3):
+        if abs(f) < _DIRICHLET_TOL:
+            return alpha, prof
+        if f1 == f0:
+            return None
+        nxt = alpha - f * (a1 - a0) / (f1 - f0)
+        if not lo < nxt < hi or nxt == alpha:
+            return None
+        a0, f0 = alpha, f
+        alpha, f, prof = shot(nxt)
+        a1, f1 = alpha, f
+    return (alpha, prof) if abs(f) < _DIRICHLET_TOL else None
+
+
+def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
+    """Solve the zero-boundary problem on the unit disk.
+
+    Finds the central value alpha with u(1) = 0 on ``bracket`` = (lo, hi),
+    whose ends must be finite with lo < hi (ValueError otherwise; a reversed
+    bracket is rejected, not sorted) and give boundary values of opposite
+    signs (ValueError otherwise).  Two steps:
+
+    1. Locate: Illinois regula falsi (see _illinois) with shots at the coarse
+       step _LOCATE_STEP, until |u(1)| < 1e-8.
+    2. Polish: secant steps on shots at the fine step _DIRICHLET_STEP from
+       the located alpha, the first with the slope of the last two coarse
+       shots, until |u(1)| < 1e-10 (see _polish).
+
+    The search runs at the fine step alone, as Illinois regula falsi until
+    |u(1)| < 1e-10 or the bracket is narrower than that, when the coarse
+    step cannot be used: it fails shoot's resolution guard at an end of the
+    bracket (checked before any shot; the guard then holds inside too, see
+    _resolves), the coarse ends do not straddle u(1) = 0, or the polish
+    leaves the bracket or does not converge in four shots.  A coarse search
+    that runs _MAX_SHOOTS shots inside the bracket hands over to the fine
+    one, and a fine search that does so returns its bracket midpoint.
+
+    Returns (alpha, profile) with alpha a float and profile the fine-step
+    shot that decided it.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket {bracket} must have finite ends")
+    if not lo < hi:
+        raise ValueError(f"bracket {bracket} must be ordered (lo, hi) with lo < hi")
+
+    def shot(alpha, step):
+        prof = shoot(alpha, h1, h2, 1.0, step)
+        return alpha, float(prof.u[-1]), prof
+
+    def coarse(alpha):
+        return shot(alpha, _LOCATE_STEP)
+
+    def fine(alpha):
+        return shot(alpha, _DIRICHLET_STEP)
+
+    # shoot rejects every h1 but a positive one, which _resolves needs
+    if h1 > 0.0 and _resolves(lo, h1, h2, _LOCATE_STEP) and _resolves(hi, h1, h2, _LOCATE_STEP):
+        ends = coarse(lo), coarse(hi)
+        if ends[0][1] * ends[1][1] <= 0.0:
+            # a looser locate costs polish shots and a tighter one coarse
+            # shots: perfbench's five Dirichlet problems take 17 400 RK4 steps
+            # in all at 1e-8, 16 800-18 600 at tolerances from 1e-6 to 1e-10
+            prev, last, located = _illinois(coarse, *ends, 1e-8)
+            found = _polish(fine, prev, last, lo, hi) if located else None
+            if found is not None:
+                return found
+    _, (alpha, _, prof), _ = _illinois(fine, fine(lo), fine(hi), _DIRICHLET_TOL)
+    return alpha, prof

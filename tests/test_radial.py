@@ -407,15 +407,26 @@ _REAL_SHOOT = radial.shoot
 
 
 def _count_shoots(monkeypatch):
-    """Route radial.shoot through a recorder; returns the list of alphas shot."""
+    """Route radial.shoot through a recorder; returns the list of
+    (alpha, step) pairs shot, in order."""
     shot = []
 
-    def counted(alpha, *args):
-        shot.append(alpha)
-        return _REAL_SHOOT(alpha, *args)
+    def counted(alpha, h1, h2, r_max, step):
+        shot.append((alpha, step))
+        return _REAL_SHOOT(alpha, h1, h2, r_max, step)
 
     monkeypatch.setattr(radial, "shoot", counted)
     return shot
+
+
+def _rk4_steps(shot):
+    """Fixed steps integrated by the recorded shots, all out to r = 1."""
+    return sum(radial.step_count(1.0, step) for _, step in shot)
+
+
+def _liouville_root(alpha, h1):
+    # Liouville: u(1) = alpha - 2 log(1 + h1 e^alpha / 8) in closed form
+    return alpha - 2.0 * math.log1p(h1 * math.exp(alpha) / 8.0)
 
 
 # the zero-boundary problems of perfbench's radial-shoot workload
@@ -443,9 +454,11 @@ class TestDirichlet:
     def test_returns_the_deciding_shoot(self, monkeypatch, h1, h2, bracket):
         shot = _count_shoots(monkeypatch)
         alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket)
-        # the returned profile is the deciding shoot's: no alpha is shot twice
-        assert alpha in shot
+        # the returned profile is the deciding fine shot's: no (alpha, step)
+        # pair is shot twice
+        assert (alpha, 1e-3) in shot
         assert len(shot) == len(set(shot))
+        assert prof.step == 1e-3
         assert np.array_equal(prof.u, _REAL_SHOOT(alpha, h1, h2, 1.0, 1e-3).u)
 
     @pytest.mark.parametrize("h1, h2, bracket", _BRACKETS)
@@ -459,25 +472,82 @@ class TestDirichlet:
     def test_converges_in_few_shoots(self, monkeypatch, h1, h2, bracket):
         shot = _count_shoots(monkeypatch)
         alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket)
-        assert len(shot) <= 16
+        # five fine shots' worth; the fine search alone takes 7 000-14 000
+        assert _rk4_steps(shot) <= 5000
         assert type(alpha) is float
         assert bracket[0] < alpha < bracket[1]
         assert abs(prof.u[-1]) < 1e-10
         if h2 == 0.0:
-            # Liouville: u(1) = alpha - 2 log(1 + h1 e^alpha / 8)
-            assert abs(alpha - 2.0 * math.log1p(h1 * math.exp(alpha) / 8.0)) < 1e-8
+            assert abs(_liouville_root(alpha, h1)) < 1e-8
 
     def test_shoot_cap_falls_back_to_bracket_midpoint(self, monkeypatch):
         monkeypatch.setattr(radial, "_MAX_SHOOTS", 2)
         shot = _count_shoots(monkeypatch)
         alpha, prof = dirichlet_alpha(2.0, 1.0, bracket=(1.0, 4.0))
-        # both ends, the two capped shots, then the fallback
-        assert len(shot) == 5 and shot[-1] == alpha
+        # the capped coarse search (both ends, two shots, its midpoint) hands
+        # over to the fine one: both ends, the two capped shots, then the
+        # fallback at the fine bracket's midpoint
+        coarse, fine = shot[:5], shot[5:]
+        assert {step for _, step in coarse} == {5e-3}
+        assert {step for _, step in fine} == {1e-3}
+        assert [a for a, _ in fine[:2]] == [1.0, 4.0]
+        assert len(fine) == 5 and fine[-1][0] == alpha
+        assert len(shot) == len(set(shot))
         assert type(alpha) is float
         assert 1.0 < alpha < 4.0
         assert prof.alpha == alpha
         assert np.array_equal(prof.u, _REAL_SHOOT(alpha, 2.0, 1.0, 1.0, 1e-3).u)
 
+    def test_unresolved_coarse_step_searches_at_the_fine_step(self, monkeypatch):
+        # at alpha = 8 the coarse step fails shoot's guard, 5e-3 e^4 = 0.27 > 0.1,
+        # while the fine step passes it, 1e-3 e^4 = 0.055
+        shot = _count_shoots(monkeypatch)
+        alpha, prof = dirichlet_alpha(1.0, 0.0, bracket=(2.0, 8.0))
+        assert alpha == pytest.approx(3.84219, abs=1e-5)
+        assert abs(_liouville_root(alpha, 1.0)) < 1e-8
+        assert abs(prof.u[-1]) < 1e-10
+        assert all(step * math.exp(a / 2.0) <= 0.1 for a, step in shot)
+        assert {step for _, step in shot} == {1e-3}
+        # the fine search alone, as before the coarse step: 10 shots
+        assert _rk4_steps(shot) <= 10000
+
+    # the coarse step's Liouville root on (2, 4) is 3.842188694, the fine
+    # step's 3.842188716: a bracket end between them straddles u(1) = 0 at
+    # one step and not at the other
+    def test_coarse_ends_that_miss_the_root_search_at_the_fine_step(self, monkeypatch):
+        shot = _count_shoots(monkeypatch)
+        alpha, prof = dirichlet_alpha(1.0, 0.0, bracket=(3.8421887, 4.0))
+        assert abs(prof.u[-1]) < 1e-10
+        assert abs(_liouville_root(alpha, 1.0)) < 1e-8
+        assert [step for _, step in shot[:2]] == [5e-3, 5e-3]
+        assert {step for _, step in shot[2:]} == {1e-3}
+
+    def test_polish_leaving_the_bracket_falls_back_to_the_fine_search(self, monkeypatch):
+        # the coarse root lies inside, the fine root beyond hi: the polish
+        # steps out, and the fine ends do not straddle u(1) = 0
+        shot = _count_shoots(monkeypatch)
+        with pytest.raises(ValueError, match="does not straddle"):
+            dirichlet_alpha(1.0, 0.0, bracket=(2.0, 3.8421887))
+        # the polish's one fine shot, then the fine search's ends
+        (polished, step), *ends = shot[-3:]
+        assert step == 1e-3 and 2.0 < polished < 3.8421887
+        assert ends == [(2.0, 1e-3), (3.8421887, 1e-3)]
+
     def test_bad_bracket(self):
         with pytest.raises(ValueError, match="bracket"):
             dirichlet_alpha(1.0, 2.0, bracket=(5.0, 8.0))
+
+    @pytest.mark.parametrize("bracket", [(4.0, 2.0), (2.0, 2.0)])
+    def test_unordered_bracket_is_rejected(self, bracket):
+        # a reversed bracket is not sorted: it once returned an unconverged
+        # alpha = 3.7157 with u(1) = 0.087 after one shot
+        with pytest.raises(ValueError, match=r"bracket \(.*\) must be ordered"):
+            dirichlet_alpha(1.0, 0.0, bracket=bracket)
+
+    @pytest.mark.parametrize("bracket", [(2.0, math.nan), (math.nan, 4.0),
+                                         (-math.inf, 4.0), (2.0, math.inf)])
+    def test_non_finite_bracket_end_is_rejected(self, monkeypatch, bracket):
+        shot = _count_shoots(monkeypatch)
+        with pytest.raises(ValueError, match=r"bracket \(.*\) must have finite ends"):
+            dirichlet_alpha(1.0, 0.0, bracket=bracket)
+        assert shot == []
