@@ -6,16 +6,16 @@ e^u and e^{-2u}).  Three facts drive everything downstream:
   * J_rho depends on u only through u - ubar (shift invariance);
   * its L^2 gradient is the mean-field equation itself, so a small
     residual field certifies a discrete solution;
-  * subtracting coefficient-weighted log-integrals from the Dirichlet
-    energy (the deficit) is bounded below exactly up to the sharp
-    coefficients (8 pi, 4 pi).
+  * at unit weights J_rho is the Moser-Trudinger deficit with
+    coefficients (a1, a2) = (rho1, rho2), bounded below exactly up to the
+    sharp coefficients (8 pi, 4 pi).
 """
 
 import numpy as np
 
-from tzlab import (MTCoefficients, Params, build_bubble, build_grid,
-                   constant_field, default_join_config, energy_J,
-                   field_from_function, integrate, mt_deficit, residual_J)
+from tzlab import (Params, build_bubble, build_grid, constant_field,
+                   default_join_config, energy_J, field_from_function,
+                   integrate, residual_J)
 
 grid = build_grid(64)
 h1 = field_from_function(grid, lambda x, y: 1 + 0.5 * np.cos(2 * np.pi * x))
@@ -44,10 +44,12 @@ print(f"   directional derivative:  fd = {fd:.10f},  <residual, v> = {integrate(
 print("\n-- deficit along a concentrating family --")
 print("   D(u) = 1/2 |grad u|^2 - a1 log int e^(u-ub) - a2/2 log int e^(-2(u-ub))")
 grid256 = build_grid(256)
+one = constant_field(grid256, 1.0)
 zeta = default_join_config(grid256, 1, 1, 0.0)
 for a1_label, a1 in [("below (6 pi)", 6 * np.pi), ("sharp (8 pi)", 8 * np.pi), ("above (10 pi)", 10 * np.pi)]:
-    c = MTCoefficients(a1, 0.0)
-    vals = [mt_deficit(build_bubble(zeta, lam, grid256), c) for lam in (25.0, 100.0, 400.0)]
+    # the deficit is J_rho at unit weights with rho = (a1, a2)
+    p_unit = Params(a1, 0.0, one, one)
+    vals = [energy_J(build_bubble(zeta, lam, grid256), p_unit) for lam in (25.0, 100.0, 400.0)]
     trend = "grows" if vals[-1] > vals[0] else "sinks"
     print(f"   a1 {a1_label:13s}: D = {vals[0]:9.2f} -> {vals[1]:9.2f} -> {vals[2]:9.2f}   ({trend})")
 print("   bounded below exactly up to a1 = 8 pi: the sharp constant.")

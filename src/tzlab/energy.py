@@ -8,21 +8,19 @@ Implements the two-exponent functional
 
 whose critical points solve the Tzitzeica mean-field equation
 
-    -Lap u = rho1 (h1 e^u / int h1 e^u - 1) - rho2 (h2 e^{-2u} / int h2 e^{-2u} - 1),
+    -Lap u = rho1 (h1 e^u / int h1 e^u - 1) - rho2 (h2 e^{-2u} / int h2 e^{-2u} - 1).
 
-together with the two-exponent Moser-Trudinger deficit (sharp constants
-8*pi and 4*pi).  The single-exponent functional I_rho is J_rho at
-rho2 = 0, and the improved deficit for mass spread over k and l regions
-is the deficit at (8 k pi, 4 l pi).  All exponential integrals go through
-one helper, ``_exp_integral``, that subtracts the max exponent before its
-single ``np.exp`` (concentrating families push u to +-O(100), where naive
-doubles overflow), exponentiates in place, sums, scales by the cell area
-and returns the log-integral with the unnormalized density and its
-integral; no scipy is needed.  The exp terms of J_rho and their gradient
-live in ``_potential``, one fused pass per species, which the energy, the
-residual and the descent share.  The unknown additive constants
-of the inequalities are never estimated; sharpness is probed through
-slopes in log(lambda), which are constant-free.
+I_rho is J_rho at rho2 = 0.  At h1 = h2 = 1 and rho = (a1, a2), J_rho is
+the Moser-Trudinger deficit D(u) = 1/2 int |grad u|^2 - a1 log int
+e^{u - ubar} - a2/2 log int e^{-2(u - ubar)}: bounded below iff a1 <= 8 pi
+and a2 <= 4 pi, and up to (8 k pi, 4 l pi) for mass spread over k and l
+regions.  Every exponential integral goes through ``_exp_integral``,
+stabilized by the max exponent since concentrating families push u
+to +-O(100), and the exp terms of J_rho and their gradient through
+``_potential``, which the energy, the residual and the descent share.
+The additive constants of the inequalities are never estimated;
+sharpness is probed through slopes in log(lambda), which are
+constant-free.
 """
 
 from __future__ import annotations
@@ -31,14 +29,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import ScalarField, grad_norm_sq, laplacian, mean
+from .surface import ScalarField, grad_norm_sq, laplacian
 
 
 _TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 
 class ExpUnderflow(ArithmeticError):
-    """A stabilized exponential integral underflowed to zero."""
+    """A stabilized exponential integral underflowed to zero or overflowed."""
+
+
+def _checked_integral(total):
+    """An exponential integral; ExpUnderflow if it is zero or not finite."""
+    if total == 0.0:
+        raise ExpUnderflow("exponential integral underflowed to zero")
+    if not np.isfinite(total):
+        raise ExpUnderflow("exponential integral overflowed")
+    return total
 
 
 def _exp_integral(exponent: np.ndarray, weight, dx2: float):
@@ -52,15 +60,14 @@ def _exp_integral(exponent: np.ndarray, weight, dx2: float):
     exponent -= shift
     density = np.exp(exponent, out=exponent)
     density *= weight
-    total = density.sum() * dx2
-    if total == 0.0 or not np.isfinite(total):
-        raise ExpUnderflow("exponential integral underflowed to zero")
+    total = _checked_integral(density.sum() * dx2)
     return float(shift + np.log(total)), density, total
 
 
-def _log_integral_exp(exponent: np.ndarray, weight, dx2: float) -> float:
-    """log( sum weight * e^exponent * dx2 ), stabilized by the max exponent."""
-    return _exp_integral(exponent.copy(), weight, dx2)[0]
+def _j_from_parts(dirichlet, log1, log2, ubar, rho1, rho2):
+    """J_rho from its parts 1/2 int |grad u|^2, log int h1 e^u,
+    log int h2 e^{-2u} and ubar; elementwise on arrays of parts."""
+    return dirichlet - rho1 * (log1 - ubar) - 0.5 * rho2 * (log2 + 2.0 * ubar)
 
 
 def _potential(values: np.ndarray, p: Params, dx2: float):
@@ -77,7 +84,7 @@ def _potential(values: np.ndarray, p: Params, dx2: float):
     ubar = float(values.sum() * dx2)
     log1, grad, total1 = _exp_integral(values.copy(), p.h1.values, dx2)
     log2, f2, total2 = _exp_integral(-2.0 * values, p.h2.values, dx2)
-    value = -p.rho1 * (log1 - ubar) - 0.5 * p.rho2 * (log2 + 2.0 * ubar)
+    value = _j_from_parts(0.0, log1, log2, ubar, p.rho1, p.rho2)
     grad *= -p.rho1 / total1
     f2 *= p.rho2 / total2
     grad += f2
@@ -103,13 +110,18 @@ class Params:
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
         for name in ("h1", "h2"):
-            hmin = np.min(getattr(self, name).values)
+            h = getattr(self, name)
+            hmin = np.min(h.values)
             if hmin <= 0:
                 raise ValueError(f"{name} must be strictly positive")
             if hmin < _TINY:
                 # subnormal weights lose precision in every normalized density
                 raise ValueError(f"{name} must be at least the smallest normal "
                                  f"double ({_TINY:.6g})")
+            if np.max(h.values) > _HUGE / h.grid.n**2:
+                # the sum of weight * e^(u - max u) over the cells would overflow
+                raise ValueError(f"{name} must be at most the largest double over "
+                                 f"the n^2 grid cells ({_HUGE / h.grid.n**2:.6g})")
         if self.h1.grid != self.h2.grid:
             raise ValueError("h1 and h2 must share a grid")
 
@@ -123,26 +135,9 @@ class Params:
         return bool(self.rho1 < 8.0 * np.pi and self.rho2 < 4.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class MTCoefficients:
-    """Coefficients (a1, a2) of the two-exponent Moser-Trudinger deficit.
-
-    The sharp instance is (8*pi, 4*pi): the deficit is bounded below over
-    H^1 iff a1 <= 8*pi and a2 <= 4*pi.
-    """
-
-    a1: float
-    a2: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a1) and np.isfinite(self.a2)):
-            raise ValueError("coefficients must be finite")
-        if self.a1 < 0 or self.a2 < 0:
-            raise ValueError("coefficients must be nonnegative")
-
-
 def energy_J(u: ScalarField, p: Params) -> float:
-    """Two-exponent mean-field energy J_rho(u).
+    """Two-exponent mean-field energy J_rho(u); at h1 = h2 = 1 the
+    Moser-Trudinger deficit with coefficients (rho1, rho2).
 
     Shift invariant: constants added to u cancel between the log-integral
     and the average terms.
@@ -158,22 +153,3 @@ def residual_J(u: ScalarField, p: Params) -> ScalarField:
     """
     grad = _potential(u.values, p, u.grid.dx**2)[1]
     return ScalarField(u.grid, grad - laplacian(u).values)
-
-
-def mt_deficit(u: ScalarField, c: MTCoefficients) -> float:
-    """Two-exponent Moser-Trudinger deficit
-
-        D(u) = 1/2 int |grad u|^2 - a1 log int e^{u - ubar}
-                                  - a2/2 log int e^{-2(u - ubar)}.
-
-    Vanishes on constants; bounded below over H^1 iff a1 <= 8*pi and
-    a2 <= 4*pi (up to the surface-dependent additive constant, which this
-    function does not include).  For fields whose e^u mass is spread over
-    k well-separated regions and whose e^{-2u} mass over l regions, the
-    thresholds improve to 8 k pi and 4 l pi.
-    """
-    dx2 = u.grid.dx**2
-    centered = u.values - mean(u)
-    log_plus = _log_integral_exp(centered, 1.0, dx2)
-    log_minus = _log_integral_exp(-2.0 * centered, 1.0, dx2)
-    return 0.5 * grad_norm_sq(u) - c.a1 * log_plus - 0.5 * c.a2 * log_minus

@@ -14,12 +14,12 @@ stay finite; we fix delta = 1).  Consequently the energy of the family is
 
     J_rho(phi) ~ (16 k pi - 2 rho1) log lambda1 + (4 l pi - rho2) log lambda2,
 
-and the Moser-Trudinger deficit along the single-bubble families has slope
--2 (a1 - 8 pi) (plus family) and -(a2 - 4 pi) (minus family): the sign
-flips exactly at the sharp constants.  Every sweep measures its bubbles
-through one primitive, ``_bubble_components``; J_rho and, with unit
-weights, the deficit are one linear combination of its columns
-(``_energy_sweep``).  It reads e^phi and e^{-2 phi} off the bubble's
+and the Moser-Trudinger deficit (J_rho at unit weights) along the
+single-bubble families has slope -2 (a1 - 8 pi) (plus family) and
+-(a2 - 4 pi) (minus family): the sign flips exactly at the sharp
+constants.  Every sweep measures its bubbles through one primitive,
+``_bubble_components``; ``_energy_sweep`` assembles J_rho from its
+columns.  The primitive reads e^phi and e^{-2 phi} off the bubble's
 rational mixtures (see ``bubbles``), so a lambda row takes one log and no
 exp, and the rows run one after another in one three-buffer workspace.
 Sweeps fit ordinary least squares of measured values against
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bubbles import JoinConfig, _bubble_exps
-from .energy import ExpUnderflow, Params
+from .energy import Params, _checked_integral, _j_from_parts
 from .radial import (StepTooLarge, TrajectoryOverflow, classify_mass_pair,
                      limit_mass_relation, pohozaev_residual_profile, shoot)
 from .surface import ScalarField, TorusGrid, grad_norm_sq, mean
@@ -166,21 +166,16 @@ def _log_weighted_integral(density: np.ndarray, weight, dx2: float) -> float:
         total = np.vdot(weight, density) * dx2
     else:
         total = weight * density.sum() * dx2
-    if total == 0.0 or not np.isfinite(total):
-        raise ExpUnderflow("exponential integral underflowed to zero")
-    return float(np.log(total))
+    return float(np.log(_checked_integral(total)))
 
 
 def _energy_sweep(name: str, comps, lambdas, a1: float, a2: float,
                   predicted: float) -> SweepResult:
-    """J_rho at rho = (a1, a2) along a family, from its component rows;
-    with unit weights this is the Moser-Trudinger deficit with
-    coefficients (a1, a2).  Skipped when comps is None."""
+    """J_rho at rho = (a1, a2) along a family from its component rows (at
+    unit weights the deficit); skipped when comps is None."""
     values = None
     if comps is not None:
-        g2, lp, lm, mv = comps.T
-        # centered log integrals: log int e^{u - ubar}, log int e^{-2(u - ubar)}
-        values = g2 - a1 * (lp - mv) - 0.5 * a2 * (lm + 2.0 * mv)
+        values = _j_from_parts(*comps.T, a1, a2)
     return SweepResult.from_values(name, lambdas, values, predicted)
 
 

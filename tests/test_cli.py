@@ -170,6 +170,42 @@ class TestExitCodes:
         err = assert_usage_error(rc, capsys, f"tzlab: {flag}: ", tmp_path / "o")
         assert [f for f in ("--rho1", "--rho2", "--h1", "--h2") if f in err] == [flag]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "16", "--rho1", "1", "--rho2", "1"],
+        ["bubble-sweep", "--n", "16", "--lambdas", "1,2"],
+    ], ids=["solve", "bubble-sweep"])
+    def test_weight_whose_integral_overflows_names_its_flag(self, tmp_path, capsys,
+                                                            no_work, argv):
+        # 1e308 on each of 16^2 cells sums past the largest double: the
+        # integral would overflow, which is no numerical failure of the run
+        rc = main(argv + ["--h1", "1e308", "--out", str(tmp_path / "o")])
+        assert_usage_error(rc, capsys, "tzlab: --h1: h1 must be at most the largest double",
+                           tmp_path / "o")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "16", "--rho1", "1", "--rho2", "1"],
+        ["bubble-sweep", "--n", "16", "--lambdas", "1,2"],
+    ], ids=["solve", "bubble-sweep"])
+    def test_weight_whose_integral_overflows_is_one_stderr_line(self, tmp_path, argv):
+        src = str(Path(tzlab.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tzlab.cli", *argv, "--h1", "1e308",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("tzlab: --h1: h1 must be at most the largest double")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_sweep_integral_exits_three(self, tmp_path, capsys):
+        # a weight just inside Params' bound times a bubble's e^phi > 1
+        rc = main(["bubble-sweep", "--n", "64", "--lambdas", "25,50", "--h1", "4e304",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["tzlab: numerical failure: exponential integral overflowed"]
+
     @pytest.mark.parametrize("recipe", ["(" * 400 + "1" + ")" * 400, "-" * 3000 + "1",
                                         "+".join(["x"] * 3000)],
                              ids=["parentheses", "unary-minus", "long-sum"])

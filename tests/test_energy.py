@@ -4,12 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tzlab import (MTCoefficients, Params, ScalarField, build_grid, build_bubble,
+from tzlab import (ExpUnderflow, Params, ScalarField, build_grid, build_bubble,
                    constant_field, default_join_config, energy_J,
                    field_from_function, fit_slope, grad_norm_sq, integrate,
-                   liouville_bubble, mean, mt_deficit, residual_J)
+                   liouville_bubble, mean, residual_J)
+from tzlab.energy import _exp_integral
 
 from conftest import node_coordinates, smooth_field
+
+
+def deficit(u, a1, a2):
+    """The Moser-Trudinger deficit with coefficients (a1, a2): J_rho at
+    h1 = h2 = 1."""
+    one = constant_field(u.grid, 1.0)
+    return energy_J(u, Params(a1, a2, one, one))
 
 
 @pytest.fixture
@@ -36,11 +44,39 @@ class TestParams:
         with pytest.raises(ValueError, match="rho1"):
             Params(-1.0, 1.0, one, one)
 
-    def test_coefficients_validation(self):
-        with pytest.raises(ValueError):
-            MTCoefficients(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            MTCoefficients(np.inf, 0.0)
+    @pytest.mark.parametrize("name", ["rho1", "rho2"])
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan], ids=["negative", "inf", "nan"])
+    def test_rejects_negative_or_non_finite_rho(self, grid64, name, bad):
+        one = constant_field(grid64, 1.0)
+        rho = {"rho1": 1.0, "rho2": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            Params(rho["rho1"], rho["rho2"], one, one)
+
+    @pytest.mark.parametrize("name", ["h1", "h2"])
+    def test_rejects_weight_whose_integral_overflows(self, grid64, name):
+        # the n^2 cells of weight * e^(u - max u) sum to at most n^2 max(h)
+        one = constant_field(grid64, 1.0)
+        largest = np.finfo(float).max / grid64.n**2
+        above = constant_field(grid64, np.nextafter(largest, np.inf))
+        weights = {"h1": one, "h2": one, name: above}
+        with pytest.raises(ValueError, match=f"{name} must be at most the largest double"):
+            Params(1.0, 1.0, weights["h1"], weights["h2"])
+        weights[name] = constant_field(grid64, largest)
+        p = Params(1.0, 1.0, weights["h1"], weights["h2"])
+        assert np.isfinite(energy_J(constant_field(grid64, 0.0), p))
+
+
+class TestExpIntegral:
+    def test_zero_integral_underflowed(self):
+        # every e^(x - max x) is 1 at the max, so only the weight can vanish
+        with pytest.raises(ExpUnderflow, match="underflowed to zero"):
+            _exp_integral(np.zeros(4), np.zeros(4), 0.25)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_integral_overflowed(self, bad):
+        with pytest.raises(ExpUnderflow, match="overflowed") as info:
+            _exp_integral(np.zeros(4), np.full(4, bad), 1.0)
+        assert "underflow" not in str(info.value)
 
 
 class TestEnergyJ:
@@ -175,33 +211,42 @@ class TestEnergyI:
 
 
 class TestMTDeficit:
+    """The deficit 1/2 int |grad u|^2 - a1 log int e^{u - ubar}
+    - a2/2 log int e^{-2(u - ubar)}, which is J_rho at unit weights."""
+
     def test_zero_on_constants(self, grid64):
-        c = MTCoefficients(8.0 * np.pi, 4.0 * np.pi)
-        assert mt_deficit(constant_field(grid64, 0.0), c) == pytest.approx(0.0, abs=1e-12)
-        assert mt_deficit(constant_field(grid64, 17.0), c) == pytest.approx(0.0, abs=1e-9)
+        a1, a2 = 8.0 * np.pi, 4.0 * np.pi
+        assert deficit(constant_field(grid64, 0.0), a1, a2) == pytest.approx(0.0, abs=1e-12)
+        assert deficit(constant_field(grid64, 17.0), a1, a2) == pytest.approx(0.0, abs=1e-9)
 
     def test_shift_invariance(self, grid64, rng):
-        c = MTCoefficients(7.0, 2.0)
         u = smooth_field(grid64, rng, amplitude=2.0)
-        base = mt_deficit(u, c)
-        assert mt_deficit(u + 31.0, c) == pytest.approx(base, rel=1e-9, abs=1e-9)
+        base = deficit(u, 7.0, 2.0)
+        assert deficit(u + 31.0, 7.0, 2.0) == pytest.approx(base, rel=1e-9, abs=1e-9)
 
-    def test_reduces_to_energy_I_without_minus_exponent(self, grid64, rng):
-        # both reduce to 1/2 |grad|^2 - a1 log int e^{u - ubar}
-        one = constant_field(grid64, 1.0)
-        a1 = 5.5
+    @pytest.mark.parametrize("a1,a2", [(5.5, 3.0), (8.0 * np.pi, 4.0 * np.pi), (0.0, 2.0)],
+                             ids=["interior", "sharp", "minus-only"])
+    def test_is_the_centered_log_integral_deficit(self, grid64, rng, a1, a2):
+        # D(u) in plain numpy: the Dirichlet term from the full fft2 and the
+        # log-integrals of the centered field
+        n = grid64.n
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+        k2 = k[None, :] ** 2 + k[:, None] ** 2
         for _ in range(3):
             u = smooth_field(grid64, rng, amplitude=1.5)
-            lhs = mt_deficit(u, MTCoefficients(a1, 0.0))
-            rhs = energy_J(u, Params(a1, 0.0, one, one))
-            assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+            dirichlet = 0.5 * np.sum(k2 * np.abs(np.fft.fft2(u.values)) ** 2) / n**4
+            centered = u.values - u.values.mean()
+            log_plus = np.log(np.exp(centered).sum() / n**2)
+            log_minus = np.log(np.exp(-2.0 * centered).sum() / n**2)
+            d = dirichlet - a1 * log_plus - 0.5 * a2 * log_minus
+            assert deficit(u, a1, a2) == pytest.approx(d, rel=1e-11, abs=1e-11)
 
     def test_monotone_in_a1(self, grid64, rng):
         for _ in range(5):
             u = smooth_field(grid64, rng, amplitude=2.0)
             # log int e^{u - ubar} > 0 by Jensen for nonconstant u
-            d1 = mt_deficit(u, MTCoefficients(2.0, 1.0))
-            d2 = mt_deficit(u, MTCoefficients(6.0, 1.0))
+            d1 = deficit(u, 2.0, 1.0)
+            d2 = deficit(u, 6.0, 1.0)
             assert d2 < d1
 
     def test_bounded_at_sharp_plus_constant(self):
@@ -209,9 +254,8 @@ class TestMTDeficit:
         # and 1000 differ by O(1)
         grid = build_grid(512)
         zeta = default_join_config(grid, 1, 1, 0.0)
-        c = MTCoefficients(8.0 * np.pi, 0.0)
-        d100 = mt_deficit(build_bubble(zeta, 100.0, grid), c)
-        d1000 = mt_deficit(build_bubble(zeta, 1000.0, grid), c)
+        d100 = deficit(build_bubble(zeta, 100.0, grid), 8.0 * np.pi, 0.0)
+        d1000 = deficit(build_bubble(zeta, 1000.0, grid), 8.0 * np.pi, 0.0)
         assert abs(d1000 - d100) < 5.0
 
 
@@ -225,16 +269,16 @@ class TestImprovedDeficit:
     """The deficit at the improved thresholds (8 k pi, 4 l pi), which hold
     for mass spread over k plus and l minus regions."""
 
-    K2_L1 = MTCoefficients(16.0 * np.pi, 4.0 * np.pi)
+    K2_L1 = (16.0 * np.pi, 4.0 * np.pi)
 
     def plus_family_slope(self, grid, k):
         lambdas = (25.0, 50.0, 100.0, 200.0, 400.0)
         zeta = default_join_config(grid, k, 1, 0.0)
-        values = [mt_deficit(build_bubble(zeta, lam, grid), self.K2_L1) for lam in lambdas]
+        values = [deficit(build_bubble(zeta, lam, grid), *self.K2_L1) for lam in lambdas]
         return fit_slope(lambdas, values)
 
     def test_zero_on_constants(self, grid64):
-        assert mt_deficit(constant_field(grid64, 0.0), self.K2_L1) == pytest.approx(0.0, abs=1e-12)
+        assert deficit(constant_field(grid64, 0.0), *self.K2_L1) == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded_along_spread_two_bubble_family(self):
         # two separated plus bubbles spread over k = 2 regions: at a1 = 16 pi
