@@ -9,8 +9,7 @@ Pohozaev and mass-quantization oracles.
 
 __version__ = "0.1.0"
 
-from .bubbles import (JoinConfig, build_bubble, lambda_split,
-                      liouville_bubble, liouville_mass)
+from .bubbles import JoinConfig, build_bubble, liouville_bubble, liouville_mass
 from .descent import Solution, minimize
 from .energy import ExpUnderflow, Params, energy_J, residual_J
 from .experiments import (SweepResult, alpha_sweep, bubble_energy_sweep,
@@ -22,7 +21,7 @@ from .radial import (MassPair, StepTooLarge, TrajectoryOverflow,
 from .recipes import RecipeError, field_from_recipe, parse_recipe
 from .surface import (GridError, ScalarField, build_grid, constant_field,
                       distance_field, field_from_function, grad_norm_sq,
-                      integrate, laplacian, mean)
+                      integrate, laplacian)
 
 __all__ = [
     "ExpUnderflow", "GridError", "JoinConfig", "MassPair", "Params",
@@ -32,8 +31,7 @@ __all__ = [
     "component_asymptotics_sweep", "constant_field", "default_join_config",
     "dirichlet_alpha", "distance_field", "energy_J", "field_from_function",
     "field_from_recipe", "fit_slope", "grad_norm_sq", "integrate",
-    "lambda_split", "laplacian", "limit_mass_relation", "liouville_bubble",
-    "liouville_mass", "mean", "minimize", "mt_threshold_scan",
-    "parse_recipe", "pohozaev_residual_profile", "quantization_table",
-    "residual_J", "shoot",
+    "laplacian", "limit_mass_relation", "liouville_bubble", "liouville_mass",
+    "minimize", "mt_threshold_scan", "parse_recipe", "pohozaev_residual_profile",
+    "quantization_table", "residual_J", "shoot",
 ]

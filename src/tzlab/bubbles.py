@@ -90,13 +90,6 @@ class JoinConfig:
         )
 
 
-def lambda_split(s: float, lam: float) -> tuple[float, float]:
-    """Split the concentration parameter: ((1-s)*lambda, s*lambda)."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("join parameter s must lie in [0, 1]")
-    return (1.0 - s) * lam, s * lam
-
-
 def _mixture(grid: TorusGrid, lam_s: float, points, out: np.ndarray,
              scratch: np.ndarray) -> np.ndarray | None:
     """Write sum_i w_i / q_i^2, q_i = 1 + lam_s^2 d(x, p_i)^2, into ``out``.
@@ -133,7 +126,7 @@ def _bubble_exps(zeta: JoinConfig, lam: float, grid: TorusGrid, work: np.ndarray
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    lam1, lam2 = lambda_split(zeta.s, lam)
+    lam1, lam2 = (1.0 - zeta.s) * lam, zeta.s * lam
     a, b, c = work
     plus = _mixture(grid, lam1, zeta.plus_points, a, c)
     minus = _mixture(grid, lam2, zeta.minus_points, b, c)

@@ -20,8 +20,8 @@ Outputs are deterministic for a fixed config and seed: CSV floats use the
 shortest round-trip decimal representation and summaries echo the full
 config.  Exit status: 0 all checks passed, 1 usage or configuration
 error, 2 at least one check failed, 3 a numerical failure (an
-exponential integral underflowed or a radial trajectory overflowed).
-The output directory is created at the first file written.
+exponential integral underflowed or overflowed, or a radial trajectory
+overflowed).  The output directory is created at the first file written.
 
 A rule on one flag's value is the flag's argparse type, checked as the
 flag or its config-file key is parsed, before anything runs or is written.

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import Params, _potential
-from .surface import ScalarField, mean
+from .surface import ScalarField, integrate
 
 # Energy decrements below roundoff resolution cannot be certified by the
 # Armijo test; steps predicted to decrease by less than this slack are
@@ -176,7 +176,7 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
         rh[0, 0] = 0.0
         return k2uh, rh, float(np.sqrt(inner(rh, rh)))
 
-    u = u0.values - mean(u0)
+    u = u0.values - integrate(u0)
     uh = np.fft.rfft2(u)
     uh *= scale
     pot, g = _potential(u, p, dx2)

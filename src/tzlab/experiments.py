@@ -1,29 +1,31 @@
 """Lambda sweeps and slope fits turning asymptotic laws into numbers.
 
-Each concentrating family has components whose leading behavior is linear
-in log(lambda): for a join bubble with k plus points and l minus points at
-join parameter s (lambda1 = (1-s) lambda, lambda2 = s lambda),
+A join bubble with k plus points and l minus points at join parameter s
+(lambda1 = (1-s) lambda, lambda2 = s lambda) has components linear in
+log(lambda) to leading order.  Each live side of the join, plus for
+s < 1 and minus for s > 0, adds one row of slopes in log lambda1 or
+log lambda2:
 
-    1/2 int |grad phi|^2   ~  16 k pi log lambda1 + 4 l pi log lambda2
-    log int e^phi          ~   2 log lambda2 - 2 log lambda1
-    log int e^{-2 phi}     ~   8 log lambda1 - 2 log lambda2
-    int phi                ~  -4 log lambda1 + 2 log lambda2
+                              plus side   minus side
+    1/2 int |grad phi|^2        16 k pi       4 l pi
+    log int e^phi                  -2            2
+    log int e^{-2 phi}              8           -2
+    int phi                        -4            2
 
 (all up to O(1), with the logs delta-shifted so the s = 0, 1 endpoints
-stay finite; we fix delta = 1).  Consequently the energy of the family is
-
-    J_rho(phi) ~ (16 k pi - 2 rho1) log lambda1 + (4 l pi - rho2) log lambda2,
-
-and the Moser-Trudinger deficit (J_rho at unit weights) along the
-single-bubble families has slope -2 (a1 - 8 pi) (plus family) and
--(a2 - 4 pi) (minus family): the sign flips exactly at the sharp
-constants.  Every sweep measures its bubbles through one primitive,
-``_bubble_components``; ``_energy_sweep`` assembles J_rho from its
-columns.  The primitive reads e^phi and e^{-2 phi} off the bubble's
-rational mixtures (see ``bubbles``), so a lambda row takes one log and no
-exp, and the rows run one after another in one three-buffer workspace.
-Sweeps fit ordinary least squares of measured values against
-log(lambda + 1) and compare with these predictions.
+stay finite; we fix delta = 1).  Every prediction comes from this table,
+``_side_slopes``: a component's slope is its column summed over the live
+sides, and J_rho's is J's formula (``energy._j_from_parts``) on each live
+row, summed.  A row's J slope changes sign at rho = (8 k pi, 4 l pi); at
+unit weights, where J_rho is the Moser-Trudinger deficit, the single
+bubbles locate the sharp constants 8 pi and 4 pi.  Every sweep measures
+its bubbles through one primitive, ``_bubble_components``;
+``_energy_sweep`` assembles J_rho from its columns.  The primitive reads
+e^phi and e^{-2 phi} off the bubble's rational mixtures (see ``bubbles``),
+so a lambda row takes one log and no exp, and the rows run one after
+another in one three-buffer workspace.  Sweeps fit ordinary least squares
+of measured values against log(lambda + 1) and compare with these
+predictions.
 
 Quadrature adequacy: a bubble core spans ~1/lambda, so sweeps require
 lambda * dx <= 2; above that the result is flagged skipped rather than
@@ -43,7 +45,7 @@ from .bubbles import JoinConfig, _bubble_exps
 from .energy import Params, _checked_integral, _j_from_parts
 from .radial import (StepTooLarge, TrajectoryOverflow, classify_mass_pair,
                      limit_mass_relation, pohozaev_residual_profile, shoot)
-from .surface import ScalarField, TorusGrid, grad_norm_sq, mean
+from .surface import ScalarField, TorusGrid, grad_norm_sq, integrate
 
 DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
 
@@ -135,9 +137,11 @@ def default_join_config(grid: TorusGrid, k: int = 1, l: int = 1, s: float = 0.5)
     return JoinConfig(plus, minus, s)
 
 
-def _predicted_weights(s: float) -> tuple[float, float]:
-    """Asymptotic d log(lambda_i + 1) / d log(lambda + 1): 1 for a live side, 0 for a dead one."""
-    return (1.0 if s < 1.0 else 0.0), (1.0 if s > 0.0 else 0.0)
+def _side_slopes(zeta: JoinConfig) -> list[tuple[float, float, float, float]]:
+    """The slope table: one row of component slopes per live side of zeta."""
+    sides = ((zeta.s < 1.0, (16.0 * zeta.k * np.pi, -2.0, 8.0, -4.0)),
+             (zeta.s > 0.0, (4.0 * zeta.l * np.pi, 2.0, -2.0, 2.0)))
+    return [row for live, row in sides if live]
 
 
 def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
@@ -155,7 +159,7 @@ def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
         log_plus = _log_weighted_integral(e_phi, h1, dx2)
         log_minus = _log_weighted_integral(e_minus_2phi, h2, dx2)
         phi = ScalarField(grid, np.log(e_phi, out=e_phi))
-        rows.append((0.5 * grad_norm_sq(phi), log_plus, log_minus, mean(phi)))
+        rows.append((0.5 * grad_norm_sq(phi), log_plus, log_minus, integrate(phi)))
     return np.array(rows)
 
 
@@ -169,10 +173,12 @@ def _log_weighted_integral(density: np.ndarray, weight, dx2: float) -> float:
     return float(np.log(_checked_integral(total)))
 
 
-def _energy_sweep(name: str, comps, lambdas, a1: float, a2: float,
-                  predicted: float) -> SweepResult:
-    """J_rho at rho = (a1, a2) along a family from its component rows (at
-    unit weights the deficit); skipped when comps is None."""
+def _energy_sweep(name: str, zeta: JoinConfig, comps, lambdas, a1: float,
+                  a2: float) -> SweepResult:
+    """J_rho at rho = (a1, a2) along zeta's family from its component rows
+    (at unit weights the deficit); skipped when comps is None.  The
+    predicted slope is J's formula on each live row of the slope table."""
+    predicted = sum(_j_from_parts(*row, a1, a2) for row in _side_slopes(zeta))
     values = None
     if comps is not None:
         values = _j_from_parts(*comps.T, a1, a2)
@@ -180,29 +186,20 @@ def _energy_sweep(name: str, comps, lambdas, a1: float, a2: float,
 
 
 def bubble_energy_sweep(zeta: JoinConfig, p: Params, lambdas=DEFAULT_LAMBDAS) -> SweepResult:
-    """J_rho along the bubble family; predicted slope
-    (16 k pi - 2 rho1) [s<1] + (4 l pi - rho2) [s>0]."""
-    w1, w2 = _predicted_weights(zeta.s)
-    predicted = (16.0 * zeta.k * np.pi - 2.0 * p.rho1) * w1 + (4.0 * zeta.l * np.pi - p.rho2) * w2
+    """J_rho along the bubble family of zeta."""
     comps = _bubble_components(zeta, p.grid, lambdas, p.h1.values, p.h2.values)
-    return _energy_sweep("energy", comps, lambdas, p.rho1, p.rho2, predicted)
+    return _energy_sweep("energy", zeta, comps, lambdas, p.rho1, p.rho2)
 
 
 def component_asymptotics_sweep(zeta: JoinConfig, grid: TorusGrid,
                                 lambdas=DEFAULT_LAMBDAS) -> dict[str, SweepResult]:
     """Four component sweeps: gradient, log int e^phi, log int e^{-2 phi}, mean."""
-    k, l = zeta.k, zeta.l
-    w1, w2 = _predicted_weights(zeta.s)
-    predictions = {
-        "gradient": 16.0 * k * np.pi * w1 + 4.0 * l * np.pi * w2,
-        "log_int_plus": -2.0 * w1 + 2.0 * w2,
-        "log_int_minus": 8.0 * w1 - 2.0 * w2,
-        "mean": -4.0 * w1 + 2.0 * w2,
-    }
+    names = ("gradient", "log_int_plus", "log_int_minus", "mean")
+    predictions = [sum(column) for column in zip(*_side_slopes(zeta))]
     comps = _bubble_components(zeta, grid, lambdas)
-    columns = [None] * len(predictions) if comps is None else comps.T
+    columns = [None] * len(names) if comps is None else comps.T
     return {name: SweepResult.from_values(name, lambdas, column, pred)
-            for (name, pred), column in zip(predictions.items(), columns)}
+            for name, pred, column in zip(names, predictions, columns)}
 
 
 @dataclass
@@ -237,21 +234,20 @@ def _sign_crossing(coeffs, slopes):
 
 def mt_threshold_scan(a1_list, a2_list, grid: TorusGrid,
                       lambdas=DEFAULT_LAMBDAS) -> ThresholdScan:
-    """Fit deficit slopes over the (a1, a2) lattice for both bubble families.
-
-    Plus family: a single plus bubble (s = 0), predicted slope -2 (a1 - 8 pi).
-    Minus family: a single minus bubble (s = 1), predicted slope -(a2 - 4 pi).
-    The bubble components are measured once per family; deficits for every
+    """Fit deficit slopes over the (a1, a2) lattice for both bubble families:
+    a single plus bubble (s = 0) and a single minus bubble (s = 1).  The
+    bubble components are measured once per family; deficits for every
     coefficient pair are linear combinations of them.
     """
     a1_list = np.asarray(a1_list, dtype=float)
     a2_list = np.asarray(a2_list, dtype=float)
-    plus_comps = _bubble_components(default_join_config(grid, 1, 1, 0.0), grid, lambdas)
-    minus_comps = _bubble_components(default_join_config(grid, 1, 1, 1.0), grid, lambdas)
-    plus = [[_energy_sweep("deficit_plus", plus_comps, lambdas, a1, a2, -2.0 * (a1 - 8.0 * np.pi))
-             for a2 in a2_list] for a1 in a1_list]
-    minus = [[_energy_sweep("deficit_minus", minus_comps, lambdas, a1, a2, -(a2 - 4.0 * np.pi))
-              for a2 in a2_list] for a1 in a1_list]
+    cells = {}
+    for family, s in (("plus", 0.0), ("minus", 1.0)):
+        zeta = default_join_config(grid, 1, 1, s)
+        comps = _bubble_components(zeta, grid, lambdas)
+        cells[family] = [[_energy_sweep(f"deficit_{family}", zeta, comps, lambdas, a1, a2)
+                          for a2 in a2_list] for a1 in a1_list]
+    plus, minus = cells["plus"], cells["minus"]
 
     # skipped cells have NaN slopes, which never cross
     plus_slopes = [float(np.mean([cell.fitted_slope for cell in row])) for row in plus]
@@ -261,7 +257,7 @@ def mt_threshold_scan(a1_list, a2_list, grid: TorusGrid,
         a1_list, a2_list, plus, minus,
         _sign_crossing(a1_list, plus_slopes),
         _sign_crossing(a2_list, minus_slopes),
-        plus_comps is None,
+        not grid_adequate(grid, lambdas),
     )
 
 

@@ -352,8 +352,11 @@ def classify_mass_pair(sigma1: float, sigma2: float, tol: float = 0.05) -> MassP
     Searches a table auto-sized to cover the observed masses; returns the
     nearest admissible pair in l-infinity distance when within ``tol``,
     and family None otherwise.  Ties break toward smaller |m|, family I
-    before II.  (0, 0) is not an admissible target.
+    before II.  (0, 0) is not an admissible target.  Raises ValueError
+    for a non-finite mass.
     """
+    if not (math.isfinite(sigma1) and math.isfinite(sigma2)):
+        raise ValueError(f"sigma1 = {sigma1!r}, sigma2 = {sigma2!r}: masses must be finite")
     top = max(abs(sigma1), abs(sigma2), 1.0)
     m_span = int(math.ceil(math.sqrt(top))) + 2
     key, family, m = min(

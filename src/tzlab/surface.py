@@ -147,16 +147,12 @@ def field_from_function(grid: TorusGrid, fn) -> ScalarField:
 
 
 def integrate(f: ScalarField) -> float:
-    """Integral over the torus: periodic trapezoid rule, sum * dx^2.
+    """Integral over the torus: periodic trapezoid rule, sum * dx^2.  The
+    area is 1, so this is also the average of f.
 
     Exact (to roundoff) for trigonometric polynomials below the Nyquist band.
     """
     return float(f.values.sum() * f.grid.dx**2)
-
-
-def mean(f: ScalarField) -> float:
-    """Average of f; equals integrate(f) because the area is 1."""
-    return integrate(f)
 
 
 def laplacian(f: ScalarField) -> ScalarField:

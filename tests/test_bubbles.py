@@ -3,7 +3,7 @@ import pytest
 
 from tzlab import (JoinConfig, ScalarField, build_bubble,
                    build_grid, default_join_config, distance_field, integrate,
-                   lambda_split, liouville_bubble, liouville_mass)
+                   liouville_bubble, liouville_mass)
 from tzlab.bubbles import _mixture
 
 from conftest import node_coordinates
@@ -48,24 +48,25 @@ class TestJoinConfig:
         assert node_config(s=0.5) != node_config(s=0.5, minus=((1.0, (0.1, 0.2)),))
 
 
-class TestLambdaSplit:
-    @pytest.mark.parametrize("s,lam,expected", [
-        (0.0, 7.0, (7.0, 0.0)),
-        (1.0, 7.0, (0.0, 7.0)),
-        (0.25, 100.0, (75.0, 25.0)),
-    ])
-    def test_values(self, s, lam, expected):
-        assert lambda_split(s, lam) == expected
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            lambda_split(-0.1, 5.0)
-
-
 class TestBuildBubble:
     def test_rejects_nonpositive_lambda(self, grid64):
         with pytest.raises(ValueError, match="lambda"):
             build_bubble(node_config(), 0.0, grid64)
+
+    @pytest.mark.parametrize("s,lam,lam1,lam2", [
+        (0.0, 7.0, 7.0, 0.0),
+        (1.0, 7.0, 0.0, 7.0),
+        (0.25, 100.0, 75.0, 25.0),
+    ])
+    def test_join_splits_lambda(self, grid64, s, lam, lam1, lam2):
+        # phi = -2 log(1 + lam1^2 d+^2) + log(1 + lam2^2 d-^2), with
+        # (lam1, lam2) = ((1-s) lam, s lam)
+        zeta = node_config(s=s)
+        d_plus = distance_field(grid64, zeta.plus_points[0][1])
+        d_minus = distance_field(grid64, zeta.minus_points[0][1])
+        ref = -2.0 * np.log1p((lam1 * d_plus) ** 2) + np.log1p((lam2 * d_minus) ** 2)
+        np.testing.assert_allclose(build_bubble(zeta, lam, grid64).values, ref,
+                                   rtol=0.0, atol=1e-12)
 
     def test_zero_at_center_and_log_decay(self):
         grid = build_grid(128)

@@ -4,7 +4,7 @@ import pytest
 from tzlab import (Params, build_bubble, build_grid,
                    bubble_energy_sweep, component_asymptotics_sweep,
                    constant_field, default_join_config, alpha_sweep, energy_J,
-                   field_from_recipe, fit_slope, grad_norm_sq, mean,
+                   field_from_recipe, fit_slope, grad_norm_sq, integrate,
                    mt_threshold_scan, SweepResult)
 from tzlab.experiments import _bubble_components, grid_adequate
 
@@ -183,6 +183,59 @@ class TestBubbleEnergySweep:
         assert abs(res.fitted_slope - res.predicted_slope) <= 0.1 * 3 * np.pi
 
 
+# every layout default_join_config accepts
+LAYOUTS = [(k, l, s) for s in (0.0, 0.5, 1.0) for k in range(1, 5) for l in range(1, 5)
+           if k + l <= 4 or s in (0.0, 1.0)]
+
+
+class TestSlopeLaws:
+    """Every predicted slope against its law, written out here.
+
+    At n = 8, lambda * dx > 2: the sweeps are skipped, so no bubble is
+    evaluated, and a skipped sweep still carries its predicted slope.
+    """
+
+    LAMBDAS = (25.0, 50.0)
+
+    @pytest.mark.parametrize("sharp", [False, True], ids=["10pi-5pi", "8kpi-4lpi"])
+    @pytest.mark.parametrize("k,l,s", LAYOUTS)
+    def test_bubble_energy(self, k, l, s, sharp):
+        g = build_grid(8)
+        one = constant_field(g, 1.0)
+        rho1, rho2 = (8 * k * np.pi, 4 * l * np.pi) if sharp else (10 * np.pi, 5 * np.pi)
+        res = bubble_energy_sweep(default_join_config(g, k, l, s),
+                                  Params(rho1, rho2, one, one), self.LAMBDAS)
+        assert res.skipped
+        law = (16 * k * np.pi - 2 * rho1) * (s < 1) + (4 * l * np.pi - rho2) * (s > 0)
+        assert res.predicted_slope == law
+        if sharp:
+            assert res.predicted_slope == 0.0
+
+    @pytest.mark.parametrize("k,l,s", LAYOUTS)
+    def test_components(self, k, l, s):
+        g = build_grid(8)
+        sweeps = component_asymptotics_sweep(default_join_config(g, k, l, s), g, self.LAMBDAS)
+        plus = {"gradient": 16 * k * np.pi, "log_int_plus": -2.0,
+                "log_int_minus": 8.0, "mean": -4.0}
+        minus = {"gradient": 4 * l * np.pi, "log_int_plus": 2.0,
+                 "log_int_minus": -2.0, "mean": 2.0}
+        assert list(sweeps) == list(plus)
+        for name, res in sweeps.items():
+            assert res.skipped
+            assert res.predicted_slope == plus[name] * (s < 1) + minus[name] * (s > 0)
+
+    def test_threshold_cells(self):
+        g = build_grid(8)
+        a1 = [8 * np.pi + d for d in (-np.pi, -1.0, 0.0, 1.0, np.pi)]
+        a2 = [4 * np.pi + d for d in (-np.pi / 2, -0.5, 0.0, 0.5, np.pi / 2)]
+        scan = mt_threshold_scan(a1, a2, g, self.LAMBDAS)
+        assert scan.skipped
+        for i, c1 in enumerate(a1):
+            for j, c2 in enumerate(a2):
+                assert scan.plus[i][j].predicted_slope == -2 * (c1 - 8 * np.pi)
+                assert scan.minus[i][j].predicted_slope == -(c2 - 4 * np.pi)
+
+
 class TestDeficitSweep:
     def test_plus_family_slope(self):
         # with unit weights J_rho is the MT deficit at (a1, a2) = (rho1, rho2)
@@ -227,7 +280,7 @@ class TestComponentPrimitive:
         for row, lam in zip(rows, self.LAMBDAS):
             phi = build_bubble(zeta, lam, g)
             ref = (0.5 * grad_norm_sq(phi), log_integral(phi.values, h1, dx2),
-                   log_integral(-2.0 * phi.values, h2, dx2), mean(phi))
+                   log_integral(-2.0 * phi.values, h2, dx2), integrate(phi))
             np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
 
     def test_threshold_cells_match_mt_deficit(self):

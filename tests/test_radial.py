@@ -395,6 +395,13 @@ class TestClassify:
         mp = classify_mass_pair(float(p.sigma1[-1]), float(p.sigma2[-1]), 0.05)
         assert (mp.family, mp.m) == ("I", 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["sigma1", "sigma2"])
+    def test_non_finite_mass_is_rejected(self, which, bad):
+        masses = {"sigma1": 4.0, "sigma2": 0.0, which: bad}
+        with pytest.raises(ValueError, match=r"sigma1 = .*, sigma2 = .*: masses must be finite"):
+            classify_mass_pair(masses["sigma1"], masses["sigma2"])
+
     def test_tie_breaks_toward_smaller_m(self):
         # (2, 1) is equidistant (l-inf distance 2) from (0, 2) = TypeI(0)
         # and (4, 0) = TypeI(1); the smaller |m| wins
