@@ -4,8 +4,11 @@ Shooting the radial equation u'' + u'/r + h1 e^u - h2 e^{-2u} = 0 from a
 large central value alpha produces a sharpening bubble whose local masses
 (sigma1, sigma2) approach the quantized blow-up lattice: admissible limits
 satisfy (sigma1 - sigma2)^2 = 4 (sigma1 + sigma2/2) with sigma1 in 4N and
-sigma2 in 2N.  The Pohozaev identity holds exactly along true solutions,
-so its residual measures nothing but integration error.
+sigma2 in 2N.  The shooting runs RK4 in t = log r, where the bubble's core
+scale (h1 e^alpha)^{-1/2} is a fixed distance from the start whatever
+alpha is, so one fixed log step resolves every central value.  The
+Pohozaev identity holds exactly along true solutions, so its residual
+measures nothing but integration error.
 """
 
 from tzlab import (alpha_sweep, classify_mass_pair, limit_mass_relation,
@@ -18,19 +21,23 @@ for mp in quantization_table(-2, 3):
           f"relation = {limit_mass_relation(s1, s2)}")
 
 print("\n-- a Liouville bubble forming (h2 = 0) --")
-rows = alpha_sweep((4.0, 6.0, 8.0, 10.0, 12.0), h1=1.0, h2=0.0, step=2e-4)
+rows = alpha_sweep((4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0), h1=1.0, h2=0.0, step=2e-4)
 print("   alpha   sigma1(1)   distance to (4,0)   classified")
 for row in rows:
     print(f"   {row.alpha:5.1f}   {row.sigma1:.6f}   {row.distance:.6f}            "
           f"{'TypeI(1)' if row.family == 'I' else 'none'}")
-print("   sigma1 climbs monotonically toward the quantum 4.")
+print("   sigma1 climbs monotonically toward the quantum 4; at alpha = 20 the")
+print("   core is e^-10 wide, and the same 5000 log steps still resolve it.")
 
 print("\n-- Pohozaev residual is pure integration error --")
+last = None
 for step in (1e-3, 5e-4, 2.5e-4):
     prof = shoot(8.0, 1.0, 1.0, 1.0, step)
-    res, lhs = pohozaev_residual_profile(prof)
-    print(f"   step {step:7.1e}: |residual| at r=1 is {abs(res[-1]):.3e}")
-print("   each halving divides it by ~16: the integrator is fourth order.")
+    res = abs(pohozaev_residual_profile(prof)[0][-1])
+    ratio = "" if last is None else f"  (divided by {last / res:.0f})"
+    print(f"   step {step:7.1e}: |residual| at r=1 is {res:.3e}{ratio}")
+    last = res
+print("   each halving divides it by at least 2^4: the integrator is fourth order.")
 
 print("\n-- both species active (h1 = h2 = 1) --")
 prof = shoot(12.0, 1.0, 1.0, 1.0, 1e-4)

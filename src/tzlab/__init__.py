@@ -15,7 +15,7 @@ from .energy import ExpUnderflow, Params, energy_J, residual_J
 from .experiments import (SweepResult, alpha_sweep, bubble_energy_sweep,
                           component_asymptotics_sweep, default_join_config,
                           fit_slope, mt_threshold_scan)
-from .radial import (MassPair, StepTooLarge, TrajectoryOverflow,
+from .radial import (MassPair, TrajectoryOverflow,
                      classify_mass_pair, dirichlet_alpha, limit_mass_relation,
                      pohozaev_residual_profile, quantization_table, shoot)
 from .recipes import RecipeError, field_from_recipe, parse_recipe
@@ -25,7 +25,7 @@ from .surface import (GridError, ScalarField, build_grid, constant_field,
 
 __all__ = [
     "ExpUnderflow", "GridError", "JoinConfig", "MassPair", "Params",
-    "RecipeError", "ScalarField", "Solution", "StepTooLarge", "SweepResult",
+    "RecipeError", "ScalarField", "Solution", "SweepResult",
     "TrajectoryOverflow", "alpha_sweep", "bubble_energy_sweep",
     "build_bubble", "build_grid", "classify_mass_pair",
     "component_asymptotics_sweep", "constant_field", "default_join_config",

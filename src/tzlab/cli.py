@@ -401,7 +401,7 @@ def _radial_oracle(_args, _outdir) -> list[_Check]:
     sigma1_end, tol = float(prof.sigma1[-1]), 0.05
     mp = classify_mass_pair(sigma1_end, float(prof.sigma2[-1]), tol)
     return [_compare("order_at_least_3_5", float(np.min(orders)), 3.5, operator.ge),
-            # the step-1e-4 RK4 mass reads 9.5e-11 off the closed form
+            # the step-1e-4 RK4 mass reads 7.1e-15 off the closed form
             _compare("liouville_mass", abs(sigma1_end - liouville_mass(10.0, 1.0)), 1e-8,
                      operator.lt),
             # the distance to the nearest lattice pair, which must be (I, 1)

@@ -43,8 +43,8 @@ import numpy as np
 
 from .bubbles import JoinConfig, _bubble_exps
 from .energy import Params, _checked_integral, _j_from_parts
-from .radial import (StepTooLarge, TrajectoryOverflow, classify_mass_pair,
-                     limit_mass_relation, pohozaev_residual_profile, shoot)
+from .radial import (TrajectoryOverflow, classify_mass_pair, limit_mass_relation,
+                     pohozaev_residual_profile, shoot)
 from .surface import ScalarField, TorusGrid, grad_norm_sq, integrate
 
 DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
@@ -279,14 +279,14 @@ class AlphaRow:
 def alpha_sweep(alphas, h1: float = 1.0, h2: float = 1.0,
                 r_max: float = 1.0, step: float = 1e-4) -> list[AlphaRow]:
     """Shoot for each alpha and report end masses, identity checks and
-    classification.  A fault of one alpha (StepTooLarge, TrajectoryOverflow)
-    is recorded in its row and the sweep continues; a ValueError that holds
-    for every alpha, such as a step that does not divide r_max, propagates."""
+    classification.  A fault of one alpha (TrajectoryOverflow) is recorded
+    in its row and the sweep continues; a ValueError that holds for every
+    alpha, such as a step above r_max, propagates."""
 
     def run(alpha):
         try:
             prof = shoot(alpha, h1, h2, r_max, step)
-        except (StepTooLarge, TrajectoryOverflow) as exc:
+        except TrajectoryOverflow as exc:
             return AlphaRow(alpha=float(alpha), error=f"{type(exc).__name__}: {exc}")
         res, lhs = pohozaev_residual_profile(prof)
         rel = float(np.max(np.abs(res[1:]) / (1.0 + np.abs(lhs[1:]))))

@@ -17,28 +17,34 @@ Pohozaev identity
     2 pi (2 sigma1(r) + sigma2(r))
         = pi r^2 u'(r)^2 + 2 pi r^2 (h1 e^{u(r)} + h2 e^{-2u(r)} / 2)
 
--- hold along computed trajectories up to integrator order and serve as
-correctness oracles.  The integrator is classical RK4 with a fixed step
-that divides r_max, so the last node is r_max, in at most _MAX_STEPS
-steps; the r = 0 singularity of u'/r is bypassed by a fourth-order
-series start over the first few steps.
-Fixed stepping keeps convergence-order measurements clean.  The RK4 loop
-is written out on float locals in the operation order of its vector form
-k = f(r, y), so trajectories are bit for bit those of the vector form.
+-- serve as correctness oracles.  The integrator is classical RK4 in
+t = log r on (u, w = r u', sigma1, sigma2):
+
+    u' = w,   w' = e^{2t} (h2 e^{-2u} - h1 e^u),
+    sigma1' = e^{2t} h1 e^u,   sigma2' = e^{2t} h2 e^{-2u}.
+
+It starts from the leading series term _CORE_MARGIN e-folds inside the
+core scale (h1 e^alpha)^{-1/2}, or (h2 e^{-2 alpha})^{-1/2}, or inside
+r_max, and takes round(r_max / step) equal steps in t, at most _MAX_STEPS,
+to log r_max exactly.  The core is then a fixed distance from the start,
+so no step is too coarse for a large |alpha| or weight; the later bubbles
+of a tower are sharper in t, and the Pohozaev residual, pure integration
+error, shows whether a step follows them.  The first identity is linear
+in (w, sigma1, sigma2), so RK4 keeps it to roundoff.  The RK4 loop is
+written out on float locals in the operation order of its vector form
+k = f(t, y), so trajectories are bit for bit those of the vector form.
 The step is chosen by h2: at h2 = 0 a Liouville step leaves out the
 e^{-2u} terms, which the vector form adds as signed zeros, and sigma2
-keeps its series-start value; for h2 > 0 the step carries all four
-equations.
+stays 0.0; for h2 > 0 the step carries all four equations.
 
 dirichlet_alpha solves the zero-boundary problem on the unit disk for the
 central value alpha in two steps: Illinois regula falsi on a bracket with
-shots at the coarse step 5e-3 locates alpha to |u(1)| < 1e-8, then secant
-steps on shots at the fine step 1e-3, the first with the slope of the last
-two coarse shots, polish it to |u(1)| < 1e-10; the answer is always a
-1e-3 shot.  When the coarse step fails shoot's resolution guard at an end
-of the bracket (whose rate is convex in alpha, so the ends decide), when
-its ends do not straddle u(1) = 0, or when the polish leaves the bracket or
-takes more than four shots, the Illinois search runs at the fine step alone.
+coarse shots of 200 steps locates alpha to |u(1)| < 1e-8, then secant
+steps on fine shots of 1000 steps, the first with the slope of the last
+two coarse shots, polish it to |u(1)| < 1e-10; the answer is always a fine
+shot.  When the coarse ends do not straddle u(1) = 0, or the polish leaves
+the bracket or takes more than four shots, the Illinois search runs on
+fine shots alone.
 
 Blow-up limits of such profiles have quantized masses: the admissible
 pairs lie on the hyperbola (sigma1 - sigma2)^2 = 4 (sigma1 + sigma2/2),
@@ -56,9 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Series start spans this many fixed steps; keeps the RK4 stages away from
-# the coordinate singularity without hurting the h^4 error scaling.
-_SERIES_STEPS = 3
+# The start lies this many e-folds in r inside the core scale: the series
+# term it leaves out is e^{-32} of the core's, below double precision.
+_CORE_MARGIN = 8.0
 
 _U_MIN, _U_MAX = -700.0, 350.0
 
@@ -74,20 +80,17 @@ _LOCATE_STEP = 5 * _DIRICHLET_STEP
 _MAX_STEPS = 10**7
 
 
-class StepTooLarge(ValueError):
-    """Step too coarse for the concentration scale set by alpha, h1 and h2."""
-
-
 class TrajectoryOverflow(RuntimeError):
     """u left the representable window [-700, 350] during integration, or
-    e^u or e^{-2u} overflowed on the way.  e^{-2u} already does below
-    u = -354.9: at the center for any h2, further out only when h2 > 0,
-    since the Liouville step for h2 = 0 does not form it."""
+    an exponential overflowed on the way: e^{u} r^2 beyond r = e^{180}, or
+    e^{-2u} r^2 when h2 > 0 and u falls 355 below log r (the Liouville step
+    for h2 = 0 does not form it)."""
 
 
 @dataclass
 class RadialProfile:
-    """Arrays (r, u, u', sigma1, sigma2) of one shooting trajectory."""
+    """Arrays (r, u, u', sigma1, sigma2) of one shooting trajectory, from
+    its start inside the core scale to r_max exactly, and its inputs."""
 
     r: np.ndarray
     u: np.ndarray
@@ -105,11 +108,11 @@ class RadialProfile:
 
 
 def step_count(r_max: float, step: float) -> int:
-    """Number of fixed steps of size ``step`` from the center to ``r_max``.
+    """Number of fixed steps shoot takes for ``step`` out to ``r_max``:
+    round(r_max / step).
 
-    Raises ValueError unless 0 < step <= r_max, both finite, there are at
-    most _MAX_STEPS steps, they end at r_max: |n step - r_max| <= 1e-9 r_max,
-    and r_max lies beyond the series start, at no fewer than 4 steps.
+    Raises ValueError unless 0 < step <= r_max, both finite, and there are
+    at most _MAX_STEPS steps.
     """
     if not (0 < step <= r_max and math.isfinite(r_max / step)):
         raise ValueError(f"need finite r_max and step with 0 < step <= r_max, "
@@ -118,39 +121,21 @@ def step_count(r_max: float, step: float) -> int:
     if n > _MAX_STEPS:
         raise ValueError(f"step {step:g} takes {n} steps to r_max {r_max:g}, "
                          f"more than {_MAX_STEPS}")
-    if abs(n * step - r_max) > 1e-9 * r_max:
-        raise ValueError(f"step {step:g} does not divide r_max {r_max:g}: "
-                         f"{n} steps end at r = {n * step:.10g}")
-    if r_max < (_SERIES_STEPS + 1) * step:
-        raise ValueError("r_max must exceed the series-start region (4 steps)")
     return n
 
 
-def _left_window(r: float, u: float) -> TrajectoryOverflow:
-    return TrajectoryOverflow(f"u({r:.6g}) = {u:.6g} left [{_U_MIN}, {_U_MAX}]")
-
-
-def _resolves(alpha: float, h1: float, h2: float, step: float) -> bool:
-    """shoot's resolution guard: step * exp(max(log h1 + alpha, log h2 - 2 alpha)/2)
-    <= 0.1, the h2 term only when h2 > 0.  In logs, so that a large h1, h2 or
-    |alpha| cannot overflow it; needs h1 > 0.  The rate is a maximum of affine
-    functions of alpha, so convex: a step the guard passes at two central
-    values it passes at every value between them."""
-    log_rate = math.log(h1) + alpha
-    if h2 > 0.0:
-        log_rate = max(log_rate, math.log(h2) - 2.0 * alpha)
-    return math.log(step) + log_rate / 2.0 <= math.log(0.1)
+def _left_window(t2: float, u: float) -> TrajectoryOverflow:
+    return TrajectoryOverflow(
+        f"u({math.exp(0.5 * t2):.6g}) = {u:.6g} left [{_U_MIN}, {_U_MAX}]")
 
 
 def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
           r_max: float = 1.0, step: float = 1e-4) -> RadialProfile:
-    """Integrate the radial equation from the center out to r_max.
-
-    ``step`` must divide ``r_max`` (see step_count), and
-    step * exp(max(log h1 + alpha, log h2 - 2 alpha)/2) <= 0.1 (the h2 term
-    only when h2 > 0) so the step resolves the concentration scale
-    (h1 e^alpha)^{-1/2}, or (h2 e^{-2 alpha})^{-1/2}, of a forming bubble.
-    """
+    """Integrate the radial equation from the center out to r_max, in
+    round(r_max / step) equal RK4 steps in t = log r (see step_count) from
+    _CORE_MARGIN e-folds inside min(r_max, core scale), where the core scale
+    is exp(-max(log h1 + alpha, log h2 - 2 alpha)/2), the h2 term only when
+    h2 > 0."""
     if not 0 < h1 < math.inf:
         raise ValueError(f"h1 must be finite and positive, got {h1!r}")
     if not 0 <= h2 < math.inf:
@@ -158,132 +143,127 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     n_total = step_count(r_max, step)
     if not _U_MIN <= alpha <= _U_MAX:
         raise TrajectoryOverflow(f"alpha={alpha} outside [{_U_MIN}, {_U_MAX}]")
-    if not _resolves(alpha, h1, h2, step):
-        raise StepTooLarge(
-            "step too large for this alpha, h1 and h2: need "
-            "step * exp(max(log h1 + alpha, log h2 - 2 alpha)/2) <= 0.1"
-        )
 
-    h = float(step)
-    r, u = 0.0, alpha  # start of the step an exp overflow is reported from
+    # in logs, so that a large h1, h2 or |alpha| cannot overflow
+    log_rate = math.log(h1) + alpha
+    if h2 > 0.0:
+        log_rate = max(log_rate, math.log(h2) - 2.0 * alpha)
+    t_end = math.log(r_max)
+    t0 = min(-0.5 * log_rate, t_end) - _CORE_MARGIN
+    dt = (t_end - t0) / n_total
+    # the loop carries t2 = 2t = log r^2, and node j sits at
+    # t2 = t2_end - (n_total - j) dt2, so the last node is t2_end exactly
+    t2_end, dt2 = 2.0 * t_end, 2.0 * dt
+    t2 = t2_end - n_total * dt2
+    u = alpha  # reported with t2 when an exp overflows
     try:
-        ea, ema = math.exp(alpha), math.exp(-2.0 * alpha)
-        c = h1 * ea - h2 * ema          # forcing at the center
-        b = h1 * ea + 2.0 * h2 * ema    # its derivative in u
-
-        # series through r^4 (u) and r^6 (masses); exact identities hold term by term
-        def series(r):
-            u = alpha - c * r**2 / 4.0 + b * c * r**4 / 64.0
-            w = -c * r / 2.0 + b * c * r**3 / 16.0
-            s1 = h1 * ea * (r**2 / 2.0 - c * r**4 / 16.0 + (c * c / 32.0 + b * c / 64.0) * r**6 / 6.0)
-            s2 = h2 * ema * (r**2 / 2.0 + c * r**4 / 8.0 + (c * c / 8.0 - b * c / 32.0) * r**6 / 6.0)
-            return u, w, s1, s2
-
-        cols = [array("d", (alpha,)), array("d", (0.0,)), array("d", (0.0,)), array("d", (0.0,))]
-        for j in range(1, _SERIES_STEPS + 1):
-            r = j * h
-            u, w, s1, s2 = series(r)
-            if not _U_MIN <= u <= _U_MAX:
-                raise _left_window(r, u)
-            for col, v in zip(cols, (u, w, s1, s2)):
-                col.append(v)
+        # leading series term: e^{2t} h1 e^alpha and e^{2t} h2 e^{-2 alpha}
+        a0 = h1 * math.exp(alpha + t2)
+        b0 = h2 * math.exp(t2 - 2.0 * alpha) if h2 > 0.0 else 0.0
+        u, w, s1, s2 = alpha - (a0 - b0) / 4.0, (b0 - a0) / 2.0, a0 / 2.0, b0 / 2.0
+        if not _U_MIN <= u <= _U_MAX:
+            raise _left_window(t2, u)
+        cols = [array("d", (v,)) for v in (u, w, s1, s2)]
         put_u, put_w, put_s1, put_s2 = (col.append for col in cols)
 
-        # Classical RK4 for (u, u', sigma1, sigma2) written out stage by stage,
-        # with the operation order of the vector form k = f(r, y):
-        # f = (w, -w/r - h1 e^u + h2 e^{-2u}, h1 e^u r, h2 e^{-2u} r), stage
-        # arguments y + h/2 k and y + h k, update y += h/6 (k1 + 2 k2 + 2 k3 + k4).
-        # The forcing products a = h1 e^u and b = h2 e^{-2u} are formed once
-        # per stage; the vector form parses h1 * eu * r as (h1 * eu) * r too.
+        # Classical RK4 for (u, w, sigma1, sigma2) written out stage by stage,
+        # with the operation order of the vector form k = f(t2, y):
+        # a = h1 e^{u + t2}, b = h2 e^{t2 - 2u}, f = (w, b - a, a, b), stage
+        # times t2, t2 + dt (the half step in t) and the next node, stage
+        # arguments y + dt/2 k and y + dt k, update y += dt/6 (k1 + 2 k2 + 2 k3 + k4).
         # f does not read sigma1, sigma2, so their stage arguments are not formed.
         exp = math.exp
-        h_2, h_6 = h / 2, h / 6
+        dt_2, dt_6 = dt / 2, dt / 6
         if h2 == 0.0:
-            # Liouville: the vector form adds b = 0.0 * e^{-2u}, a zero, to k_w;
-            # that changes at most the sign of a zero k_w, which no later sum
-            # carries into u or u'.  sigma2 keeps its series-start value.
-            for j in range(_SERIES_STEPS + 1, n_total + 1):
-                a1 = h1 * exp(u)
-                k1w = -w / r - a1
-                rm = r + h_2
-                u2 = u + h_2 * w
-                w2 = w + h_2 * k1w
-                a2 = h1 * exp(u2)
-                k2w = -w2 / rm - a2
-                u3 = u + h_2 * w2
-                w3 = w + h_2 * k2w
-                a3 = h1 * exp(u3)
-                k3w = -w3 / rm - a3
-                re = r + h
-                u4 = u + h * w3
-                w4 = w + h * k3w
-                a4 = h1 * exp(u4)
-                k4w = -w4 / re - a4
-                u += h_6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
-                w += h_6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                s1 += h_6 * (a1 * r + 2.0 * (a2 * rm) + 2.0 * (a3 * rm) + a4 * re)
-                r = j * h
+            # Liouville: the vector form's k_w = 0.0 - a is -a up to the sign
+            # of a zero, so w takes exactly the negated sigma1 increment;
+            # sigma2 stays 0.0.
+            for j in range(n_total - 1, -1, -1):
+                a1 = h1 * exp(u + t2)
+                u2 = u + dt_2 * w
+                w2 = w - dt_2 * a1
+                tm = t2 + dt
+                a2 = h1 * exp(u2 + tm)
+                u3 = u + dt_2 * w2
+                w3 = w - dt_2 * a2
+                a3 = h1 * exp(u3 + tm)
+                te = t2_end - j * dt2
+                u4 = u + dt * w3
+                w4 = w - dt * a3
+                a4 = h1 * exp(u4 + te)
+                u += dt_6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
+                ds1 = dt_6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                w -= ds1
+                s1 += ds1
+                t2 = te
                 if not _U_MIN <= u <= _U_MAX:
-                    raise _left_window(r, u)
+                    raise _left_window(t2, u)
                 put_u(u)
                 put_w(w)
                 put_s1(s1)
                 put_s2(s2)
         else:
-            for j in range(_SERIES_STEPS + 1, n_total + 1):
-                a1 = h1 * exp(u)
-                b1 = h2 * exp(-2.0 * u)
-                k1w = -w / r - a1 + b1
-                rm = r + h_2
-                u2 = u + h_2 * w
-                w2 = w + h_2 * k1w
-                a2 = h1 * exp(u2)
-                b2 = h2 * exp(-2.0 * u2)
-                k2w = -w2 / rm - a2 + b2
-                u3 = u + h_2 * w2
-                w3 = w + h_2 * k2w
-                a3 = h1 * exp(u3)
-                b3 = h2 * exp(-2.0 * u3)
-                k3w = -w3 / rm - a3 + b3
-                re = r + h
-                u4 = u + h * w3
-                w4 = w + h * k3w
-                a4 = h1 * exp(u4)
-                b4 = h2 * exp(-2.0 * u4)
-                k4w = -w4 / re - a4 + b4
-                u += h_6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
-                w += h_6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                s1 += h_6 * (a1 * r + 2.0 * (a2 * rm) + 2.0 * (a3 * rm) + a4 * re)
-                s2 += h_6 * (b1 * r + 2.0 * (b2 * rm) + 2.0 * (b3 * rm) + b4 * re)
-                r = j * h
+            for j in range(n_total - 1, -1, -1):
+                a1 = h1 * exp(u + t2)
+                b1 = h2 * exp(t2 - 2.0 * u)
+                k1w = b1 - a1
+                u2 = u + dt_2 * w
+                w2 = w + dt_2 * k1w
+                tm = t2 + dt
+                a2 = h1 * exp(u2 + tm)
+                b2 = h2 * exp(tm - 2.0 * u2)
+                k2w = b2 - a2
+                u3 = u + dt_2 * w2
+                w3 = w + dt_2 * k2w
+                a3 = h1 * exp(u3 + tm)
+                b3 = h2 * exp(tm - 2.0 * u3)
+                k3w = b3 - a3
+                te = t2_end - j * dt2
+                u4 = u + dt * w3
+                w4 = w + dt * k3w
+                a4 = h1 * exp(u4 + te)
+                b4 = h2 * exp(te - 2.0 * u4)
+                k4w = b4 - a4
+                u += dt_6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
+                w += dt_6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+                s1 += dt_6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                s2 += dt_6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                t2 = te
                 if not _U_MIN <= u <= _U_MAX:
-                    raise _left_window(r, u)
+                    raise _left_window(t2, u)
                 put_u(u)
                 put_w(w)
                 put_s1(s1)
                 put_s2(s2)
     except OverflowError:
-        # math.exp of alpha, of u or of an RK4 stage left the float range: a
-        # value beyond the window, or e^{-2u} with u < -354.9 inside it (at
-        # alpha, or at a stage when h2 > 0)
-        raise TrajectoryOverflow(f"exp overflowed in the step from u({r:.6g}) = {u:.6g}") from None
+        # math.exp of a stage left the float range: e^{u} r^2 for r beyond
+        # e^{180}, or e^{-2u} r^2 when h2 > 0 and u < log r - 354.9 (inside
+        # the window when r < 1)
+        raise TrajectoryOverflow(f"exp overflowed in the step from "
+                                 f"u({math.exp(0.5 * t2):.6g}) = {u:.6g}") from None
 
-    u, du, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
+    r = np.exp(0.5 * (t2_end - (n_total - np.arange(n_total + 1)) * dt2))
+    r[-1] = r_max
+    u, w, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
     return RadialProfile(
-        r=np.arange(n_total + 1) * h, u=u, du=du, sigma1=sigma1, sigma2=sigma2,
-        alpha=alpha, h1=h1, h2=h2, step=h,
+        r=r, u=u, du=w / r, sigma1=sigma1, sigma2=sigma2,
+        alpha=alpha, h1=h1, h2=h2, step=float(step),
     )
 
 
 def pohozaev_residual_profile(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
     """LHS - RHS of the Pohozaev identity, and the LHS, at every node.
 
-    The residual is O(step^4) along RK4 trajectories.
+    The residual is O(step^4) along RK4 trajectories.  The forcing is formed
+    as shoot forms it, r^2 e^u = e^{u + log r^2}, and its e^{-2u} term only
+    when h2 > 0, so no node shoot reached overflows here.
     """
     lhs = 2.0 * np.pi * (2.0 * p.sigma1 + p.sigma2)
-    rhs = np.pi * p.r**2 * p.du**2 + 2.0 * np.pi * p.r**2 * (
-        p.h1 * np.exp(p.u) + 0.5 * p.h2 * np.exp(-2.0 * p.u)
-    )
+    log_r2 = 2.0 * np.log(p.r)
+    forcing = p.h1 * np.exp(p.u + log_r2)
+    if p.h2 > 0.0:
+        forcing += 0.5 * p.h2 * np.exp(log_r2 - 2.0 * p.u)
+    rhs = np.pi * (p.r * p.du) ** 2 + 2.0 * np.pi * forcing
     return lhs - rhs, lhs
 
 
@@ -346,22 +326,45 @@ def quantization_table(m_min: int, m_max: int) -> list[MassPair]:
                   key=lambda mp: (mp.sigma1, mp.sigma2))
 
 
+def _distance(sigma1: float, sigma2: float, pair: tuple[int, int]) -> float:
+    """l-infinity distance to a lattice pair; infinite for a pair beyond the
+    largest double."""
+    try:
+        return max(abs(sigma1 - pair[0]), abs(sigma2 - pair[1]))
+    except OverflowError:
+        return math.inf
+
+
 def classify_mass_pair(sigma1: float, sigma2: float, tol: float = 0.05) -> MassPair:
     """Classify an observed pair against the admissible lattice.
 
-    Searches a table auto-sized to cover the observed masses; returns the
-    nearest admissible pair in l-infinity distance when within ``tol``,
-    and family None otherwise.  Ties break toward smaller |m|, family I
-    before II.  (0, 0) is not an admissible target.  Raises ValueError
-    for a non-finite mass.
+    Returns the nearest admissible pair in l-infinity distance when within
+    ``tol``, and family None otherwise.  Ties break toward smaller |m|,
+    family I before II.  (0, 0) is not an admissible target.  Raises
+    ValueError for a non-finite mass.
+
+    Only a few candidates are compared.  With D = sigma1 - sigma2 and
+    S = sigma1 + sigma2, max(|a|, |b|) = (|a - b| + |a + b|)/2 puts the pair
+    at d at distance (|D - d| + |S - (d^2 - d)/3|)/2.  In d that is convex
+    outside the roots of d^2 - d = 3S and concave between them, with kinks
+    at D and at the roots, and its smooth minima are at -1 and 2.  So the
+    nearest pair has an admissible d next to one of D, 1/2 +- sqrt(1/4 + 3S),
+    -1 and 2, and the m of each point x and the next two, from m = floor(x/6),
+    hold those neighbours.
     """
     if not (math.isfinite(sigma1) and math.isfinite(sigma2)):
         raise ValueError(f"sigma1 = {sigma1!r}, sigma2 = {sigma2!r}: masses must be finite")
-    top = max(abs(sigma1), abs(sigma2), 1.0)
-    m_span = int(math.ceil(math.sqrt(top))) + 2
+    # from halves of the masses, so that no sum overflows
+    half_d, half_s = sigma1 / 2 - sigma2 / 2, sigma1 / 2 + sigma2 / 2
+    sixths = [half_d / 3, -1 / 6, 1 / 3]  # x/6 for x = D, -1, 2
+    if half_s + 1 / 24 >= 0:
+        # the roots: sqrt(1/4 + 3S) = sqrt(6) sqrt(S/2 + 1/24)
+        root = math.sqrt(6.0) * math.sqrt(half_s + 1 / 24)
+        sixths += [(0.5 - root) / 6, (0.5 + root) / 6]
     key, family, m = min(
-        ((max(abs(sigma1 - pair[0]), abs(sigma2 - pair[1])), *key), family, m)
-        for pair, key, family, m in _lattice(-m_span, m_span))
+        ((_distance(sigma1, sigma2, pair), *key), family, m)
+        for x in sixths
+        for pair, key, family, m in _lattice(math.floor(x), math.floor(x) + 2))
     dist = key[0]
     if dist <= tol:
         return MassPair(sigma1, sigma2, family, m, dist)
@@ -443,19 +446,17 @@ def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
     signs (ValueError otherwise).  Two steps:
 
     1. Locate: Illinois regula falsi (see _illinois) with shots at the coarse
-       step _LOCATE_STEP, until |u(1)| < 1e-8.
-    2. Polish: secant steps on shots at the fine step _DIRICHLET_STEP from
+       step _LOCATE_STEP (200 RK4 steps), until |u(1)| < 1e-8.
+    2. Polish: secant steps on shots at the fine step _DIRICHLET_STEP (1000) from
        the located alpha, the first with the slope of the last two coarse
        shots, until |u(1)| < 1e-10 (see _polish).
 
     The search runs at the fine step alone, as Illinois regula falsi until
     |u(1)| < 1e-10 or the bracket is narrower than that, when the coarse
-    step cannot be used: it fails shoot's resolution guard at an end of the
-    bracket (checked before any shot; the guard then holds inside too, see
-    _resolves), the coarse ends do not straddle u(1) = 0, or the polish
-    leaves the bracket or does not converge in four shots.  A coarse search
-    that runs _MAX_SHOOTS shots inside the bracket hands over to the fine
-    one, and a fine search that does so returns its bracket midpoint.
+    ends do not straddle u(1) = 0, or the polish leaves the bracket or does
+    not converge in four shots.  A coarse search that runs _MAX_SHOOTS shots
+    inside the bracket hands over to the fine one, and a fine search that
+    does so returns its bracket midpoint.
 
     Returns (alpha, profile) with alpha a float and profile the fine-step
     shot that decided it.
@@ -476,16 +477,14 @@ def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
     def fine(alpha):
         return shot(alpha, _DIRICHLET_STEP)
 
-    # shoot rejects every h1 but a positive one, which _resolves needs
-    if h1 > 0.0 and _resolves(lo, h1, h2, _LOCATE_STEP) and _resolves(hi, h1, h2, _LOCATE_STEP):
-        ends = coarse(lo), coarse(hi)
-        if ends[0][1] * ends[1][1] <= 0.0:
-            # a looser locate costs polish shots and a tighter one coarse
-            # shots: perfbench's five Dirichlet problems take 17 400 RK4 steps
-            # in all at 1e-8, 16 800-18 600 at tolerances from 1e-6 to 1e-10
-            prev, last, located = _illinois(coarse, *ends, 1e-8)
-            found = _polish(fine, prev, last, lo, hi) if located else None
-            if found is not None:
-                return found
+    ends = coarse(lo), coarse(hi)
+    if ends[0][1] * ends[1][1] <= 0.0:
+        # a looser locate costs polish shots and a tighter one coarse
+        # shots: perfbench's five Dirichlet problems take 18 400 RK4 steps
+        # in all at 1e-8, 17 800-19 600 at tolerances from 1e-6 to 1e-10
+        prev, last, located = _illinois(coarse, *ends, 1e-8)
+        found = _polish(fine, prev, last, lo, hi) if located else None
+        if found is not None:
+            return found
     _, (alpha, _, prof), _ = _illinois(fine, fine(lo), fine(hi), _DIRICHLET_TOL)
     return alpha, prof

@@ -309,17 +309,15 @@ class TestExitCodes:
         rc = main(argv + ["--out", str(tmp_path / "o")])
         assert_usage_error(rc, capsys, "tzlab: --seed: ", tmp_path / "o")
 
+    # a step need not divide --r-max (see TestRadialSweepCommand); these
+    # take no positive whole number of steps, or more than 10^7
     @pytest.mark.parametrize("argv", [
-        ["--step", "7e-4"],
-        ["--step", "3e-4"],
-        ["--r-max", "2", "--step", "3e-4"],
         ["--step", "0"],
         ["--step", "1e-9"],
-        ["--r-max", "3e-4", "--step", "1e-4"],
         ["--step", "nan"],
         ["--step", "-1e-4"],
-    ], ids=["7e-4-overshoots", "3e-4-undershoots", "r-max-2", "zero-step", "1e-9-too-many",
-            "inside-series-start", "nan-step", "negative-step"])
+        ["--step", "inf"],
+    ], ids=["zero-step", "1e-9-too-many", "nan-step", "negative-step", "inf-step"])
     def test_step_not_dividing_r_max_is_config_error(self, tmp_path, capsys, no_work, argv):
         rc = main(["radial-sweep", "--alphas", "2"] + argv + ["--out", str(tmp_path / "o")])
         assert_usage_error(rc, capsys, "tzlab: --step: ", tmp_path / "o")
@@ -730,13 +728,48 @@ class TestRadialSweepCommand:
             ("0.0", False), ("5.0", False), ("0.0", True), ("5.0", True)]
 
     def test_sigma_reported_at_r_max(self, tmp_path):
-        # step 5e-4 divides r_max 2: the masses are the Liouville ones at r = 2
+        # the masses are the Liouville ones at r = 2
         rc = main(["radial-sweep", "--alphas", "4", "--h2-const", "0", "--r-max", "2",
                    "--step", "5e-4", "--out", str(tmp_path)])
         assert rc == EXIT_OK
         sigma1 = float(read_csv(tmp_path / "radial-sweep.csv")[1][1])
         mu2 = np.exp(4.0) / 8.0 * 2.0**2
         assert sigma1 == pytest.approx(4.0 * mu2 / (1.0 + mu2), abs=1e-8)
+
+    @pytest.mark.parametrize("argv, steps", [
+        (["--step", "7e-4"], 1429), (["--step", "3e-4"], 3333),
+        (["--r-max", "2", "--step", "3e-4"], 6667), (["--r-max", "3e-4", "--step", "1e-4"], 3),
+    ], ids=["7e-4", "3e-4", "r-max-2", "3-steps"])
+    def test_step_takes_round_r_max_over_step(self, monkeypatch, tmp_path, argv, steps):
+        shot = []
+
+        def counted(*args):
+            shot.append(tzlab.radial.shoot(*args))
+            return shot[-1]
+
+        monkeypatch.setattr(tzlab.experiments, "shoot", counted)
+        rc = main(["radial-sweep", "--alphas", "2", "--h2-const", "0"] + argv
+                  + ["--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert [len(p.r) - 1 for p in shot] == [steps]
+
+    def test_large_alphas_are_computed(self, tmp_path):
+        # at the default step the r-form guard refused alpha = 20 at both h2
+        rc = main(["radial-sweep", "--alphas", "0,20", "--h2-const", "0,1",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        header, *rows = read_csv(tmp_path / "radial-sweep.csv")
+        assert [row[header.index("error")] for row in rows] == [""] * 4
+        assert all(float(row[header.index("pohozaev_max_rel")]) < 1e-6 for row in rows)
+        sigma1 = float(rows[1][header.index("sigma1")])
+        assert abs(sigma1 - tzlab.liouville_mass(20.0, 1.0)) < 1e-8
+
+    def test_too_coarse_a_step_fails_a_check(self, tmp_path):
+        # 20 steps in log r cannot follow the tower at alpha = 8: the
+        # Pohozaev residual (or an overflow) fails the run, not a pass
+        rc = main(["radial-sweep", "--alphas", "8", "--h2-const", "1", "--step", "0.05",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
 
     def test_overflowing_row_is_typed(self, tmp_path, capsys):
         # h2 e^{-2u} lifts u from 349 out of the window [-700, 350]

@@ -331,7 +331,9 @@ class TestAlphaSweep:
                 assert (row.family, row.m) == ("I", 1)
 
     def test_constant_solution_row(self):
-        rows = alpha_sweep((0.0,), h1=1.0, h2=1.0, step=1e-3)
+        # the masses carry Simpson's O(dt^4) error in e^{2t}: 1.1e-11 at
+        # step 1e-3, below roundoff at 1e-4
+        rows = alpha_sweep((0.0,), h1=1.0, h2=1.0, step=1e-4)
         row = rows[0]
         assert row.sigma1 == pytest.approx(0.5, abs=1e-12)
         assert row.sigma2 == pytest.approx(0.5, abs=1e-12)
@@ -343,12 +345,12 @@ class TestAlphaSweep:
         assert rows[0].error is None
 
     def test_row_errors_do_not_stop_sweep(self):
-        rows = alpha_sweep((0.0, 20.0), h1=1.0, h2=0.0, step=1e-3)
-        assert rows[0].error is None
-        assert rows[1].error is not None
-        assert "StepTooLarge" in rows[1].error
+        # alpha = 351 lies outside the window [-700, 350]
+        rows = alpha_sweep((0.0, 351.0, 20.0), h1=1.0, h2=0.0, step=1e-3)
+        assert rows[0].error is None and rows[2].error is None
+        assert rows[1].error.startswith("TrajectoryOverflow: ")
 
     def test_sweep_wide_value_error_propagates(self):
-        # a step that does not divide r_max is wrong for every alpha: no rows
-        with pytest.raises(ValueError, match="does not divide"):
-            alpha_sweep((0.0,), step=7e-4)
+        # a step above r_max is wrong for every alpha: no rows
+        with pytest.raises(ValueError, match="0 < step <= r_max"):
+            alpha_sweep((0.0,), step=2.0)

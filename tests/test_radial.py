@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,53 +7,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tzlab import radial
-from tzlab import (MassPair, StepTooLarge, TrajectoryOverflow,
-                   classify_mass_pair, dirichlet_alpha, limit_mass_relation,
-                   liouville_bubble, liouville_mass, pohozaev_residual_profile,
-                   quantization_table, shoot)
+from tzlab import (MassPair, TrajectoryOverflow, classify_mass_pair,
+                   dirichlet_alpha, limit_mass_relation, liouville_bubble,
+                   liouville_mass, pohozaev_residual_profile, quantization_table,
+                   shoot)
 
 
 def _reference_rk4(alpha, h1, h2, r_max, step):
-    """(u, u', sigma1, sigma2) of shoot's scheme in vector form: the series
-    start, then RK4 with a tuple-returning right-hand side f and one numpy
-    row per step.  shoot must reproduce it bit for bit."""
-    h = float(step)
-    ea, ema = math.exp(alpha), math.exp(-2.0 * alpha)
-    c = h1 * ea - h2 * ema
-    b = h1 * ea + 2.0 * h2 * ema
+    """(u, u', sigma1, sigma2) of shoot's scheme in vector form: RK4 in
+    t = log r on y = (u, w = r u', sigma1, sigma2) with a tuple-returning
+    right-hand side f of t2 = 2t and one numpy row per step, from the
+    leading series term 8 e-folds inside the core scale.  shoot must
+    reproduce it bit for bit."""
+    log_rate = math.log(h1) + alpha
+    if h2 > 0.0:
+        log_rate = max(log_rate, math.log(h2) - 2.0 * alpha)
+    n = round(r_max / step)
+    t_end = math.log(r_max)
+    dt = (t_end - (min(-0.5 * log_rate, t_end) - 8.0)) / n
+    t2 = 2.0 * t_end - (n - np.arange(n + 1)) * (2.0 * dt)
 
-    def series(r):
-        u = alpha - c * r**2 / 4.0 + b * c * r**4 / 64.0
-        w = -c * r / 2.0 + b * c * r**3 / 16.0
-        s1 = h1 * ea * (r**2 / 2.0 - c * r**4 / 16.0 + (c * c / 32.0 + b * c / 64.0) * r**6 / 6.0)
-        s2 = h2 * ema * (r**2 / 2.0 + c * r**4 / 8.0 + (c * c / 8.0 - b * c / 32.0) * r**6 / 6.0)
-        return u, w, s1, s2
+    def f(t2, y):
+        u, w, _, _ = y
+        a = h1 * math.exp(u + t2)
+        b = h2 * math.exp(t2 - 2.0 * u)
+        return (w, b - a, a, b)
 
-    def f(r, u, w, s1, s2):
-        eu = math.exp(u)
-        em = math.exp(-2.0 * u)
-        return (w, -w / r - h1 * eu + h2 * em, h1 * eu * r, h2 * em * r)
-
-    n_total = int(round(r_max / h))
-    rs = np.arange(n_total + 1) * h
-    out = np.empty((n_total + 1, 4))
-    out[0] = (alpha, 0.0, 0.0, 0.0)
-    for j in range(1, 4):
-        out[j] = series(rs[j])
-    u, w, s1, s2 = out[3]
-    r = rs[3]
-    for j in range(4, n_total + 1):
-        k1 = f(r, u, w, s1, s2)
-        k2 = f(r + h / 2, u + h / 2 * k1[0], w + h / 2 * k1[1], s1 + h / 2 * k1[2], s2 + h / 2 * k1[3])
-        k3 = f(r + h / 2, u + h / 2 * k2[0], w + h / 2 * k2[1], s1 + h / 2 * k2[2], s2 + h / 2 * k2[3])
-        k4 = f(r + h, u + h * k3[0], w + h * k3[1], s1 + h * k3[2], s2 + h * k3[3])
-        u += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        w += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        s1 += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        s2 += h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        r = rs[j]
-        out[j] = (u, w, s1, s2)
-    return out.T
+    out = np.empty((n + 1, 4))
+    a0 = h1 * math.exp(alpha + t2[0])
+    b0 = h2 * math.exp(t2[0] - 2.0 * alpha) if h2 > 0.0 else 0.0
+    out[0] = (alpha - (a0 - b0) / 4.0, (b0 - a0) / 2.0, a0 / 2.0, b0 / 2.0)
+    for j in range(n):
+        y = tuple(out[j])
+        k1 = f(t2[j], y)
+        k2 = f(t2[j] + dt, tuple(v + dt / 2 * k for v, k in zip(y, k1)))
+        k3 = f(t2[j] + dt, tuple(v + dt / 2 * k for v, k in zip(y, k2)))
+        k4 = f(t2[j + 1], tuple(v + dt * k for v, k in zip(y, k3)))
+        out[j + 1] = tuple(v + dt / 6 * (p + 2 * q + 2 * s + z)
+                           for v, p, q, s, z in zip(y, k1, k2, k3, k4))
+    r = np.exp(0.5 * t2)
+    r[-1] = r_max
+    return out[:, 0], out[:, 1] / r, out[:, 2], out[:, 3]
 
 
 class TestShoot:
@@ -62,11 +57,10 @@ class TestShoot:
         (alpha, h1, h2, step)
         for alpha in (-3.0, 0.0, 5.0, 8.0, 12.0) for h1 in (0.5, 0.7, 1.0, 2.0)
         for h2 in (0.0, -0.0, 0.5, 1.0) for step in (1e-4, 1e-3)
-        if (alpha, step) != (12.0, 1e-3)  # StepTooLarge, see test_step_precondition
     ])
     def test_bitwise_equal_to_vector_rk4(self, alpha, h1, h2, step):
         p = shoot(alpha, h1, h2, 1.0, step)
-        assert np.array_equal(p.r, np.arange(len(p.r)) * step)
+        assert len(p.r) == round(1.0 / step) + 1 and p.r[-1] == 1.0
         for name, ref in zip(("u", "du", "sigma1", "sigma2"),
                              _reference_rk4(alpha, h1, h2, 1.0, step)):
             got = getattr(p, name)
@@ -77,10 +71,15 @@ class TestShoot:
             assert np.all(p.sigma2 == 0.0)
 
     def test_constant_solution(self):
-        # h1 = h2 = 1, alpha = 0: the forcing vanishes identically
+        # h1 = h2 = 1, alpha = 0: the forcing vanishes identically, so u and
+        # u' stay exactly 0 and both masses take the same increments
         p = shoot(0.0, 1.0, 1.0, 1.0, 1e-3)
-        assert np.abs(p.u).max() < 1e-14
-        assert np.abs(p.du).max() < 1e-14
+        assert np.all(p.u == 0.0) and np.all(p.du == 0.0)
+        assert np.array_equal(p.sigma1, p.sigma2)
+        # the masses integrate e^{2t} by Simpson's rule, with an O(dt^4)
+        # error (1.1e-11 at this step's dt = 8e-3); at dt = 8e-4 it is
+        # below roundoff
+        p = shoot(0.0, 1.0, 1.0, 1.0, 1e-4)
         assert np.abs(p.sigma1 - p.r**2 / 2).max() < 1e-12
         assert np.abs(p.sigma2 - p.r**2 / 2).max() < 1e-12
 
@@ -98,44 +97,44 @@ class TestShoot:
         assert p.sigma1[-1] == pytest.approx(liouville_mass(10.0, 1.0), abs=1e-6)
 
     def test_radial_average_derivative_identity(self):
-        # r u' + sigma1 - sigma2 = 0 along the trajectory
-        step = 1e-4
-        p = shoot(8.0, 1.0, 1.0, 1.0, step)
-        gap = p.r[1:] * p.du[1:] + p.sigma1[1:] - p.sigma2[1:]
-        assert np.abs(gap).max() <= 10.0 * step**2
+        # r u' + sigma1 - sigma2 = 0 is linear in (w, sigma1, sigma2), so RK4
+        # keeps it to roundoff, through every bubble of a tower too
+        for alpha, h2 in ((8.0, 1.0), (20.0, 1.0), (20.0, 0.0), (-5.0, 1.0)):
+            p = shoot(alpha, 1.0, h2, 1.0, 1e-4)
+            assert np.abs(p.r * p.du + p.sigma1 - p.sigma2).max() <= 1e-10
 
     def test_initial_conditions(self):
+        # the start is the leading series term, 8 e-folds inside the core
+        # scale (h1 e^alpha)^{-1/2} = e^{-2.5}
         p = shoot(5.0, 1.0, 1.0, 1.0, 1e-3)
-        assert p.u[0] == 5.0
-        assert p.du[0] == 0.0
-        assert p.sigma1[0] == 0.0 and p.sigma2[0] == 0.0
+        assert p.r[0] == pytest.approx(math.exp(-2.5 - 8.0), rel=1e-12)
+        assert np.all(np.diff(p.r) > 0) and p.r[-1] == 1.0
+        c = math.exp(5.0) - math.exp(-10.0)
+        assert p.u[0] == pytest.approx(5.0 - c * p.r[0] ** 2 / 4.0, rel=1e-15)
+        assert p.du[0] == pytest.approx(-c * p.r[0] / 2.0, rel=1e-12)
+        assert p.sigma1[0] == pytest.approx(math.exp(5.0) * p.r[0] ** 2 / 2.0, rel=1e-12)
+        assert p.sigma2[0] == pytest.approx(math.exp(-10.0) * p.r[0] ** 2 / 2.0, rel=1e-12)
 
     def test_sigma_monotone_nonnegative(self):
         p = shoot(6.0, 1.0, 1.0, 1.0, 1e-3)
         assert np.all(np.diff(p.sigma1) >= 0)
         assert np.all(np.diff(p.sigma2) >= 0)
-        assert p.sigma1[0] == 0.0
+        # the mass inside the start radius, e^{-16} of the core's
+        assert 0.0 < p.sigma1[0] < 1e-6 and 0.0 < p.sigma2[0] < 1e-6
 
-    def test_step_precondition(self):
-        for alpha, h1, h2, step in (
-            (10.0, 1.0, 1.0, 1e-2), (12.0, 1.0, 1.0, 1e-3), (-3.0, 1.0, 1.0, 1e-2),
-            # core width (h1 e^alpha)^{-1/2}, then (h2 e^{-2 alpha})^{-1/2}, is 1e-4
-            (0.0, 1e8, 0.0, 1e-3), (0.0, 1.0, 1e8, 1e-3),
-            # unresolved cores whose series start would leave the float range
-            (0.0, 1e300, 0.0, 1e-3), (0.0, 1.0, 1e300, 1e-3), (5.0, 1e150, 0.0, 1e-3),
-            (1.0, 1.0, 1e6, 1e-2),
-            # h2 e^{-2 alpha} is far beyond the float range: the guard, in logs,
-            # rejects the step instead of overflowing
-            (-700.0, 1.0, 1e300, 1e-3),
-        ):
-            with pytest.raises(StepTooLarge):
-                shoot(alpha, h1, h2, 1.0, step)
-
-    def test_step_precondition_without_h2_reads_only_h1(self):
-        # at h2 = 0 the scale is (h1 e^alpha)^{-1/2} = e^{1.5}, not e^{-alpha}
-        p = shoot(-3.0, 1.0, 0.0, 1.0, 1e-2)
-        exact = liouville_bubble(-3.0, p.r)
-        assert np.abs(p.u - exact).max() < 1e-9
+    @pytest.mark.parametrize("alpha, h1, h2", [
+        (20.0, 1.0, 1.0), (-20.0, 1.0, 1.0), (350.0, 1.0, 0.0),
+        # a core width of 1e-50, where u falls below -354.9 and e^{-2u}
+        # overflows: the Pohozaev residual does not form it at h2 = 0
+        (0.0, 1e100, 0.0),
+    ])
+    def test_large_central_values_and_weights_are_integrated(self, alpha, h1, h2):
+        p = shoot(alpha, h1, h2, 1.0, 1e-4)
+        res, lhs = pohozaev_residual_profile(p)
+        assert (np.abs(res[1:]) / (1.0 + np.abs(lhs[1:]))).max() < 1e-6
+        if h2 == 0.0:
+            assert p.sigma1[-1] == pytest.approx(liouville_mass(alpha + math.log(h1), 1.0),
+                                                 abs=1e-8)
 
     def test_alpha_overflow(self):
         with pytest.raises(TrajectoryOverflow):
@@ -146,43 +145,41 @@ class TestShoot:
     def test_overflow_during_integration(self):
         # h2 e^{-2u} lifts u from 349 towards its equilibrium near 353, and an
         # RK4 step names where u first leaves the window
-        with pytest.raises(TrajectoryOverflow, match=r"u\(97\.15\) = 350 left \[-700\.0, 350\.0\]$"):
+        with pytest.raises(TrajectoryOverflow,
+                           match=r"u\(97\.3382\) = 350\.003 left \[-700\.0, 350\.0\]$"):
             shoot(349.0, 1e-160, 1e300, 100.0, 0.05)
 
     @pytest.mark.parametrize("args, message", [
-        # the same lift from alpha = 350 leaves the window at the first series node
-        ((350.0, 1e-160, 1e300, 1.0, 1e-3), r"u\(0\.001\) = 350 left \[-700\.0, 350\.0\]$"),
-        # a bubble of width 1e-74 takes u below -354.9, inside the window, where
-        # e^{-2u} overflows in an RK4 stage
-        ((-350.0, 1e300, 1e-300, 1e-73, 1e-76),
-         r"exp overflowed in the step from u\(9\.21e-74\) = -354\.89"),
-        # alpha = -400 is inside it too; e^{-2 alpha} overflows before the start
-        # (at h2 = 0 the step guard reads only h1 e^alpha, so any step will do)
-        ((-400.0, 1.0, 0.0, 1.0, 1e-3), r"exp overflowed in the step from u\(0\) = -400$"),
-    ], ids=["series_start_beyond_window", "exp_minus_2u_inside_window", "exp_minus_2alpha"])
+        # the same lift from alpha = 350 leaves the window at the start
+        ((350.0, 1e-160, 1e300, 1.0, 1e-3), r"u\(0\.000335463\) = 350 left \[-700\.0, 350\.0\]$"),
+        # u = -360 stays inside the window while e^{-2u} r^2 overflows once
+        # r passes e^{-5.1}; h2 = 5e-324 is too small to form a bubble first
+        ((-360.0, 1.0, 5e-324, 1.0, 1e-3), r"exp overflowed in the step from u\(0\.00602402\) = -360$"),
+    ], ids=["series_start_beyond_window", "exp_minus_2u_inside_window"])
     def test_exp_overflow_is_typed(self, args, message):
         # a bare OverflowError from math.exp, or an overflow warning (an error
         # under this suite's filterwarnings), fails
         with pytest.raises(TrajectoryOverflow, match=message):
             shoot(*args)
 
-    def test_r_max_must_exceed_the_series_region(self):
-        # three steps end at r_max, inside the series start
-        with pytest.raises(ValueError, match="series-start region"):
-            shoot(0.0, 1.0, 0.0, 3e-3, 1e-3)
-        with pytest.raises(ValueError, match="series-start region"):
-            radial.step_count(3e-3, 1e-3)
+    def test_liouville_step_never_forms_exp_minus_2u(self):
+        # at h2 = 0, alpha = -400 would overflow e^{-2u} = e^{800}
+        p = shoot(-400.0, 1.0, 0.0, 1.0, 1e-3)
+        assert np.all(p.u == -400.0) and np.all(p.sigma2 == 0.0)
 
-    @pytest.mark.parametrize("step", [7e-4, 3e-4])
-    def test_step_must_divide_r_max(self, step):
-        # round(1/step) steps would end at r = 1.0003 and 0.9999
-        with pytest.raises(ValueError, match="does not divide"):
-            shoot(2.0, 1.0, 0.0, 1.0, step)
+    @pytest.mark.parametrize("r_max, step, n", [(1.0, 7e-4, 1429), (1.0, 3e-4, 3333),
+                                                (2.0, 3e-4, 6667), (3e-4, 1e-4, 3),
+                                                (1.0, 0.7, 1)])
+    def test_step_takes_round_r_max_over_step(self, r_max, step, n):
+        # the step need not divide r_max: the t-grid ends at log r_max exactly
+        p = shoot(2.0, 1.0, 0.0, r_max, step)
+        assert radial.step_count(r_max, step) == n
+        assert len(p.r) == n + 1 and p.r[-1] == r_max and p.step == step
 
     @pytest.mark.parametrize("r_max, step", [(1.0, 1e-4), (1.0, 2e-4), (1.0, 5e-4),
                                              (1.0, 1e-3), (2.0, 5e-4), (0.3, 1e-3)])
     def test_dividing_steps_end_at_r_max(self, r_max, step):
-        assert shoot(2.0, 1.0, 0.0, r_max, step).r_max == pytest.approx(r_max, rel=1e-12)
+        assert shoot(2.0, 1.0, 0.0, r_max, step).r_max == r_max
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -211,13 +208,15 @@ class TestShoot:
 
 class TestPohozaev:
     def test_constant_solution_algebra(self):
-        # u = 0, h1 = h2 = 1 at r = 1/2: both sides equal 2 pi * 3/8
-        p = shoot(0.0, 1.0, 1.0, 1.0, 1e-3)
+        # u = 0, h1 = h2 = 1 at the node nearest r = 1/2: both sides equal
+        # 3 pi r^2.  The masses carry Simpson's O(dt^4) error in e^{2t}
+        # (2.3e-11 relative at step 1e-3), which step 1e-4 takes below roundoff
+        p = shoot(0.0, 1.0, 1.0, 1.0, 1e-4)
         res, lhs = pohozaev_residual_profile(p)
-        i = 500
-        assert p.r[i] == pytest.approx(0.5)
-        assert lhs[i] == pytest.approx(2.0 * np.pi * 0.375, rel=1e-12)
-        assert lhs[i] - res[i] == pytest.approx(2.0 * np.pi * 0.375, rel=1e-12)
+        i = int(np.argmin(np.abs(p.r - 0.5)))
+        assert p.r[i] == pytest.approx(0.5, rel=1e-3)
+        assert lhs[i] == pytest.approx(3.0 * np.pi * p.r[i] ** 2, rel=1e-12)
+        assert lhs[i] - res[i] == pytest.approx(3.0 * np.pi * p.r[i] ** 2, rel=1e-12)
         assert abs(res[i]) < 1e-12
 
     def test_liouville_relative_residual(self):
@@ -348,6 +347,15 @@ class TestLatticeEnumeration:
             for tol in (0.05, 1e9):
                 assert classify_mass_pair(s1, s2, tol) == _reference_classify(s1, s2, tol)
 
+    def test_classifier_matches_reference_at_every_scale(self, rng):
+        # log-uniform scales from 1e-2 to 1e5, either sign, and the same
+        # points rounded to integers, where the l-infinity distance ties
+        scale = 10.0 ** rng.uniform(-2.0, 5.0, size=(400, 1))
+        points = scale * rng.uniform(-0.3, 1.0, size=(400, 2))
+        for s1, s2 in [*points, *np.round(points)]:
+            for tol in (0.05, 1e9):
+                assert classify_mass_pair(s1, s2, tol) == _reference_classify(s1, s2, tol)
+
 
 class TestLatticeProperties:
     @settings(max_examples=200, deadline=None, database=None)
@@ -408,6 +416,22 @@ class TestClassify:
         mp = classify_mass_pair(2.0, 1.0, tol=3.0)
         assert (mp.family, mp.m) == ("I", 0)
         assert mp.distance == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("s1, s2", [(1e10, 0.0), (1e300, 0.0)])
+    def test_huge_masses_return_at_once(self, s1, s2):
+        # the full scan takes 0.5 s at 1e10 and never returns at 1e300, whose
+        # pairs near d = sigma1 - sigma2 do not fit in a double
+        t0 = time.perf_counter()
+        mp = classify_mass_pair(s1, s2)
+        assert time.perf_counter() - t0 < 0.05
+        assert mp.family is None
+        if s1 < 1e100:
+            assert mp == _reference_classify(s1, s2, 0.05)
+        else:
+            # every pair has sigma1 - sigma2 = d and sigma1 + sigma2 =
+            # (d^2 - d)/3, so its distance is at least (|1e300 - d| +
+            # |1e300 - (d^2 - d)/3|)/2, about 5e299 at best
+            assert mp.distance == pytest.approx(5e299, rel=1e-12)
 
 
 _REAL_SHOOT = radial.shoot
@@ -505,40 +529,37 @@ class TestDirichlet:
         assert prof.alpha == alpha
         assert np.array_equal(prof.u, _REAL_SHOOT(alpha, 2.0, 1.0, 1.0, 1e-3).u)
 
-    def test_unresolved_coarse_step_searches_at_the_fine_step(self, monkeypatch):
-        # at alpha = 8 the coarse step fails shoot's guard, 5e-3 e^4 = 0.27 > 0.1,
-        # while the fine step passes it, 1e-3 e^4 = 0.055
-        shot = _count_shoots(monkeypatch)
-        alpha, prof = dirichlet_alpha(1.0, 0.0, bracket=(2.0, 8.0))
-        assert alpha == pytest.approx(3.84219, abs=1e-5)
-        assert abs(_liouville_root(alpha, 1.0)) < 1e-8
-        assert abs(prof.u[-1]) < 1e-10
-        assert all(step * math.exp(a / 2.0) <= 0.1 for a, step in shot)
-        assert {step for _, step in shot} == {1e-3}
-        # the fine search alone, as before the coarse step: 10 shots
-        assert _rk4_steps(shot) <= 10000
-
-    # the coarse step's Liouville root on (2, 4) is 3.842188694, the fine
+    # the coarse step's Liouville root on (2, 4) is 3.842189134, the fine
     # step's 3.842188716: a bracket end between them straddles u(1) = 0 at
     # one step and not at the other
+    _BETWEEN_ROOTS = 3.8421889
+
+    def test_the_end_lies_between_the_coarse_and_fine_roots(self):
+        # u(1) falls with alpha, so the coarse shot at the end is positive
+        # and the fine one negative
+        def u1(step):
+            return float(shoot(self._BETWEEN_ROOTS, 1.0, 0.0, 1.0, step).u[-1])
+        assert u1(5e-3) > 0.0 > u1(1e-3)
+
     def test_coarse_ends_that_miss_the_root_search_at_the_fine_step(self, monkeypatch):
         shot = _count_shoots(monkeypatch)
-        alpha, prof = dirichlet_alpha(1.0, 0.0, bracket=(3.8421887, 4.0))
+        alpha, prof = dirichlet_alpha(1.0, 0.0, bracket=(2.0, self._BETWEEN_ROOTS))
         assert abs(prof.u[-1]) < 1e-10
         assert abs(_liouville_root(alpha, 1.0)) < 1e-8
         assert [step for _, step in shot[:2]] == [5e-3, 5e-3]
         assert {step for _, step in shot[2:]} == {1e-3}
 
     def test_polish_leaving_the_bracket_falls_back_to_the_fine_search(self, monkeypatch):
-        # the coarse root lies inside, the fine root beyond hi: the polish
+        # the coarse root lies inside, the fine root below lo: the polish
         # steps out, and the fine ends do not straddle u(1) = 0
         shot = _count_shoots(monkeypatch)
+        lo = self._BETWEEN_ROOTS
         with pytest.raises(ValueError, match="does not straddle"):
-            dirichlet_alpha(1.0, 0.0, bracket=(2.0, 3.8421887))
+            dirichlet_alpha(1.0, 0.0, bracket=(lo, 4.0))
         # the polish's one fine shot, then the fine search's ends
         (polished, step), *ends = shot[-3:]
-        assert step == 1e-3 and 2.0 < polished < 3.8421887
-        assert ends == [(2.0, 1e-3), (3.8421887, 1e-3)]
+        assert step == 1e-3 and lo < polished < 4.0
+        assert ends == [(lo, 1e-3), (4.0, 1e-3)]
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError, match="bracket"):
