@@ -34,8 +34,11 @@ in (w, sigma1, sigma2), so RK4 keeps it to roundoff.  The RK4 loop is
 written out on float locals in the operation order of its vector form
 k = f(t, y), so trajectories are bit for bit those of the vector form.
 The step is chosen by h2: at h2 = 0 a Liouville step leaves out the
-e^{-2u} terms, which the vector form adds as signed zeros, and sigma2
-stays 0.0; for h2 > 0 the step carries all four equations.
+e^{-2u} terms, which the vector form adds as signed zeros, and stores
+only u and sigma1: w equals 0.0 - sigma1 bit for bit and sigma2 stays
+0.0, so both are formed after the loop; for h2 > 0 the step carries and
+stores all four equations.  Both loops read the node times from one
+array, which then becomes r in place.
 
 dirichlet_alpha solves the zero-boundary problem on the unit disk for the
 central value alpha in two steps: Illinois regula falsi on a bracket with
@@ -76,7 +79,9 @@ _DIRICHLET_TOL = 1e-10
 _MAX_SHOOTS = 200
 _LOCATE_STEP = 5 * _DIRICHLET_STEP
 
-# Each step appends 32 bytes to shoot's buffers: 10^7 steps keep 320 MB.
+# A profile holds 40 bytes per node, and building it peaks near 48 (the
+# node array and the stored columns, then w and du): 10^7 steps take about
+# 480 MB.
 _MAX_STEPS = 10**7
 
 
@@ -135,7 +140,10 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     round(r_max / step) equal RK4 steps in t = log r (see step_count) from
     _CORE_MARGIN e-folds inside min(r_max, core scale), where the core scale
     is exp(-max(log h1 + alpha, log h2 - 2 alpha)/2), the h2 term only when
-    h2 > 0."""
+    h2 > 0.  The nodes' times t2 = log r^2 are one array that the loop reads
+    and that then becomes r in place; at h2 = 0 only u and sigma1 are stored
+    per step, and w = r u' = 0.0 - sigma1 and sigma2 = 0.0 are formed after
+    the loop."""
     if not 0 < h1 < math.inf:
         raise ValueError(f"h1 must be finite and positive, got {h1!r}")
     if not 0 <= h2 < math.inf:
@@ -154,7 +162,8 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     # the loop carries t2 = 2t = log r^2, and node j sits at
     # t2 = t2_end - (n_total - j) dt2, so the last node is t2_end exactly
     t2_end, dt2 = 2.0 * t_end, 2.0 * dt
-    t2 = t2_end - n_total * dt2
+    nodes = t2_end - np.arange(n_total, -1, -1) * dt2
+    t2 = float(nodes[0])
     u = alpha  # reported with t2 when an exp overflows
     try:
         # leading series term: e^{2t} h1 e^alpha and e^{2t} h2 e^{-2 alpha}
@@ -163,8 +172,7 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
         u, w, s1, s2 = alpha - (a0 - b0) / 4.0, (b0 - a0) / 2.0, a0 / 2.0, b0 / 2.0
         if not _U_MIN <= u <= _U_MAX:
             raise _left_window(t2, u)
-        cols = [array("d", (v,)) for v in (u, w, s1, s2)]
-        put_u, put_w, put_s1, put_s2 = (col.append for col in cols)
+        next_times = memoryview(nodes)[1:]
 
         # Classical RK4 for (u, w, sigma1, sigma2) written out stage by stage,
         # with the operation order of the vector form k = f(t2, y):
@@ -176,9 +184,13 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
         dt_2, dt_6 = dt / 2, dt / 6
         if h2 == 0.0:
             # Liouville: the vector form's k_w = 0.0 - a is -a up to the sign
-            # of a zero, so w takes exactly the negated sigma1 increment;
+            # of a zero, so w takes exactly the negated sigma1 increment.  w
+            # starts as 0.0 - sigma1, and sigma1 is never -0.0, so w stays
+            # 0.0 - sigma1 bit for bit and only u and sigma1 are stored;
             # sigma2 stays 0.0.
-            for j in range(n_total - 1, -1, -1):
+            cols = [array("d", (v,)) for v in (u, s1)]
+            put_u, put_s1 = (col.append for col in cols)
+            for te in next_times:
                 a1 = h1 * exp(u + t2)
                 u2 = u + dt_2 * w
                 w2 = w - dt_2 * a1
@@ -187,7 +199,6 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
                 u3 = u + dt_2 * w2
                 w3 = w - dt_2 * a2
                 a3 = h1 * exp(u3 + tm)
-                te = t2_end - j * dt2
                 u4 = u + dt * w3
                 w4 = w - dt * a3
                 a4 = h1 * exp(u4 + te)
@@ -199,11 +210,11 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
                 if not _U_MIN <= u <= _U_MAX:
                     raise _left_window(t2, u)
                 put_u(u)
-                put_w(w)
                 put_s1(s1)
-                put_s2(s2)
         else:
-            for j in range(n_total - 1, -1, -1):
+            cols = [array("d", (v,)) for v in (u, w, s1, s2)]
+            put_u, put_w, put_s1, put_s2 = (col.append for col in cols)
+            for te in next_times:
                 a1 = h1 * exp(u + t2)
                 b1 = h2 * exp(t2 - 2.0 * u)
                 k1w = b1 - a1
@@ -218,7 +229,6 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
                 a3 = h1 * exp(u3 + tm)
                 b3 = h2 * exp(tm - 2.0 * u3)
                 k3w = b3 - a3
-                te = t2_end - j * dt2
                 u4 = u + dt * w3
                 w4 = w + dt * k3w
                 a4 = h1 * exp(u4 + te)
@@ -242,9 +252,13 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
         raise TrajectoryOverflow(f"exp overflowed in the step from "
                                  f"u({math.exp(0.5 * t2):.6g}) = {u:.6g}") from None
 
-    r = np.exp(0.5 * (t2_end - (n_total - np.arange(n_total + 1)) * dt2))
+    r = np.exp(np.multiply(0.5, nodes, out=nodes), out=nodes)
     r[-1] = r_max
-    u, w, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
+    if h2 == 0.0:
+        u, sigma1 = (np.frombuffer(col, dtype=np.float64) for col in cols)
+        w, sigma2 = np.subtract(0.0, sigma1), np.zeros(n_total + 1)
+    else:
+        u, w, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
     return RadialProfile(
         r=r, u=u, du=w / r, sigma1=sigma1, sigma2=sigma2,
         alpha=alpha, h1=h1, h2=h2, step=float(step),

@@ -53,22 +53,37 @@ def _reference_rk4(alpha, h1, h2, r_max, step):
 class TestShoot:
     # a power of two makes h1 * e^u exact, so a misplaced forcing product
     # shows only at h1 = 0.7; h2 = 0.0 and -0.0 take the Liouville step
-    @pytest.mark.parametrize("alpha, h1, h2, step", [
-        (alpha, h1, h2, step)
+    # the r_max = 1 cases keep the ids they had before r_max was a parameter
+    @pytest.mark.parametrize("alpha, h1, h2, r_max, step", [
+        pytest.param(alpha, h1, h2, 1.0, step, id=f"{alpha}-{h1}-{h2}-{step}")
         for alpha in (-3.0, 0.0, 5.0, 8.0, 12.0) for h1 in (0.5, 0.7, 1.0, 2.0)
         for h2 in (0.0, -0.0, 0.5, 1.0) for step in (1e-4, 1e-3)
+    ] + [
+        (alpha, 0.7, h2, r_max, 1e-3)
+        for alpha in (-3.0, 8.0) for h2 in (0.0, 1.0) for r_max in (0.3, 4.0)
+    ] + [
+        (alpha, 1.0, h2, 1.0, 1e-3) for alpha in (-20.0, 20.0) for h2 in (0.0, 1.0)
+    ] + [
+        # the start's forcing underflows to zero: the vector form's update
+        # u + dt/6 (w + ...) turns u = -0.0 into +0.0, where a step written
+        # with -sigma1 in place of w would keep -0.0
+        (-300.0, 1.0, 0.0, 1e-100, 1e-102),
+        (-0.0, 1.0, 0.0, 1e-170, 1e-172),
+        (-0.0, 1.0, -0.0, 1e-170, 1e-172),
     ])
-    def test_bitwise_equal_to_vector_rk4(self, alpha, h1, h2, step):
-        p = shoot(alpha, h1, h2, 1.0, step)
-        assert len(p.r) == round(1.0 / step) + 1 and p.r[-1] == 1.0
+    def test_bitwise_equal_to_vector_rk4(self, alpha, h1, h2, r_max, step):
+        p = shoot(alpha, h1, h2, r_max, step)
+        assert len(p.r) == round(r_max / step) + 1 and p.r[-1] == r_max
         for name, ref in zip(("u", "du", "sigma1", "sigma2"),
-                             _reference_rk4(alpha, h1, h2, 1.0, step)):
+                             _reference_rk4(alpha, h1, h2, r_max, step)):
             got = getattr(p, name)
             assert got.dtype == ref.dtype == np.float64
             assert np.array_equal(got, ref), name
             assert got.tobytes() == ref.tobytes(), name
         if h2 == 0.0:
             assert np.all(p.sigma2 == 0.0)
+            # w = r u' is 0.0 - sigma1 to the sign of a zero
+            assert p.du.tobytes() == (np.subtract(0.0, p.sigma1) / p.r).tobytes()
 
     def test_constant_solution(self):
         # h1 = h2 = 1, alpha = 0: the forcing vanishes identically, so u and
@@ -195,7 +210,7 @@ class TestShoot:
                             (1e300, 1e-300)):
             with pytest.raises(ValueError, match="0 < step <= r_max"):
                 shoot(0.0, 1.0, 1.0, r_max, step)
-        # refused before the 32 GB of buffers 10^9 steps would take
+        # refused before the 48 GB a profile of 10^9 steps would take
         with pytest.raises(ValueError, match="takes 1000000000 steps"):
             shoot(0.0, 1.0, 1.0, 1.0, 1e-9)
 
@@ -304,13 +319,19 @@ def _reference_table(m_min, m_max):
 
 
 def _reference_classify(s1, s2, tol):
+    """The full scan: every lattice pair with |m| <= span, nearest in the
+    l-infinity distance, ties to the smallest (|m|, rank, m) as in
+    _reference_lattice's key."""
     span = int(math.ceil(math.sqrt(max(abs(s1), abs(s2), 1.0)))) + 2
-    best = None
-    for pair, key, family, m in _reference_lattice(-span, span):
-        dist = max(abs(s1 - pair[0]), abs(s2 - pair[1]))
-        if best is None or (dist, *key) < best[0]:
-            best = ((dist, *key), family, m, dist)
-    _, family, m, dist = best
+    m = np.tile(np.arange(-span, span + 1), 2)
+    rank = np.repeat([0, 1], m.size // 2)
+    pair1 = np.where(rank == 0, 2 * m * (3 * m - 1), 2 * (3 * m - 2) * (m - 1))
+    pair2 = np.where(rank == 0, 2 * (3 * m - 1) * (m - 1), 2 * (3 * m - 5) * (m - 1))
+    dist = np.maximum(np.abs(s1 - pair1), np.abs(s2 - pair2))
+    admissible = ((pair1 != 0) | (pair2 != 0)) & (np.minimum(pair1, pair2) >= 0)
+    best = np.flatnonzero(admissible & (dist == dist[admissible].min()))
+    i = best[np.lexsort((m[best], rank[best], np.abs(m[best])))[0]]
+    family, m, dist = ("I", "II")[rank[i]], int(m[i]), float(dist[i])
     return MassPair(s1, s2, *((family, m) if dist <= tol else (None, None)), dist)
 
 
@@ -419,8 +440,9 @@ class TestClassify:
 
     @pytest.mark.parametrize("s1, s2", [(1e10, 0.0), (1e300, 0.0)])
     def test_huge_masses_return_at_once(self, s1, s2):
-        # the full scan takes 0.5 s at 1e10 and never returns at 1e300, whose
-        # pairs near d = sigma1 - sigma2 do not fit in a double
+        # a full scan over every |m| <= span takes 0.6 s in pure Python at
+        # 1e10 and never returns at 1e300, whose pairs near d = sigma1 -
+        # sigma2 do not fit in a double
         t0 = time.perf_counter()
         mp = classify_mass_pair(s1, s2)
         assert time.perf_counter() - t0 < 0.05
