@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 from .bubbles import JoinConfig, build_bubble, liouville_bubble, liouville_mass
 from .descent import Solution, minimize
 from .energy import ExpUnderflow, Params, energy_J, residual_J
-from .experiments import (SweepResult, alpha_sweep, bubble_energy_sweep,
-                          component_asymptotics_sweep, default_join_config,
-                          fit_slope, mt_threshold_scan)
-from .radial import (MassPair, TrajectoryOverflow,
+from .experiments import (SweepResult, bubble_energy_sweep, component_asymptotics_sweep,
+                          default_join_config, fit_slope, mt_threshold_scan)
+from .radial import (MassPair, TrajectoryOverflow, alpha_sweep,
                      classify_mass_pair, dirichlet_alpha, limit_mass_relation,
                      pohozaev_residual_profile, quantization_table, shoot)
 from .recipes import RecipeError, field_from_recipe, parse_recipe

@@ -65,7 +65,7 @@ class JoinConfig:
         object.__setattr__(self, "minus_points", _validate_points(self.minus_points, "minus_points"))
         object.__setattr__(self, "s", float(self.s))
         if not 0.0 <= self.s <= 1.0:
-            raise ValueError("join parameter s must lie in [0, 1]")
+            raise ValueError(f"s = {self.s!r}: the join parameter must lie in [0, 1]")
 
     @property
     def k(self) -> int:

@@ -54,12 +54,11 @@ from . import __version__
 from .bubbles import liouville_mass
 from .descent import minimize
 from .energy import ExpUnderflow, Params, energy_J, residual_J
-from .experiments import (_MAX_LAMBDA_DX, DEFAULT_LAMBDAS, alpha_sweep,
-                          bubble_energy_sweep, component_asymptotics_sweep,
-                          default_join_config, mt_threshold_scan)
-from .radial import (TrajectoryOverflow, classify_mass_pair, limit_mass_relation,
-                     pohozaev_residual_profile, quantization_table, shoot,
-                     step_count)
+from .experiments import (_MAX_LAMBDA_DX, DEFAULT_LAMBDAS, bubble_energy_sweep,
+                          component_asymptotics_sweep, default_join_config,
+                          mt_threshold_scan)
+from .radial import (TrajectoryOverflow, alpha_sweep, limit_mass_relation,
+                     quantization_table, step_count)
 from .recipes import field_from_recipe
 from .surface import ScalarField, build_grid, field_from_function, integrate
 
@@ -390,23 +389,22 @@ def _gradient_oracle(args, _outdir) -> list[_Check]:
 
 def _radial_oracle(_args, _outdir) -> list[_Check]:
     """The RK4 order and the Liouville blow-up mass, which radial-sweep does
-    not check."""
+    not check, from alpha_sweep rows: the order from the worst Pohozaev
+    residual, which is pure integration error, at two steps."""
     orders = []
     for h2c in (0.0, 1.0):
-        # the residual at the boundary is pure integration error
-        res_end = [abs(float(pohozaev_residual_profile(shoot(8.0, 1.0, h2c, 1.0, step))[0][-1]))
-                   for step in (1e-3, 5e-4)]
-        orders.append(float(np.log2(res_end[0] / res_end[1])))
-    prof = shoot(10.0, 1.0, 0.0, 1.0, 1e-4)
-    sigma1_end, tol = float(prof.sigma1[-1]), 0.05
-    mp = classify_mass_pair(sigma1_end, float(prof.sigma2[-1]), tol)
+        coarse, fine = (alpha_sweep((8.0,), 1.0, h2c, 1.0, step)[0].pohozaev_max_rel
+                        for step in (1e-3, 5e-4))
+        orders.append(float(np.log2(coarse / fine)))
+    (row,) = alpha_sweep((10.0,), 1.0, 0.0, 1.0, 1e-4)
     return [_compare("order_at_least_3_5", float(np.min(orders)), 3.5, operator.ge),
             # the step-1e-4 RK4 mass reads 7.1e-15 off the closed form
-            _compare("liouville_mass", abs(sigma1_end - liouville_mass(10.0, 1.0)), 1e-8,
+            _compare("liouville_mass", abs(row.sigma1 - liouville_mass(10.0, 1.0)), 1e-8,
                      operator.lt),
-            # the distance to the nearest lattice pair, which must be (I, 1)
-            _Check("liouville_class_is_type_I_1", mp.distance, tol,
-                   (mp.family, mp.m) == ("I", 1))]
+            # the distance to the nearest lattice pair, within classify_mass_pair's
+            # default tolerance, and that pair must be (I, 1)
+            _Check("liouville_class_is_type_I_1", row.distance, 0.05,
+                   (row.family, row.m) == ("I", 1))]
 
 
 def _divergence_oracle(_args, outdir) -> list[_Check]:

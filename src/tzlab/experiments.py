@@ -43,8 +43,6 @@ import numpy as np
 
 from .bubbles import JoinConfig, _bubble_exps
 from .energy import Params, _checked_integral, _j_from_parts
-from .radial import (TrajectoryOverflow, classify_mass_pair, limit_mass_relation,
-                     pohozaev_residual_profile, shoot)
 from .surface import ScalarField, TorusGrid, grad_norm_sq, integrate
 
 DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
@@ -118,12 +116,11 @@ def default_join_config(grid: TorusGrid, k: int = 1, l: int = 1, s: float = 0.5)
     """Symmetric well-separated k+l configuration with anti-aliased centers.
 
     Raises ValueError, its message opening with the parameter at fault,
-    unless 0 <= s <= 1, 1 <= k, l <= 4, and k + l <= 4 when 0 < s < 1.
+    unless 1 <= k, l <= 4, k + l <= 4 when 0 < s < 1, and (JoinConfig's
+    rule) 0 <= s <= 1.
     """
     plus_sites = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.5, 0.5)]
     minus_sites = [(0.75, 0.75), (0.25, 0.75), (0.75, 0.25), (0.5, 0.5)]
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s = {s!r}: the join parameter must lie in [0, 1]")
     for name, count, sites in (("k", k, plus_sites), ("l", l, minus_sites)):
         if not 1 <= count <= len(sites):
             raise ValueError(f"{name} = {count!r}: at least 1 and at most {len(sites)} "
@@ -259,43 +256,3 @@ def mt_threshold_scan(a1_list, a2_list, grid: TorusGrid,
         _sign_crossing(a2_list, minus_slopes),
         not grid_adequate(grid, lambdas),
     )
-
-
-@dataclass
-class AlphaRow:
-    """One row of a central-value sweep of the radial solver."""
-
-    alpha: float
-    sigma1: float = float("nan")
-    sigma2: float = float("nan")
-    pohozaev_max_rel: float = float("nan")
-    relation: float = float("nan")
-    family: str | None = None
-    m: int | None = None
-    distance: float = float("nan")
-    error: str | None = None
-
-
-def alpha_sweep(alphas, h1: float = 1.0, h2: float = 1.0,
-                r_max: float = 1.0, step: float = 1e-4) -> list[AlphaRow]:
-    """Shoot for each alpha and report end masses, identity checks and
-    classification.  A fault of one alpha (TrajectoryOverflow) is recorded
-    in its row and the sweep continues; a ValueError that holds for every
-    alpha, such as a step above r_max, propagates."""
-
-    def run(alpha):
-        try:
-            prof = shoot(alpha, h1, h2, r_max, step)
-        except TrajectoryOverflow as exc:
-            return AlphaRow(alpha=float(alpha), error=f"{type(exc).__name__}: {exc}")
-        res, lhs = pohozaev_residual_profile(prof)
-        rel = float(np.max(np.abs(res[1:]) / (1.0 + np.abs(lhs[1:]))))
-        s1, s2 = float(prof.sigma1[-1]), float(prof.sigma2[-1])
-        mp = classify_mass_pair(s1, s2)
-        return AlphaRow(
-            alpha=float(alpha), sigma1=s1, sigma2=s2, pohozaev_max_rel=rel,
-            relation=float(limit_mass_relation(s1, s2)),
-            family=mp.family, m=mp.m, distance=mp.distance,
-        )
-
-    return [run(alpha) for alpha in alphas]

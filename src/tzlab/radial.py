@@ -11,14 +11,14 @@ masses
     sigma1(r) = int_0^r h1 e^{u} s ds,   sigma2(r) = int_0^r h2 e^{-2u} s ds
 
 are accumulated with the same integrator, so the exact identities of the
-continuum equation -- r u' + sigma1 - sigma2 = 0 and the constant-h
-Pohozaev identity
+continuum equation -- w + sigma1 - sigma2 = 0 with w = r u', and the
+constant-h Pohozaev identity
 
     2 pi (2 sigma1(r) + sigma2(r))
-        = pi r^2 u'(r)^2 + 2 pi r^2 (h1 e^{u(r)} + h2 e^{-2u(r)} / 2)
+        = pi w(r)^2 + 2 pi r^2 (h1 e^{u(r)} + h2 e^{-2u(r)} / 2)
 
 -- serve as correctness oracles.  The integrator is classical RK4 in
-t = log r on (u, w = r u', sigma1, sigma2):
+t = log r on the (u, w, sigma1, sigma2) that a profile keeps:
 
     u' = w,   w' = e^{2t} (h2 e^{-2u} - h1 e^u),
     sigma1' = e^{2t} h1 e^u,   sigma2' = e^{2t} h2 e^{-2u}.
@@ -47,14 +47,16 @@ steps on fine shots of 1000 steps, the first with the slope of the last
 two coarse shots, polish it to |u(1)| < 1e-10; the answer is always a fine
 shot.  When the coarse ends do not straddle u(1) = 0, or the polish leaves
 the bracket or takes more than four shots, the Illinois search runs on
-fine shots alone.
+fine shots alone, and raises when it runs out of shots.
 
 Blow-up limits of such profiles have quantized masses: the admissible
 pairs lie on the hyperbola (sigma1 - sigma2)^2 = 4 (sigma1 + sigma2/2),
 where the one integer d = sigma1 - sigma2 fixes the pair:
 sigma1 = d(d+2)/6, sigma2 = d(d-4)/6.  Family I(m) is d = 6m - 2 and
 family II(m) is d = 6m - 6, minus the origin d = 0; this module generates
-and classifies against that lattice.
+and classifies against that lattice.  alpha_sweep reduces one profile
+per central value to a row: the end masses, their class, and the worst
+relative Pohozaev residual, whose ratio at two steps measures the order.
 """
 
 from __future__ import annotations
@@ -79,9 +81,8 @@ _DIRICHLET_TOL = 1e-10
 _MAX_SHOOTS = 200
 _LOCATE_STEP = 5 * _DIRICHLET_STEP
 
-# A profile holds 40 bytes per node, and building it peaks near 48 (the
-# node array and the stored columns, then w and du): 10^7 steps take about
-# 480 MB.
+# A profile holds 40 bytes per node, and building it peaks near 41 (the
+# stored columns' growth slack): 10^7 steps take about 410 MB.
 _MAX_STEPS = 10**7
 
 
@@ -94,12 +95,12 @@ class TrajectoryOverflow(RuntimeError):
 
 @dataclass
 class RadialProfile:
-    """Arrays (r, u, u', sigma1, sigma2) of one shooting trajectory, from
-    its start inside the core scale to r_max exactly, and its inputs."""
+    """Arrays (r, u, w = r u', sigma1, sigma2) of one shooting trajectory,
+    from its start inside the core scale to r_max exactly, and its inputs."""
 
     r: np.ndarray
     u: np.ndarray
-    du: np.ndarray
+    w: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
     alpha: float
@@ -141,9 +142,9 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     _CORE_MARGIN e-folds inside min(r_max, core scale), where the core scale
     is exp(-max(log h1 + alpha, log h2 - 2 alpha)/2), the h2 term only when
     h2 > 0.  The nodes' times t2 = log r^2 are one array that the loop reads
-    and that then becomes r in place; at h2 = 0 only u and sigma1 are stored
-    per step, and w = r u' = 0.0 - sigma1 and sigma2 = 0.0 are formed after
-    the loop."""
+    and that then becomes r in place.  The profile keeps the integrated
+    w = r u' as it stands; at h2 = 0 only u and sigma1 are stored per step,
+    and w = 0.0 - sigma1 and sigma2 = 0.0 are formed after the loop."""
     if not 0 < h1 < math.inf:
         raise ValueError(f"h1 must be finite and positive, got {h1!r}")
     if not 0 <= h2 < math.inf:
@@ -260,7 +261,7 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     else:
         u, w, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
     return RadialProfile(
-        r=r, u=u, du=w / r, sigma1=sigma1, sigma2=sigma2,
+        r=r, u=u, w=w, sigma1=sigma1, sigma2=sigma2,
         alpha=alpha, h1=h1, h2=h2, step=float(step),
     )
 
@@ -277,7 +278,7 @@ def pohozaev_residual_profile(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]
     forcing = p.h1 * np.exp(p.u + log_r2)
     if p.h2 > 0.0:
         forcing += 0.5 * p.h2 * np.exp(log_r2 - 2.0 * p.u)
-    rhs = np.pi * (p.r * p.du) ** 2 + 2.0 * np.pi * forcing
+    rhs = np.pi * p.w**2 + 2.0 * np.pi * forcing
     return lhs - rhs, lhs
 
 
@@ -385,23 +386,60 @@ def classify_mass_pair(sigma1: float, sigma2: float, tol: float = 0.05) -> MassP
     return MassPair(sigma1, sigma2, None, None, dist)
 
 
+@dataclass
+class AlphaRow:
+    """One row of a central-value sweep of the radial solver."""
+
+    alpha: float
+    sigma1: float = float("nan")
+    sigma2: float = float("nan")
+    pohozaev_max_rel: float = float("nan")
+    relation: float = float("nan")
+    family: str | None = None
+    m: int | None = None
+    distance: float = float("nan")
+    error: str | None = None
+
+
+def alpha_sweep(alphas, h1: float = 1.0, h2: float = 1.0,
+                r_max: float = 1.0, step: float = 1e-4) -> list[AlphaRow]:
+    """Shoot for each alpha and report end masses, their class and the
+    worst |LHS - RHS| / (1 + |LHS|) of the Pohozaev identity after the
+    start.  A fault of one alpha (TrajectoryOverflow) is recorded in its
+    row and the sweep continues; a ValueError that holds for every alpha,
+    such as a step above r_max, propagates."""
+
+    def run(alpha):
+        try:
+            prof = shoot(alpha, h1, h2, r_max, step)
+        except TrajectoryOverflow as exc:
+            return AlphaRow(alpha=float(alpha), error=f"{type(exc).__name__}: {exc}")
+        res, lhs = pohozaev_residual_profile(prof)
+        rel = float(np.max(np.abs(res[1:]) / (1.0 + np.abs(lhs[1:]))))
+        s1, s2 = float(prof.sigma1[-1]), float(prof.sigma2[-1])
+        mp = classify_mass_pair(s1, s2)
+        return AlphaRow(float(alpha), s1, s2, rel, float(limit_mass_relation(s1, s2)),
+                        mp.family, mp.m, mp.distance)
+
+    return [run(alpha) for alpha in alphas]
+
+
 def _illinois(shot, lo, hi, tol: float):
     """Illinois regula falsi for u(1) = 0 between the shots ``lo`` and ``hi``.
 
     A shot is (alpha, u(1), profile), and shot(alpha) makes one.  Each shot
     inside the bracket replaces the end of its own sign, and when the same
     end is kept twice in a row its boundary value is halved, so both ends
-    converge.  Returns (prev, last, converged), the last two shots made,
-    newest last.  converged: last is an end with u(1) = 0, or has
-    |u(1)| < tol, or narrowed the bracket below _DIRICHLET_TOL; otherwise,
-    after _MAX_SHOOTS shots inside, last is a shot at the bracket midpoint.
-    Raises ValueError when the ends do not straddle u(1) = 0.
+    converge.  Returns (prev, last), the last two shots made, newest last,
+    once last is an end with u(1) = 0, or has |u(1)| < tol, or narrowed the
+    bracket below _DIRICHLET_TOL; None after _MAX_SHOOTS shots inside
+    without that.  Raises ValueError when the ends do not straddle u(1) = 0.
     """
     (a_lo, f_lo, _), (a_hi, f_hi, _) = lo, hi
     if f_lo == 0.0:
-        return hi, lo, True
+        return hi, lo
     if f_hi == 0.0:
-        return lo, hi, True
+        return lo, hi
     if f_lo * f_hi > 0:
         raise ValueError(f"bracket ({a_lo!r}, {a_hi!r}) does not straddle u(1)=0: "
                          f"u({a_lo})={f_lo:.4g}, u({a_hi})={f_hi:.4g}")
@@ -411,7 +449,7 @@ def _illinois(shot, lo, hi, tol: float):
         last = shot(a_lo - f_lo * (a_hi - a_lo) / (f_hi - f_lo))
         mid, f_mid, _ = last
         if abs(f_mid) < tol or a_hi - a_lo < _DIRICHLET_TOL:
-            return prev, last, True
+            return prev, last
         if f_lo * f_mid <= 0:
             a_hi, f_hi = mid, f_mid
             if kept == -1:
@@ -423,7 +461,7 @@ def _illinois(shot, lo, hi, tol: float):
                 f_hi *= 0.5
             kept = 1
         prev = last
-    return prev, shot(0.5 * (a_lo + a_hi)), False
+    return None
 
 
 def _polish(shot, prev, last, lo: float, hi: float):
@@ -470,7 +508,7 @@ def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
     ends do not straddle u(1) = 0, or the polish leaves the bracket or does
     not converge in four shots.  A coarse search that runs _MAX_SHOOTS shots
     inside the bracket hands over to the fine one, and a fine search that
-    does so returns its bracket midpoint.
+    does so raises ValueError.
 
     Returns (alpha, profile) with alpha a float and profile the fine-step
     shot that decided it.
@@ -496,9 +534,13 @@ def dirichlet_alpha(h1: float, h2: float, bracket: tuple[float, float]):
         # a looser locate costs polish shots and a tighter one coarse
         # shots: perfbench's five Dirichlet problems take 18 400 RK4 steps
         # in all at 1e-8, 17 800-19 600 at tolerances from 1e-6 to 1e-10
-        prev, last, located = _illinois(coarse, *ends, 1e-8)
-        found = _polish(fine, prev, last, lo, hi) if located else None
+        located = _illinois(coarse, *ends, 1e-8)
+        found = _polish(fine, *located, lo, hi) if located else None
         if found is not None:
             return found
-    _, (alpha, _, prof), _ = _illinois(fine, fine(lo), fine(hi), _DIRICHLET_TOL)
+    located = _illinois(fine, fine(lo), fine(hi), _DIRICHLET_TOL)
+    if located is None:
+        raise ValueError(f"bracket {bracket}: no central value with |u(1)| < "
+                         f"{_DIRICHLET_TOL:g} after {_MAX_SHOOTS} fine shots inside it")
+    _, (alpha, _, prof) = located
     return alpha, prof

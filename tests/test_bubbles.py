@@ -27,7 +27,9 @@ class TestJoinConfig:
             JoinConfig((), ((1.0, (0.5, 0.5)),), 0.5)
 
     def test_s_range(self):
-        with pytest.raises(ValueError, match="join parameter"):
+        # the message opens with the parameter, as default_join_config's do
+        with pytest.raises(ValueError,
+                           match=r"^s = 1\.5: the join parameter must lie in \[0, 1\]$"):
             node_config(s=1.5)
 
     def test_join_equivalence_at_endpoints(self):

@@ -39,7 +39,7 @@ def no_shoot(monkeypatch):
     def refuse(*args):
         raise AssertionError("a trajectory was shot")
 
-    monkeypatch.setattr(tzlab.experiments, "shoot", refuse)
+    monkeypatch.setattr(tzlab.radial, "shoot", refuse)
 
 
 @pytest.fixture
@@ -741,13 +741,13 @@ class TestRadialSweepCommand:
         (["--r-max", "2", "--step", "3e-4"], 6667), (["--r-max", "3e-4", "--step", "1e-4"], 3),
     ], ids=["7e-4", "3e-4", "r-max-2", "3-steps"])
     def test_step_takes_round_r_max_over_step(self, monkeypatch, tmp_path, argv, steps):
-        shot = []
+        shot, real = [], tzlab.radial.shoot
 
         def counted(*args):
-            shot.append(tzlab.radial.shoot(*args))
+            shot.append(real(*args))
             return shot[-1]
 
-        monkeypatch.setattr(tzlab.experiments, "shoot", counted)
+        monkeypatch.setattr(tzlab.radial, "shoot", counted)
         rc = main(["radial-sweep", "--alphas", "2", "--h2-const", "0"] + argv
                   + ["--out", str(tmp_path)])
         assert rc == EXIT_OK
@@ -945,3 +945,32 @@ class TestVerifyAll:
         for out, name in (("solve", "solve.csv"), ("solve", "solution.csv"),
                           ("radial", "radial-sweep.csv")):
             assert (tmp_path / out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def _order_check():
+    """verify-all's radial order check, run alone."""
+    (check,) = [c for c in tzlab.cli._radial_oracle(None, None)
+                if c.name == "order_at_least_3_5"]
+    return check
+
+
+class TestRadialOracle:
+    def test_rk4_reads_fourth_order(self):
+        # the worst Pohozaev residual at steps 1e-3 and 5e-4 falls 2^3.987
+        # at h2 = 1 and 2^4.000 at h2 = 0
+        check = _order_check()
+        assert check.passed and 3.95 < check.value < 4.05
+
+    def test_third_order_error_fails(self, monkeypatch):
+        real = tzlab.radial.shoot
+
+        def third_order(alpha, h1, h2, r_max, step):
+            # a mass error 1e5 step^3 r^2, far above the RK4 residual at
+            # step 1e-3
+            p = real(alpha, h1, h2, r_max, step)
+            p.sigma1 = p.sigma1 + 1e5 * step**3 * p.r**2
+            return p
+
+        monkeypatch.setattr(tzlab.radial, "shoot", third_order)
+        check = _order_check()
+        assert not check.passed and 2.9 < check.value < 3.1

@@ -14,7 +14,7 @@ from tzlab import (MassPair, TrajectoryOverflow, classify_mass_pair,
 
 
 def _reference_rk4(alpha, h1, h2, r_max, step):
-    """(u, u', sigma1, sigma2) of shoot's scheme in vector form: RK4 in
+    """(u, w, sigma1, sigma2) of shoot's scheme in vector form: RK4 in
     t = log r on y = (u, w = r u', sigma1, sigma2) with a tuple-returning
     right-hand side f of t2 = 2t and one numpy row per step, from the
     leading series term 8 e-folds inside the core scale.  shoot must
@@ -45,9 +45,7 @@ def _reference_rk4(alpha, h1, h2, r_max, step):
         k4 = f(t2[j + 1], tuple(v + dt * k for v, k in zip(y, k3)))
         out[j + 1] = tuple(v + dt / 6 * (p + 2 * q + 2 * s + z)
                            for v, p, q, s, z in zip(y, k1, k2, k3, k4))
-    r = np.exp(0.5 * t2)
-    r[-1] = r_max
-    return out[:, 0], out[:, 1] / r, out[:, 2], out[:, 3]
+    return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
 
 
 class TestShoot:
@@ -74,7 +72,7 @@ class TestShoot:
     def test_bitwise_equal_to_vector_rk4(self, alpha, h1, h2, r_max, step):
         p = shoot(alpha, h1, h2, r_max, step)
         assert len(p.r) == round(r_max / step) + 1 and p.r[-1] == r_max
-        for name, ref in zip(("u", "du", "sigma1", "sigma2"),
+        for name, ref in zip(("u", "w", "sigma1", "sigma2"),
                              _reference_rk4(alpha, h1, h2, r_max, step)):
             got = getattr(p, name)
             assert got.dtype == ref.dtype == np.float64
@@ -83,13 +81,13 @@ class TestShoot:
         if h2 == 0.0:
             assert np.all(p.sigma2 == 0.0)
             # w = r u' is 0.0 - sigma1 to the sign of a zero
-            assert p.du.tobytes() == (np.subtract(0.0, p.sigma1) / p.r).tobytes()
+            assert p.w.tobytes() == np.subtract(0.0, p.sigma1).tobytes()
 
     def test_constant_solution(self):
         # h1 = h2 = 1, alpha = 0: the forcing vanishes identically, so u and
         # u' stay exactly 0 and both masses take the same increments
         p = shoot(0.0, 1.0, 1.0, 1.0, 1e-3)
-        assert np.all(p.u == 0.0) and np.all(p.du == 0.0)
+        assert np.all(p.u == 0.0) and np.all(p.w == 0.0)
         assert np.array_equal(p.sigma1, p.sigma2)
         # the masses integrate e^{2t} by Simpson's rule, with an O(dt^4)
         # error (1.1e-11 at this step's dt = 8e-3); at dt = 8e-4 it is
@@ -116,7 +114,7 @@ class TestShoot:
         # keeps it to roundoff, through every bubble of a tower too
         for alpha, h2 in ((8.0, 1.0), (20.0, 1.0), (20.0, 0.0), (-5.0, 1.0)):
             p = shoot(alpha, 1.0, h2, 1.0, 1e-4)
-            assert np.abs(p.r * p.du + p.sigma1 - p.sigma2).max() <= 1e-10
+            assert np.abs(p.w + p.sigma1 - p.sigma2).max() <= 1e-10
 
     def test_initial_conditions(self):
         # the start is the leading series term, 8 e-folds inside the core
@@ -126,7 +124,7 @@ class TestShoot:
         assert np.all(np.diff(p.r) > 0) and p.r[-1] == 1.0
         c = math.exp(5.0) - math.exp(-10.0)
         assert p.u[0] == pytest.approx(5.0 - c * p.r[0] ** 2 / 4.0, rel=1e-15)
-        assert p.du[0] == pytest.approx(-c * p.r[0] / 2.0, rel=1e-12)
+        assert p.w[0] == pytest.approx(-c * p.r[0] ** 2 / 2.0, rel=1e-12)
         assert p.sigma1[0] == pytest.approx(math.exp(5.0) * p.r[0] ** 2 / 2.0, rel=1e-12)
         assert p.sigma2[0] == pytest.approx(math.exp(-10.0) * p.r[0] ** 2 / 2.0, rel=1e-12)
 
@@ -517,7 +515,7 @@ class TestDirichlet:
     @pytest.mark.parametrize("h1, h2, bracket", _BRACKETS)
     def test_profile_is_the_vector_form_rk4(self, h1, h2, bracket):
         alpha, prof = dirichlet_alpha(h1, h2, bracket=bracket)
-        for name, ref in zip(("u", "du", "sigma1", "sigma2"),
+        for name, ref in zip(("u", "w", "sigma1", "sigma2"),
                              _reference_rk4(alpha, h1, h2, 1.0, 1e-3)):
             assert getattr(prof, name).tobytes() == ref.tobytes(), name
 
@@ -533,23 +531,22 @@ class TestDirichlet:
         if h2 == 0.0:
             assert abs(_liouville_root(alpha, h1)) < 1e-8
 
-    def test_shoot_cap_falls_back_to_bracket_midpoint(self, monkeypatch):
+    def test_capped_fine_search_raises(self, monkeypatch):
+        # two shots inside the bracket do not converge, and nothing found
+        # there is an answer: the bracket midpoint 2.5606 has u(1) = -0.293,
+        # the root is alpha = 1.74217
         monkeypatch.setattr(radial, "_MAX_SHOOTS", 2)
         shot = _count_shoots(monkeypatch)
-        alpha, prof = dirichlet_alpha(2.0, 1.0, bracket=(1.0, 4.0))
-        # the capped coarse search (both ends, two shots, its midpoint) hands
-        # over to the fine one: both ends, the two capped shots, then the
-        # fallback at the fine bracket's midpoint
-        coarse, fine = shot[:5], shot[5:]
+        with pytest.raises(ValueError, match=r"^bracket \(1\.0, 4\.0\): .* after 2 fine shots"):
+            dirichlet_alpha(2.0, 1.0, bracket=(1.0, 4.0))
+        # the capped coarse search (both ends, two shots) hands over to the
+        # fine one: both ends and two shots, and no shot at a midpoint
+        coarse, fine = shot[:4], shot[4:]
         assert {step for _, step in coarse} == {5e-3}
         assert {step for _, step in fine} == {1e-3}
         assert [a for a, _ in fine[:2]] == [1.0, 4.0]
-        assert len(fine) == 5 and fine[-1][0] == alpha
+        assert len(fine) == 4
         assert len(shot) == len(set(shot))
-        assert type(alpha) is float
-        assert 1.0 < alpha < 4.0
-        assert prof.alpha == alpha
-        assert np.array_equal(prof.u, _REAL_SHOOT(alpha, 2.0, 1.0, 1.0, 1e-3).u)
 
     # the coarse step's Liouville root on (2, 4) is 3.842189134, the fine
     # step's 3.842188716: a bracket end between them straddles u(1) = 0 at

@@ -16,7 +16,12 @@ SAMPLED_RECIPES = ["1", "1+0.5*cos(2*pi*x)", "1+0.5*sin(2*pi*y)",
 
 
 # Recipes drawn from the documented grammar, each paired with a reference
-# evaluation of the tree the text denotes (constants broadcast like x).
+# evaluation of the tree the text denotes (constants broadcast like x).  A
+# node is (text, reference, level), the level that of the grammar rule its
+# text parses as: 0 expr, 1 term, 2 unary, 3 atom.  An operand below the
+# level its place needs is parenthesized, so the text parses as the tree:
+# the left operand of + - takes an expr, of * a term, a right operand one
+# level more (left associativity), and a unary minus takes a unary.
 _WS = st.sampled_from(["", " ", "\n", "\t "])
 _NUMBER = st.from_regex(r"(0|[1-9][0-9]{0,3})(\.[0-9]{0,3})?([eE][+-]?[0-9])?"
                         r"|\.[0-9]{1,3}([eE][+-]?[0-9])?", fullmatch=True)
@@ -27,43 +32,42 @@ def _constant(v):
     return lambda x, y: np.full_like(x, v)
 
 
-def _fold(first, rest):
-    text, ref = first
-    for ws1, op, ws2, (t, f) in rest:
-        text = f"{text}{ws1}{op}{ws2}{t}"
-        ref = (lambda a, b, fn: lambda x, y: fn(a(x, y), b(x, y)))(ref, f, _OPS[op])
-    return text, ref
+def _operand(node, level):
+    text, ref, at = node
+    return (text, ref) if at >= level else (f"({text})", ref)
+
+
+def _binary(case):
+    left, ws1, op, ws2, right = case
+    level, fn = int(op == "*"), _OPS[op]
+    (a, f), (b, g) = _operand(left, level), _operand(right, level + 1)
+    return f"{a}{ws1}{op}{ws2}{b}", lambda x, y: fn(f(x, y), g(x, y)), level
 
 
 def _negate(case):
-    signs, ws, (text, ref) = case
-    for _ in range(signs):
-        text, ref = "-" + ws + text, (lambda f: lambda x, y: -f(x, y))(ref)
-    return text, ref
+    ws, node = case
+    text, ref = _operand(node, 2)
+    return f"-{ws}{text}", lambda x, y: -ref(x, y), 2
 
 
 def _call(case):
-    name, ws, (text, ref) = case
-    return f"{name}{ws}({text})", lambda x, y: getattr(np, name)(ref(x, y))
+    """sin(...) or cos(...), or plain parentheses with an empty name."""
+    name, ws, (text, ref, _) = case
+    fn = getattr(np, name) if name else (lambda v: v)
+    return f"{name}{ws}({text})", lambda x, y: fn(ref(x, y)), 3
 
 
 _LEAF = st.one_of(
-    _NUMBER.map(lambda t: (t, _constant(float(t)))),
-    st.sampled_from([("x", lambda x, y: x), ("y", lambda x, y: y),
-                     ("pi", _constant(np.pi))]),
+    _NUMBER.map(lambda t: (t, _constant(float(t)), 3)),
+    st.sampled_from([("x", lambda x, y: x, 3), ("y", lambda x, y: y, 3),
+                     ("pi", _constant(np.pi), 3)]),
 )
-_EXPR = st.deferred(lambda: st.tuples(
-    _TERM, st.lists(st.tuples(_WS, st.sampled_from("+-"), _WS, _TERM), max_size=3)
-).map(lambda c: _fold(*c)))
-_TERM = st.deferred(lambda: st.tuples(
-    _UNARY, st.lists(st.tuples(_WS, st.just("*"), _WS, _UNARY), max_size=2)
-).map(lambda c: _fold(*c)))
-_UNARY = st.deferred(lambda: st.tuples(st.integers(0, 2), _WS, _ATOM).map(_negate))
-_ATOM = st.deferred(lambda: st.one_of(
-    _LEAF,
-    st.tuples(st.sampled_from(["sin", "cos"]), _WS, _EXPR).map(_call),
-    _EXPR.map(lambda c: (f"({c[0]})", c[1])),
-))
+# st.recursive bounds the tree by its leaves, so a draw stays small
+_EXPR = st.recursive(_LEAF, lambda nodes: st.one_of(
+    st.tuples(nodes, _WS, st.sampled_from("+-*"), _WS, nodes).map(_binary),
+    st.tuples(_WS, nodes).map(_negate),
+    st.tuples(st.sampled_from(["sin", "cos", ""]), _WS, nodes).map(_call),
+), max_leaves=16)
 
 
 class TestParse:
@@ -99,7 +103,7 @@ class TestGrammar:
     @settings(max_examples=200, deadline=None, database=None)
     @given(_EXPR)
     def test_grammar_strings_evaluate_like_reference(self, case):
-        text, ref = case
+        text, ref, _ = case
         x = np.linspace(0.0, 1.0, 5)
         y = np.linspace(0.3, -0.7, 5)
         with np.errstate(all="ignore"):
