@@ -225,7 +225,8 @@ def _write_solution(outdir: Path, args, sol, **echo):
     """solution.csv (row-major field dump, x fastest) and solution.json,
     whose config is that of ``args`` with ``echo``'s values in place.
 
-    The dump is streamed one grid row at a time; its bytes are those of
+    The dump is streamed one grid row at a time, each row one ``join`` of
+    the x reprs and one ``%`` of its values; its bytes are those of
     ``_write_csv(path, ["x", "y", "u"], rows)``.
     """
     grid = sol.u.grid
@@ -233,8 +234,8 @@ def _write_solution(outdir: Path, args, sol, **echo):
     with _create(outdir / "solution.csv", newline="") as fh:
         fh.write("x,y,u\r\n")
         for y, row in zip(grid.axis_points.tolist(), sol.u.values):
-            y = repr(y)
-            fh.write("".join(f"{x},{y},{v!r}\r\n" for x, v in zip(xs, row.tolist())))
+            cell = f",{y!r},%r\r\n"
+            fh.write((cell.join(xs) + cell) % tuple(row.tolist()))
     _write_json(outdir / "solution.json", {
         "config": {**_config_echo(args), **echo},
         "versions": _versions(),

@@ -161,10 +161,12 @@ def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
 
 
 def _log_weighted_integral(density: np.ndarray, weight, dx2: float) -> float:
-    """log int weight * density: a dot product with a weight field, a plain
-    sum times a constant weight."""
+    """log int weight * density: a sum of products with a weight field, a
+    plain sum times a constant weight.  The sum of products is numpy's own
+    einsum loop, not a BLAS dot, whose thread split (and so whose last
+    digits) would follow the machine's core count."""
     if np.ndim(weight):
-        total = np.vdot(weight, density) * dx2
+        total = np.einsum("ij,ij->", weight, density) * dx2
     else:
         total = weight * density.sum() * dx2
     return float(np.log(_checked_integral(total)))

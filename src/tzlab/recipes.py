@@ -15,6 +15,12 @@ Python's ``ast`` module and checked against this grammar node by node,
 down to a fixed nesting depth; it is never executed.  The checked tree
 becomes a callable evaluated vectorized over coordinate arrays, so recipes
 stay declarative without embedding a scripting runtime.
+
+Each term is sampled on the axes it reads: constants (and ``pi``) are
+float64 scalars, so called on the grid's (1, n) x row and (n, 1) y column
+(see surface.field_from_function) a term in y alone, ``sin(2*pi*y)`` say,
+is evaluated on the n-node column, and only a term reading both x and y
+spans the n-by-n mesh.
 """
 
 from __future__ import annotations
@@ -41,8 +47,10 @@ _TOO_DEEP = f"recipe nested deeper than {_MAX_DEPTH} levels"
 
 
 def _constant(v):
-    # float64 whatever the dtype of x: an int grid must not truncate 0.5
-    return lambda x, y: np.full(np.shape(x), v) if hasattr(x, "shape") else v
+    # one float64 scalar: an int grid must not truncate 0.5, and a term
+    # keeps the shape of the coordinates it reads
+    c = np.float64(v)
+    return lambda x, y: c
 
 
 _NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": _constant(np.pi)}

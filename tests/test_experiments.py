@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from tzlab import (Params, build_bubble, build_grid,
                    constant_field, default_join_config, alpha_sweep, energy_J,
                    field_from_recipe, fit_slope, grad_norm_sq, integrate,
                    mt_threshold_scan, SweepResult)
-from tzlab.experiments import _bubble_components, grid_adequate
+from tzlab.experiments import _bubble_components, _log_weighted_integral, grid_adequate
 
 
 def log_integral(exponent, weight, dx2):
@@ -282,6 +284,19 @@ class TestComponentPrimitive:
             ref = (0.5 * grad_norm_sq(phi), log_integral(phi.values, h1, dx2),
                    log_integral(-2.0 * phi.values, h2, dx2), integrate(phi))
             np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [8, 128, 512])
+    def test_weighted_integral_matches_exact_sum(self, n, rng):
+        # the einsum reduction against a correctly rounded sum of products,
+        # at test_rows_match_build_bubble's tolerance
+        g = build_grid(n)
+        weight = field_from_recipe("1+0.5*sin(2*pi*y)", g).values
+        density = np.exp(rng.standard_normal((n, n)))
+        dx2 = g.dx**2
+        ref = np.log(math.fsum((weight * density).ravel().tolist()) * dx2)
+        assert _log_weighted_integral(density, weight, dx2) == pytest.approx(ref, rel=1e-13)
+        ref = np.log(2.5 * math.fsum(density.ravel().tolist()) * dx2)
+        assert _log_weighted_integral(density, 2.5, dx2) == pytest.approx(ref, rel=1e-13)
 
     def test_threshold_cells_match_mt_deficit(self):
         g = build_grid(128)

@@ -166,6 +166,19 @@ class TestFieldFromRecipe:
         assert f.values.shape == (16, 16)
         assert np.all(f.values == 2.0)
 
+    @pytest.mark.parametrize("n", [8, 256])
+    def test_terms_keep_the_shape_of_the_axes_they_read(self, n):
+        # the sampler's call: x the (1, n) row, y the (n, 1) column
+        axis = build_grid(n).axis_points
+        row, col = axis[None, :], axis[:, None]
+        for text, shape in (("1+0.5*sin(2*pi*y)", (n, 1)), ("cos(4*pi*y)*y", (n, 1)),
+                            ("1+0.5*cos(2*pi*x)", (1, n)), ("-x*pi", (1, n)),
+                            ("x*y", (n, n)), ("sin(2*pi*x)+y", (n, n))):
+            assert np.shape(parse_recipe(text)(row, col)) == shape, text
+        for text in ("2", "pi", "-sin(0.5)*3e-2", "1e-320"):
+            value = parse_recipe(text)(row, col)
+            assert np.ndim(value) == 0 and value.dtype == np.float64, text
+
     def test_constants_are_float64_whatever_the_input_dtype(self):
         x, y = np.array([1, 2]), np.array([0, 0])
         assert parse_recipe("x*0.5")(x, y).tolist() == [0.5, 1.0]

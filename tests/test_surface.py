@@ -277,6 +277,22 @@ class TestRealTransforms:
         ref = np.fft.ifft2(-self.full_k2(noise.grid) * np.fft.fft2(noise.values)).real
         assert np.abs(laplacian(noise).values - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_grad_norm_sq_bitwise_equal_to_weighted_sum(self, n, rng):
+        # the one-buffer sum against the plain expression, temporaries and all
+        f = ScalarField(build_grid(n), rng.standard_normal((n, n)))
+        before = f.values.copy()
+        g, fh = f.grid, np.fft.rfft2(f.values)
+        ref = float(np.sum(g.multiplicity * g.k2_half * (fh.real**2 + fh.imag**2)) / g.n**4)
+        assert grad_norm_sq(f) == ref
+        assert f.values.tobytes() == before.tobytes()  # the field is not touched
+
+    def test_parseval_weight_is_cached_per_grid(self):
+        g = build_grid(16)
+        assert np.array_equal(g.parseval_weight, g.multiplicity * g.k2_half)
+        assert g.parseval_weight is g.parseval_weight
+        assert build_grid(16).parseval_weight is not g.parseval_weight
+
     def test_grad_norm_sq_matches_full_fft(self, noise):
         fh = np.fft.fft2(noise.values)
         ref = np.sum(self.full_k2(noise.grid) * np.abs(fh) ** 2) / 64**4
