@@ -27,8 +27,11 @@ search direction d^.  Every half spectrum is carried pre-weighted: each
 ``rfft2`` is multiplied by sqrt(multiplicity)/n^2 (a column of the half
 spectrum stands for one or two of the full one), and d^ is divided by it
 once before its ``irfft2``.  So int f g is the bare Parseval sum
-``np.vdot(f^, g^).real``, and norms, the Armijo slope and the recursion's
-inner products form no weighted temporary.  The pairs are kept in the
+Re sum conj(f^) g^, ``_dot``, and norms, the Armijo slope and the
+recursion's inner products form no weighted temporary.  ``_dot`` is one
+``np.vdot`` per slice of at most ``_DOT_SLICE`` elements, summed in order:
+OpenBLAS splits a longer dot across threads, and its last digits would
+follow the thread count.  The pairs are kept in the
 half spectrum, and the two-loop recursion updates its vectors in place.
 Along u + t d the Dirichlet term 1/2 int |grad(u + t d)|^2 =
 1/2 (A + 2tB + t^2 C) is quadratic in t with coefficients from u^ and d^,
@@ -61,6 +64,10 @@ _BACKTRACK = 0.5
 _MIN_STEP = 1e-13
 # L-BFGS memory: curvature pairs kept for the two-loop recursion.
 _MEMORY = 5
+# Longest slice ``_dot`` hands to one np.vdot: OpenBLAS runs a complex dot of
+# at most 10 000 elements on one thread.  The n = 128 half spectrum (8 320
+# elements) is one slice; n = 256 takes four.
+_DOT_SLICE = 10_000
 # Cap of the curvature shift theta of H0: half the first eigenvalue 4 pi^2
 # of -Lap on the unit torus.  A cap of 0.95 * 4 pi^2 leaves weighted solves
 # at rho = (6 pi, 3 pi) without convergence; 0.5 and 0.9 converge everywhere.
@@ -87,8 +94,25 @@ class Solution:
 def _parseval_scale(grid) -> np.ndarray:
     """sqrt(multiplicity) / n^2 per half-spectrum column: an ``rfft2`` times
     it is pre-weighted, so int f g = Re(conj(f^) g^) summed over the half
-    spectrum, ``np.vdot(f^, g^).real``."""
+    spectrum, ``_dot(f^, g^)``."""
     return np.sqrt(grid.multiplicity) / float(grid.n) ** 2
+
+
+def _dot(f: np.ndarray, g: np.ndarray) -> float:
+    """Re sum conj(f) g of two pre-weighted half spectra, int f g.
+
+    One ``np.vdot`` when f fits in one slice of ``_DOT_SLICE`` elements;
+    otherwise the vdots of consecutive slices, summed in order, so each
+    runs on one BLAS thread and the result does not depend on the thread
+    count.
+    """
+    if f.size <= _DOT_SLICE:
+        return float(np.vdot(f, g).real)
+    f, g = f.ravel(), g.ravel()
+    total = 0.0
+    for i in range(0, f.size, _DOT_SLICE):
+        total += np.vdot(f[i:i + _DOT_SLICE], g[i:i + _DOT_SLICE]).real
+    return float(total)
 
 
 class _InverseHessian:
@@ -96,7 +120,7 @@ class _InverseHessian:
 
     Keeps the last ``_MEMORY`` curvature pairs s^ = t d^, y^ = r^_new - r^_old
     of accepted steps; the L^2 inner product of two pre-weighted spectra is
-    ``np.vdot(f, g).real``.  The initial inverse Hessian H0 divides by the
+    ``_dot(f, g)``.  The initial inverse Hessian H0 divides by the
     Fourier symbol |k|^2 + 1 - theta of -Lap + 1 - theta, where theta is
     the curvature shift, so with no pairs the direction is
     -r^/(|k|^2 + 1 - theta).
@@ -116,24 +140,24 @@ class _InverseHessian:
         scaled = np.empty_like(q)  # a * y^ or b * s^, without a temporary per pair
         alphas = []
         for sh, yh, rho in reversed(self.pairs):
-            a = rho * np.vdot(sh, q).real
+            a = rho * _dot(sh, q)
             q -= np.multiply(yh, a, out=scaled)
             alphas.append(a)
         z = q
         z /= self.symbol
         for (sh, yh, rho), a in zip(self.pairs, reversed(alphas)):
-            z += np.multiply(sh, a - rho * np.vdot(yh, z).real, out=scaled)
+            z += np.multiply(sh, a - rho * _dot(yh, z), out=scaled)
         dh = np.negative(z, out=z)
-        slope = float(np.vdot(rh, dh).real)
+        slope = _dot(rh, dh)
         if not slope < 0.0:
             self.pairs.clear()
             dh = -rh / self.symbol
-            slope = float(np.vdot(rh, dh).real)
+            slope = _dot(rh, dh)
         return dh, slope
 
     def update(self, sh, yh):
         """Keep the pair (s^, y^) if its curvature s.y is positive."""
-        sy = np.vdot(sh, yh).real
+        sy = _dot(sh, yh)
         if sy > 0.0:
             self.pairs.append((sh, yh, 1.0 / sy))
 
@@ -164,9 +188,6 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     k2 = grid.k2_half
     scale = _parseval_scale(grid)
 
-    def inner(fh, gh) -> float:
-        return float(np.vdot(fh, gh).real)
-
     def residual(uh, g):
         # the residual has zero mean; its zero mode is pure roundoff
         k2uh = k2 * uh
@@ -174,14 +195,14 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
         rh *= scale
         rh += k2uh
         rh[0, 0] = 0.0
-        return k2uh, rh, float(np.sqrt(inner(rh, rh)))
+        return k2uh, rh, float(np.sqrt(_dot(rh, rh)))
 
     u = u0.values - integrate(u0)
     uh = np.fft.rfft2(u)
     uh *= scale
     pot, g = _potential(u, p, dx2)
     k2uh, rh, rnorm = residual(uh, g)
-    e = 0.5 * inner(uh, k2uh) + pot
+    e = 0.5 * _dot(uh, k2uh) + pot
     hessian = _InverseHessian(k2, min(p.rho1 + 2.0 * p.rho2, _SHIFT_CAP))
     evals, backtracks = 1, 0
     iterations = 0
@@ -189,7 +210,7 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
         iterations += 1
         dh, slope = hessian.direction(rh)
         d = np.fft.irfft2(dh / scale, s=u.shape)
-        a, b, c = inner(uh, k2uh), inner(k2uh, dh), inner(dh, k2 * dh)
+        a, b, c = _dot(uh, k2uh), _dot(k2uh, dh), _dot(dh, k2 * dh)
         t = _STEP0
         guard = _ROUNDOFF_SLACK * (1.0 + abs(e))
         while t >= _MIN_STEP:

@@ -23,9 +23,10 @@ its bubbles through one primitive, ``_bubble_components``;
 ``_energy_sweep`` assembles J_rho from its columns.  The primitive reads
 e^phi and e^{-2 phi} off the bubble's rational mixtures (see ``bubbles``),
 so a lambda row takes one log and no exp, and the rows run one after
-another in one three-buffer workspace.  Sweeps fit ordinary least squares
-of measured values against log(lambda + 1) and compare with these
-predictions.
+another in one three-buffer workspace and share one half-spectrum buffer
+and one power buffer for the Dirichlet integral.  Sweeps fit ordinary
+least squares of measured values against log(lambda + 1) and compare
+with these predictions.
 
 Quadrature adequacy: a bubble core spans ~1/lambda, so sweeps require
 lambda * dx <= 2; above that the result is flagged skipped rather than
@@ -43,7 +44,7 @@ import numpy as np
 
 from .bubbles import JoinConfig, _bubble_exps
 from .energy import Params, _checked_integral, _j_from_parts
-from .surface import ScalarField, TorusGrid, grad_norm_sq, integrate
+from .surface import ScalarField, TorusGrid, _dirichlet, _dirichlet_buffers, integrate
 
 DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
 
@@ -150,13 +151,15 @@ def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
         return None
     dx2 = grid.dx**2
     work = np.empty((3, grid.n, grid.n))
+    spectrum, power = _dirichlet_buffers(grid)
     rows = []
     for lam in lambdas:
         e_phi, e_minus_2phi = _bubble_exps(zeta, lam, grid, work)
         log_plus = _log_weighted_integral(e_phi, h1, dx2)
         log_minus = _log_weighted_integral(e_minus_2phi, h2, dx2)
         phi = ScalarField(grid, np.log(e_phi, out=e_phi))
-        rows.append((0.5 * grad_norm_sq(phi), log_plus, log_minus, integrate(phi)))
+        gradient = 0.5 * _dirichlet(phi.values, grid, spectrum, power)
+        rows.append((gradient, log_plus, log_minus, integrate(phi)))
     return np.array(rows)
 
 

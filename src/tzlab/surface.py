@@ -13,7 +13,10 @@ The dropped x-modes n/2+1..n-1 are complex conjugates of columns
 1..n/2-1, so a Parseval sum over the half spectrum weights each mode by
 its multiplicity: 1 for columns 0 and n/2, 2 for all others.  The grid
 caches that multiplicity times |k|^2 as ``parseval_weight``, so the
-Dirichlet integral (``grad_norm_sq``) forms no weight per call.
+Dirichlet integral (``grad_norm_sq``) forms no weight per call.  Its
+transform and |f^|^2 are written into caller-owned buffers (``_dirichlet``),
+so a sweep's lambda rows share one half-spectrum buffer and one power
+buffer instead of allocating both per row.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def integrate(f: ScalarField) -> float:
 def laplacian(f: ScalarField) -> ScalarField:
     """Spectral Laplacian: each Fourier mode multiplied by -|k|^2.
 
-    The zero mode is annihilated, so the output has zero mean exactly.
+    The zero mode is annihilated, so the output has zero mean to roundoff.
     """
     fh = np.fft.rfft2(f.values)
     out = np.fft.irfft2(-f.grid.k2_half * fh, s=f.values.shape)
@@ -179,13 +182,32 @@ def grad_norm_sq(f: ScalarField) -> float:
     Equals -integrate(f * laplacian(f)) to roundoff; always >= 0 and zero
     iff f is constant.
     """
-    grid = f.grid
-    fh = np.fft.rfft2(f.values)
-    # |fh|^2 in one buffer: re^2, plus im^2 (squared in fh's own storage),
-    # times the weight, then one contiguous sum: the operations of the
-    # plain expression, so the same result bit for bit
-    power = np.square(fh.real)
-    power += np.square(fh.imag, out=fh.imag)
+    return _dirichlet(f.values, f.grid, *_dirichlet_buffers(f.grid))
+
+
+def _dirichlet_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialized (spectrum, power) buffers for ``_dirichlet`` on grid:
+    complex and float64, each the (n, n/2 + 1) half spectrum."""
+    half = (grid.n, grid.n // 2 + 1)
+    return np.empty(half, dtype=complex), np.empty(half)
+
+
+def _dirichlet(values: np.ndarray, grid: TorusGrid, spectrum: np.ndarray,
+               power: np.ndarray) -> float:
+    """``grad_norm_sq`` of the (n, n) array ``values``, with its half
+    spectrum written into ``spectrum`` (complex, (n, n/2 + 1)) and |f^|^2
+    into ``power`` (float64, same shape); ``values`` is not touched.
+
+    The two transforms are those ``rfft2`` runs (x-modes, then y-modes),
+    and |f^|^2 is formed as re^2, plus im^2 (squared in the spectrum's own
+    storage), times the weight, then one contiguous sum: the operations of
+    the plain expression, so the result is the same bit for bit whatever
+    the buffers held before.
+    """
+    np.fft.rfft(values, axis=1, out=spectrum)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    np.square(spectrum.real, out=power)
+    power += np.square(spectrum.imag, out=spectrum.imag)
     power *= grid.parseval_weight
     return float(power.sum() / grid.n**4)
 

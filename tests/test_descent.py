@@ -235,6 +235,59 @@ class TestParsevalScale:
             assert abs(_inner(fh, gh) - integrate(f * g)) <= bound
 
 
+class TestSlicedDot:
+    """``descent._dot``: one vdot per slice of at most _DOT_SLICE elements,
+    summed in order, so no dot is split across BLAS threads."""
+
+    @staticmethod
+    def spectra(n, seed=0):
+        rng = np.random.default_rng(seed)
+        scale = descent._parseval_scale(build_grid(n))
+        return [np.fft.rfft2(rng.standard_normal((n, n))) * scale for _ in range(2)]
+
+    @pytest.fixture
+    def vdot_calls(self, monkeypatch):
+        calls = []
+        vdot = np.vdot
+
+        def counted(f, g):
+            calls.append(f.size)
+            return vdot(f, g)
+
+        monkeypatch.setattr(np, "vdot", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_one_slice_is_one_vdot(self, n, vdot_calls):
+        # the n = 128 half spectrum (8 320 elements) still fits in one slice
+        fh, gh = self.spectra(n)
+        assert fh.size <= descent._DOT_SLICE
+        got = descent._dot(fh, gh)
+        assert vdot_calls == [fh.size]
+        assert np.float64(got).tobytes() == np.float64(np.vdot(fh, gh).real).tobytes()
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_slices_summed_in_order(self, n, vdot_calls):
+        fh, gh = self.spectra(n)
+        f, g = fh.ravel(), gh.ravel()
+        step = descent._DOT_SLICE
+        total = 0.0
+        for i in range(0, f.size, step):
+            total += np.vdot(f[i:i + step], g[i:i + step]).real
+        vdot_calls.clear()
+        got = descent._dot(fh, gh)
+        assert vdot_calls == [min(step, f.size - i) for i in range(0, f.size, step)]
+        assert np.float64(got).tobytes() == np.float64(total).tobytes()
+        assert got == pytest.approx(float(np.vdot(fh, gh).real), rel=1e-12)
+
+    def test_slice_order_is_the_array_order(self):
+        # slice dots 1, 1e16, -1e16: in order 1 is absorbed, reversed it survives
+        step = descent._DOT_SLICE
+        f = np.zeros(3 * step, dtype=complex)
+        f[0], f[step], f[2 * step] = 1.0, 1e16, -1e16
+        assert descent._dot(f, np.ones_like(f)) == 0.0
+
+
 def _reference_steepest_descent(p, u0, tol_residual=1e-9, max_iters=4000):
     """(u, energy, iterations) of the H^1 steepest descent that the L-BFGS
     direction replaced: d = -(-Lap + I)^{-1} r on the full spectrum, the

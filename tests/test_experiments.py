@@ -284,6 +284,9 @@ class TestComponentPrimitive:
             ref = (0.5 * grad_norm_sq(phi), log_integral(phi.values, h1, dx2),
                    log_integral(-2.0 * phi.values, h2, dx2), integrate(phi))
             np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
+            # the rows share one half-spectrum buffer pair; the Dirichlet
+            # integral and the mean are still those of a fresh per-row call
+            assert (row[0], row[3]) == (ref[0], ref[3])
 
     @pytest.mark.parametrize("n", [8, 128, 512])
     def test_weighted_integral_matches_exact_sum(self, n, rng):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tzlab import (GridError, ScalarField, build_grid, constant_field,
                    distance_field, field_from_function, grad_norm_sq,
                    integrate, laplacian)
+from tzlab.surface import _dirichlet, _dirichlet_buffers
 
 from conftest import node_coordinates, random_trig_coeffs, sample_trig
 
@@ -277,15 +280,34 @@ class TestRealTransforms:
         ref = np.fft.ifft2(-self.full_k2(noise.grid) * np.fft.fft2(noise.values)).real
         assert np.abs(laplacian(noise).values - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("n", [8, 64, 256, 512])
     def test_grad_norm_sq_bitwise_equal_to_weighted_sum(self, n, rng):
-        # the one-buffer sum against the plain expression, temporaries and all
-        f = ScalarField(build_grid(n), rng.standard_normal((n, n)))
+        # grad_norm_sq, and _dirichlet in buffers another field has filled,
+        # against the plain rfft2 expression, temporaries and all
+        f, other = (ScalarField(build_grid(n), rng.standard_normal((n, n))) for _ in range(2))
         before = f.values.copy()
         g, fh = f.grid, np.fft.rfft2(f.values)
         ref = float(np.sum(g.multiplicity * g.k2_half * (fh.real**2 + fh.imag**2)) / g.n**4)
         assert grad_norm_sq(f) == ref
+        spectrum, power = _dirichlet_buffers(g)
+        _dirichlet(other.values, g, spectrum, power)
+        assert _dirichlet(f.values, g, spectrum, power) == ref
         assert f.values.tobytes() == before.tobytes()  # the field is not touched
+
+    def test_dirichlet_in_caller_buffers_allocates_no_spectrum(self, rng):
+        # one n = 256 half spectrum is 516 KiB; the buffers hold all of it
+        n = 256
+        grid = build_grid(n)
+        values = rng.standard_normal((n, n))
+        spectrum, power = _dirichlet_buffers(grid)
+        _dirichlet(values, grid, spectrum, power)  # grid.parseval_weight is cached
+        tracemalloc.start()
+        try:
+            _dirichlet(values, grid, spectrum, power)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_parseval_weight_is_cached_per_grid(self):
         g = build_grid(16)
