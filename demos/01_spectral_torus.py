@@ -30,7 +30,7 @@ f = field_from_function(grid, lambda x, y: np.cos(2 * np.pi * x))
 err = np.abs(laplacian(f).values + 4 * np.pi**2 * f.values).max()
 print(f"   |Lap cos(2 pi x) + 4 pi^2 cos(2 pi x)|_inf = {err:.2e}")
 # the area is 1, so the integral is the mean
-print(f"   mean of Lap f (always exactly 0): {integrate(laplacian(f)):+.2e}")
+print(f"   mean of Lap f (zero to roundoff): {integrate(laplacian(f)):+.2e}")
 
 print("\n-- Dirichlet energy by Parseval --")
 print(f"   int |grad cos(2 pi x)|^2 = {grad_norm_sq(f):.12f}   (exact 2 pi^2 = {2 * np.pi**2:.12f})")

@@ -20,8 +20,9 @@ e^{-2 phi} = M- / M+^2 come straight off them, and phi is one log of
 e^phi.
 
 Also provides the explicit entire Liouville profile solving
-u'' + u'/r + e^u = 0, used as an exact oracle by the radial solver and the
-sharp-constant probes.
+u'' + u'/r + e^u = 0 at given radii, the exact oracle of the radial
+solver.  The sharp-constant probes sample it on the torus with
+``build_bubble`` (see ``liouville_bubble``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import ScalarField, TorusGrid, _axis_offsets, distance_field
+from .surface import ScalarField, TorusGrid, _axis_offsets
 
 _WEIGHT_TOL = 1e-12
 
@@ -145,18 +146,15 @@ def build_bubble(zeta: JoinConfig, lam: float, grid: TorusGrid) -> ScalarField:
     return ScalarField(grid, np.log(e_phi))
 
 
-def liouville_bubble(alpha: float, where, center=(0.5, 0.5)):
+def liouville_bubble(alpha: float, r):
     """Explicit radial Liouville profile u(r) = alpha - 2 log(1 + (e^alpha/8) r^2).
 
-    Solves u'' + u'/r + e^u = 0 exactly with u(0) = alpha, u'(0) = 0.
-    ``where`` is either an array of radii (returns an array) or a TorusGrid
-    (returns the profile as a field of the torus distance to ``center``).
+    Solves u'' + u'/r + e^u = 0 exactly with u(0) = alpha, u'(0) = 0, at
+    the array of radii ``r``.  On the torus, about c, the same profile is
+    build_bubble(JoinConfig(((1, c),), ((1, c),), 0), sqrt(e^alpha / 8), grid) + alpha.
     """
     mu2 = np.exp(alpha) / 8.0
-    if isinstance(where, TorusGrid):
-        r = distance_field(where, center)
-        return ScalarField(where, alpha - 2.0 * np.log1p(mu2 * r**2))
-    r = np.asarray(where, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
     return alpha - 2.0 * np.log1p(mu2 * r**2)
 
 

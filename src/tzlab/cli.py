@@ -54,9 +54,9 @@ from . import __version__
 from .bubbles import liouville_mass
 from .descent import minimize
 from .energy import ExpUnderflow, Params, energy_J, residual_J
-from .experiments import (_MAX_LAMBDA_DX, DEFAULT_LAMBDAS, bubble_energy_sweep,
-                          component_asymptotics_sweep, default_join_config,
-                          mt_threshold_scan)
+from .experiments import (_MAX_LAMBDA_DX, DEFAULT_LAMBDAS, _lambda_dx,
+                          bubble_energy_sweep, component_asymptotics_sweep,
+                          default_join_config, mt_threshold_scan)
 from .radial import (TrajectoryOverflow, alpha_sweep, limit_mass_relation,
                      quantization_table, step_count)
 from .recipes import field_from_recipe
@@ -315,7 +315,7 @@ def cmd_bubble_sweep(args, outdir: Path):
     _write_csv(outdir / "bubble-sweep.csv", ["lambda", "energy"],
                zip(sweep.lambdas, sweep.values))
     return [_slope_check("slope_matches", sweep),
-            _Check("grid_adequate", max(args.lambdas) * grid.dx, _MAX_LAMBDA_DX,
+            _Check("grid_adequate", _lambda_dx(grid, args.lambdas), _MAX_LAMBDA_DX,
                    not sweep.skipped)]
 
 

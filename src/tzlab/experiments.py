@@ -29,11 +29,12 @@ least squares of measured values against log(lambda + 1) and compare
 with these predictions.
 
 Quadrature adequacy: a bubble core spans ~1/lambda, so sweeps require
-lambda * dx <= 2; above that the result is flagged skipped rather than
-silently mismeasured.  Default point configurations sit at quarter-cell
-offsets from the grid nodes, which cancels the leading quadrature aliases
-of the sharp core (the first reciprocal-lattice shell contributes with
-phase +-i and sums to zero).
+max(lambda) * dx <= 2, decided once, in ``_bubble_components``; above
+that the result is flagged skipped rather than silently mismeasured.
+Default point configurations sit at quarter-cell offsets from the grid
+nodes, which cancels the leading quadrature aliases of the sharp core
+(the first reciprocal-lattice shell contributes with phase +-i and sums
+to zero).
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ def fit_slope(lambdas, values) -> float:
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
-def grid_adequate(grid: TorusGrid, lambdas) -> bool:
-    """Bubble cores must span a few cells: max(lambda) * dx <= 2."""
-    return max(lambdas) * grid.dx <= _MAX_LAMBDA_DX
+def _lambda_dx(grid: TorusGrid, lambdas) -> float:
+    """max(lambda) * dx, the inverse width in cells of the narrowest bubble core."""
+    return max(lambdas) * grid.dx
 
 
 @dataclass
@@ -146,8 +147,8 @@ def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
                        h1=1.0, h2=1.0) -> np.ndarray | None:
     """One row per lambda: (1/2 int |grad phi|^2, log int h1 e^phi,
     log int h2 e^{-2 phi}, mean phi) of the bubble phi; None when the grid
-    cannot resolve the cores (see grid_adequate)."""
-    if not grid_adequate(grid, lambdas):
+    cannot resolve the cores, max(lambda) * dx > _MAX_LAMBDA_DX."""
+    if not _lambda_dx(grid, lambdas) <= _MAX_LAMBDA_DX:
         return None
     dx2 = grid.dx**2
     work = np.empty((3, grid.n, grid.n))
@@ -259,5 +260,5 @@ def mt_threshold_scan(a1_list, a2_list, grid: TorusGrid,
         a1_list, a2_list, plus, minus,
         _sign_crossing(a1_list, plus_slopes),
         _sign_crossing(a2_list, minus_slopes),
-        not grid_adequate(grid, lambdas),
+        comps is None,  # both families share grid and lambdas, so one verdict
     )

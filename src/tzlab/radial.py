@@ -96,7 +96,8 @@ class TrajectoryOverflow(RuntimeError):
 @dataclass
 class RadialProfile:
     """Arrays (r, u, w = r u', sigma1, sigma2) of one shooting trajectory,
-    from its start inside the core scale to r_max exactly, and its inputs."""
+    from its start inside the core scale to r[-1] = r_max exactly, and its
+    inputs."""
 
     r: np.ndarray
     u: np.ndarray
@@ -107,10 +108,6 @@ class RadialProfile:
     h1: float
     h2: float
     step: float
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r[-1])
 
 
 def step_count(r_max: float, step: float) -> int:

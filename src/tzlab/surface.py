@@ -39,7 +39,7 @@ class TorusGrid:
     ``n^2 * dx^2`` is exactly 1.  The grid owns one coordinate array,
     ``axis_points`` (``j / n`` for ``j = 0..n-1``), shared by both axes:
     axis 1 of a field is x (x fastest in C order), axis 0 is y.  It also
-    owns its spectral wavenumbers.
+    owns its spectral |k|^2 and Parseval weight.
     """
 
     n: int
@@ -59,15 +59,12 @@ class TorusGrid:
         return np.arange(self.n) * self.dx
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Per-axis angular wavenumbers 2*pi*fftfreq; index k pairs with n-k."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-    @cached_property
     def k2_half(self) -> np.ndarray:
-        """|k|^2 on the rfft2 half spectrum, shape (n, n/2 + 1)."""
+        """|k|^2 on the rfft2 half spectrum, shape (n, n/2 + 1): angular
+        wavenumbers 2*pi*rfftfreq along x (axis 1), 2*pi*fftfreq along y."""
         kx = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
-        return kx[None, :] ** 2 + self.wavenumbers[:, None] ** 2
+        ky = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        return kx[None, :] ** 2 + ky[:, None] ** 2
 
     @cached_property
     def multiplicity(self) -> np.ndarray:

@@ -254,11 +254,20 @@ class TestLiouvilleBubble:
         residual = np.abs(fd2 + fd1 / r[i] + np.exp(u[i])).max()
         assert residual < 1e-8
 
-    def test_grid_version(self):
-        grid = build_grid(64)
-        f = liouville_bubble(2.0, grid, center=(0.5, 0.5))
-        assert isinstance(f, ScalarField)
-        assert f.values.max() == pytest.approx(2.0, abs=1e-12)
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("alpha", [0.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("where", ["node", "quarter_cell", "off_grid"])
+    def test_torus_profile_is_one_point_plus_bubble(self, n, alpha, where):
+        # on the torus the profile about c is the s = 0 bubble at one point c,
+        # lambda^2 = e^alpha / 8, plus alpha
+        grid = build_grid(n)
+        c = {"node": (0.5, 0.5), "quarter_cell": (0.5 + 0.25 / n, 0.5 + 0.25 / n),
+             "off_grid": (0.1, 0.9)}[where]
+        one_point = ((1.0, c),)
+        u = build_bubble(JoinConfig(one_point, one_point, 0.0), np.sqrt(np.exp(alpha) / 8.0),
+                         grid) + alpha
+        exact = alpha - 2.0 * np.log1p(np.exp(alpha) / 8.0 * distance_field(grid, c) ** 2)
+        assert np.abs(u.values - exact).max() <= 1e-14 * max(1.0, alpha)
 
     def test_mass_closed_form(self):
         # d/dr of 4 mu^2 r^2/(1 + mu^2 r^2) equals e^u r

@@ -294,7 +294,8 @@ def _reference_steepest_descent(p, u0, tol_residual=1e-9, max_iters=4000):
     same Armijo backtracking, roundoff slack and stall exit, with every
     energy and residual taken from energy_J and residual_J."""
     grid = p.grid
-    kx, ky = np.meshgrid(grid.wavenumbers, grid.wavenumbers, indexing="xy")
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    kx, ky = np.meshgrid(k, k, indexing="xy")
     symbol = kx**2 + ky**2 + 1.0
     u = u0 - integrate(u0)
     e = energy_J(u, p)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tzlab import (ExpUnderflow, Params, ScalarField, build_grid, build_bubble,
-                   constant_field, default_join_config, energy_J,
+from tzlab import (ExpUnderflow, JoinConfig, Params, ScalarField, build_grid,
+                   build_bubble, constant_field, default_join_config, energy_J,
                    field_from_function, fit_slope, grad_norm_sq, integrate,
-                   liouville_bubble, residual_J)
+                   residual_J)
 from tzlab.energy import _exp_integral
 
 from conftest import node_coordinates, smooth_field
@@ -203,10 +203,12 @@ class TestEnergyI:
         grid = build_grid(256)
         one = constant_field(grid, 1.0)
         p = Params(8.0 * np.pi, 0.0, one, one)
+        one_point = ((1.0, (0.25, 0.25)),)
         vals = []
         for lam in (10.0, 100.0):
-            u = liouville_bubble(np.log(8.0 * lam**2), grid, center=(0.25, 0.25))
-            vals.append(energy_J(u, p))
+            # the Liouville profile at alpha = log(8 lam^2), about (0.25, 0.25)
+            u = build_bubble(JoinConfig(one_point, one_point, 0.0), lam, grid)
+            vals.append(energy_J(u + np.log(8.0 * lam**2), p))
         assert abs(vals[1] - vals[0]) < 5.0
 
 

@@ -8,7 +8,9 @@ from tzlab import (Params, build_bubble, build_grid,
                    constant_field, default_join_config, alpha_sweep, energy_J,
                    field_from_recipe, fit_slope, grad_norm_sq, integrate,
                    mt_threshold_scan, SweepResult)
-from tzlab.experiments import _bubble_components, _log_weighted_integral, grid_adequate
+from tzlab import experiments
+from tzlab.experiments import (_MAX_LAMBDA_DX, _bubble_components, _lambda_dx,
+                               _log_weighted_integral)
 
 
 def log_integral(exponent, weight, dx2):
@@ -68,8 +70,8 @@ class TestSweepResult:
 class TestAdequacy:
     def test_rule(self):
         g = build_grid(256)
-        assert grid_adequate(g, (25.0, 400.0))
-        assert not grid_adequate(g, (25.0, 600.0))
+        assert _lambda_dx(g, (25.0, 400.0)) == 400.0 / 256 <= _MAX_LAMBDA_DX
+        assert _lambda_dx(g, (25.0, 600.0)) == 600.0 / 256 > _MAX_LAMBDA_DX
 
     def test_skip_flag_propagates(self):
         g = build_grid(64)  # lambda 400 needs n >= 200
@@ -335,6 +337,21 @@ class TestThresholdScan:
         scan = mt_threshold_scan([8 * np.pi], [4 * np.pi], g, (400.0, 800.0))
         assert scan.skipped
         assert scan.plus[0][0].skipped
+
+    def test_skipped_from_components_measured_once_per_family(self, monkeypatch):
+        calls = []
+
+        def counted(zeta, grid, lambdas, *weights):
+            calls.append(zeta.s)
+            return _bubble_components(zeta, grid, lambdas, *weights)
+
+        monkeypatch.setattr(experiments, "_bubble_components", counted)
+        a1, a2 = [6 * np.pi, 8 * np.pi, 10 * np.pi], [3 * np.pi, 4 * np.pi]
+        scan = mt_threshold_scan(a1, a2, build_grid(8), (25.0, 100.0, 400.0))
+        assert scan.skipped and calls == [0.0, 1.0]
+        assert all(cell.skipped for family in (scan.plus, scan.minus)
+                   for row in family for cell in row)
+        assert scan.plus_crossing is None and scan.minus_crossing is None
 
 
 class TestAlphaSweep:

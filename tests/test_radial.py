@@ -192,7 +192,7 @@ class TestShoot:
     @pytest.mark.parametrize("r_max, step", [(1.0, 1e-4), (1.0, 2e-4), (1.0, 5e-4),
                                              (1.0, 1e-3), (2.0, 5e-4), (0.3, 1e-3)])
     def test_dividing_steps_end_at_r_max(self, r_max, step):
-        assert shoot(2.0, 1.0, 0.0, r_max, step).r_max == r_max
+        assert shoot(2.0, 1.0, 0.0, r_max, step).r[-1] == r_max
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

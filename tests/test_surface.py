@@ -27,13 +27,21 @@ class TestBuildGrid:
 
     def test_first_wavenumber(self):
         g = build_grid(128)
-        assert g.wavenumbers[1] == pytest.approx(2.0 * np.pi, rel=1e-15)
+        assert g.k2_half[0, 1] == pytest.approx((2.0 * np.pi) ** 2, rel=1e-15)
+        assert g.k2_half[1, 0] == pytest.approx((2.0 * np.pi) ** 2, rel=1e-15)
 
     def test_wavenumber_conjugate_pairing(self):
+        # the y-mode at row k pairs with row n - k
         g = build_grid(16)
-        assert len(g.wavenumbers) == 16
         for k in range(1, 8):
-            assert g.wavenumbers[16 - k] == pytest.approx(-g.wavenumbers[k])
+            assert g.k2_half[16 - k] == pytest.approx(g.k2_half[k])
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_k2_half_bitwise_rfftfreq_row_fftfreq_column(self, n):
+        g = build_grid(n)
+        kx = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.dx)
+        ky = 2.0 * np.pi * np.fft.fftfreq(n, d=g.dx)
+        assert np.array_equal(g.k2_half, kx[None, :] ** 2 + ky[:, None] ** 2)
 
     def test_fft_convention(self):
         # forward unnormalized, inverse scaled by 1/n^2
@@ -262,7 +270,8 @@ class TestRealTransforms:
 
     @staticmethod
     def full_k2(grid):
-        kx, ky = np.meshgrid(grid.wavenumbers, grid.wavenumbers, indexing="xy")
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+        kx, ky = np.meshgrid(k, k, indexing="xy")
         return kx**2 + ky**2
 
     def test_half_spectrum_layout(self):
