@@ -21,18 +21,15 @@ The iterate is kept at zero mean -- the energy is shift invariant, so this
 only removes the flat direction from the search.
 
 The iterate u is carried together with its half-spectrum transform u^, so
-one iteration costs one real transform pair: an ``rfft2`` of the density
-term g of the residual, r^ = |k|^2 u^ + g^, and an ``irfft2`` of the
-search direction d^.  Every half spectrum is carried pre-weighted: each
-``rfft2`` is multiplied by sqrt(multiplicity)/n^2 (a column of the half
-spectrum stands for one or two of the full one), and d^ is divided by it
-once before its ``irfft2``.  So int f g is the bare Parseval sum
-Re sum conj(f^) g^, ``_dot``, and norms, the Armijo slope and the
-recursion's inner products form no weighted temporary.  ``_dot`` is one
-``np.vdot`` per slice of at most ``_DOT_SLICE`` elements, summed in order:
-OpenBLAS splits a longer dot across threads, and its last digits would
-follow the thread count.  The pairs are kept in the
-half spectrum, and the two-loop recursion updates its vectors in place.
+one iteration costs one real transform pair: a forward transform of the
+density term g of the residual, r^ = |k|^2 u^ + g^, and an ``irfft2`` of the
+search direction d^.  Every half spectrum is pre-weighted in ``surface``'s
+one convention (``_half_spectrum``; d^ is divided by the grid's
+``parseval_scale`` before its ``irfft2``), so norms, the Armijo slope and
+the recursion's inner products are ``surface._dot``, and the start's
+1/2 _dot(u^, |k|^2 u^) is ``energy_J``'s Dirichlet term bit for bit.  The
+pairs are kept in the half spectrum, and the two-loop recursion updates
+its vectors in place.
 Along u + t d the Dirichlet term 1/2 int |grad(u + t d)|^2 =
 1/2 (A + 2tB + t^2 C) is quadratic in t with coefficients from u^ and d^,
 so a trial step costs no transform, only the two exps of the energy's
@@ -51,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import Params, _potential
-from .surface import ScalarField, integrate
+from .surface import ScalarField, _dot, _half_spectrum, integrate
 
 # Energy decrements below roundoff resolution cannot be certified by the
 # Armijo test; steps predicted to decrease by less than this slack are
@@ -64,10 +61,6 @@ _BACKTRACK = 0.5
 _MIN_STEP = 1e-13
 # L-BFGS memory: curvature pairs kept for the two-loop recursion.
 _MEMORY = 5
-# Longest slice ``_dot`` hands to one np.vdot: OpenBLAS runs a complex dot of
-# at most 10 000 elements on one thread.  The n = 128 half spectrum (8 320
-# elements) is one slice; n = 256 takes four.
-_DOT_SLICE = 10_000
 # Cap of the curvature shift theta of H0: half the first eigenvalue 4 pi^2
 # of -Lap on the unit torus.  A cap of 0.95 * 4 pi^2 leaves weighted solves
 # at rho = (6 pi, 3 pi) without convergence; 0.5 and 0.9 converge everywhere.
@@ -89,30 +82,6 @@ class Solution:
     converged: bool
     energy_evals: int
     backtracks: int
-
-
-def _parseval_scale(grid) -> np.ndarray:
-    """sqrt(multiplicity) / n^2 per half-spectrum column: an ``rfft2`` times
-    it is pre-weighted, so int f g = Re(conj(f^) g^) summed over the half
-    spectrum, ``_dot(f^, g^)``."""
-    return np.sqrt(grid.multiplicity) / float(grid.n) ** 2
-
-
-def _dot(f: np.ndarray, g: np.ndarray) -> float:
-    """Re sum conj(f) g of two pre-weighted half spectra, int f g.
-
-    One ``np.vdot`` when f fits in one slice of ``_DOT_SLICE`` elements;
-    otherwise the vdots of consecutive slices, summed in order, so each
-    runs on one BLAS thread and the result does not depend on the thread
-    count.
-    """
-    if f.size <= _DOT_SLICE:
-        return float(np.vdot(f, g).real)
-    f, g = f.ravel(), g.ravel()
-    total = 0.0
-    for i in range(0, f.size, _DOT_SLICE):
-        total += np.vdot(f[i:i + _DOT_SLICE], g[i:i + _DOT_SLICE]).real
-    return float(total)
 
 
 class _InverseHessian:
@@ -186,20 +155,17 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     grid = p.grid
     dx2 = grid.dx**2
     k2 = grid.k2_half
-    scale = _parseval_scale(grid)
 
     def residual(uh, g):
         # the residual has zero mean; its zero mode is pure roundoff
         k2uh = k2 * uh
-        rh = np.fft.rfft2(g)
-        rh *= scale
+        rh = _half_spectrum(g, grid)
         rh += k2uh
         rh[0, 0] = 0.0
         return k2uh, rh, float(np.sqrt(_dot(rh, rh)))
 
     u = u0.values - integrate(u0)
-    uh = np.fft.rfft2(u)
-    uh *= scale
+    uh = _half_spectrum(u, grid)
     pot, g = _potential(u, p, dx2)
     k2uh, rh, rnorm = residual(uh, g)
     e = 0.5 * _dot(uh, k2uh) + pot
@@ -209,7 +175,7 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     while rnorm > tol_residual and iterations < max_iters:
         iterations += 1
         dh, slope = hessian.direction(rh)
-        d = np.fft.irfft2(dh / scale, s=u.shape)
+        d = np.fft.irfft2(dh / grid.parseval_scale, s=u.shape)
         a, b, c = _dot(uh, k2uh), _dot(k2uh, dh), _dot(dh, k2 * dh)
         t = _STEP0
         guard = _ROUNDOFF_SLACK * (1.0 + abs(e))

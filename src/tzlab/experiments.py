@@ -23,8 +23,9 @@ its bubbles through one primitive, ``_bubble_components``;
 ``_energy_sweep`` assembles J_rho from its columns.  The primitive reads
 e^phi and e^{-2 phi} off the bubble's rational mixtures (see ``bubbles``),
 so a lambda row takes one log and no exp, and the rows run one after
-another in one three-buffer workspace and share one half-spectrum buffer
-and one power buffer for the Dirichlet integral.  Sweeps fit ordinary
+another in one three-buffer workspace and share the half-spectrum and
+scratch buffers of the Dirichlet integral (``surface._dirichlet``, in the
+Parseval convention ``surface`` owns).  Sweeps fit ordinary
 least squares of measured values against log(lambda + 1) and compare
 with these predictions.
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .bubbles import JoinConfig, _bubble_exps
 from .energy import Params, _checked_integral, _j_from_parts
-from .surface import ScalarField, TorusGrid, _dirichlet, _dirichlet_buffers, integrate
+from .surface import _DOT_SLICE, ScalarField, TorusGrid, _dirichlet, integrate
 
 DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
 
@@ -56,11 +57,13 @@ _MAX_LAMBDA_DX = 2.0
 
 
 def fit_slope(lambdas, values) -> float:
-    """Least-squares slope of values against log(lambda + 1)."""
+    """Least-squares slope of values against log(lambda + 1); NaN, unwarned,
+    when every log(lambda + 1) rounds to one number or a value is infinite."""
     x = np.log(np.asarray(lambdas, dtype=float) + 1.0)
     y = np.asarray(values, dtype=float)
     xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
 def _lambda_dx(grid: TorusGrid, lambdas) -> float:
@@ -101,7 +104,8 @@ class SweepResult:
                        float("nan"), float(predicted), float("nan"), bound, False, True)
         values = np.asarray(values, dtype=float)
         fitted = fit_slope(lambdas, values)
-        rel = abs(fitted - predicted) / abs(predicted) if predicted != 0.0 else abs(fitted)
+        with np.errstate(invalid="ignore"):  # inf / inf when both overflowed
+            rel = abs(fitted - predicted) / abs(predicted) if predicted != 0.0 else abs(fitted)
         ok = bool(np.isfinite(fitted) and np.isfinite(predicted)
                   and abs(fitted - predicted) <= bound)
         return cls(name, lambdas, values, fitted, float(predicted), rel, bound, ok)
@@ -152,14 +156,15 @@ def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
         return None
     dx2 = grid.dx**2
     work = np.empty((3, grid.n, grid.n))
-    spectrum, power = _dirichlet_buffers(grid)
+    spectrum = np.empty((grid.n, grid.n // 2 + 1), dtype=complex)
+    scratch = np.empty(_DOT_SLICE, dtype=complex)
     rows = []
     for lam in lambdas:
         e_phi, e_minus_2phi = _bubble_exps(zeta, lam, grid, work)
         log_plus = _log_weighted_integral(e_phi, h1, dx2)
         log_minus = _log_weighted_integral(e_minus_2phi, h2, dx2)
         phi = ScalarField(grid, np.log(e_phi, out=e_phi))
-        gradient = 0.5 * _dirichlet(phi.values, grid, spectrum, power)
+        gradient = 0.5 * _dirichlet(phi.values, grid, spectrum, scratch)
         rows.append((gradient, log_plus, log_minus, integrate(phi)))
     return np.array(rows)
 
@@ -180,11 +185,11 @@ def _energy_sweep(name: str, zeta: JoinConfig, comps, lambdas, a1: float,
                   a2: float) -> SweepResult:
     """J_rho at rho = (a1, a2) along zeta's family from its component rows
     (at unit weights the deficit); skipped when comps is None.  The
-    predicted slope is J's formula on each live row of the slope table."""
-    predicted = sum(_j_from_parts(*row, a1, a2) for row in _side_slopes(zeta))
-    values = None
-    if comps is not None:
-        values = _j_from_parts(*comps.T, a1, a2)
+    predicted slope is J's formula on each live row of the slope table.
+    Coefficients near the largest double overflow both to inf or NaN, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = sum(_j_from_parts(*row, a1, a2) for row in _side_slopes(zeta))
+        values = None if comps is None else _j_from_parts(*comps.T, a1, a2)
     return SweepResult.from_values(name, lambdas, values, predicted)
 
 
@@ -229,7 +234,8 @@ def _sign_crossing(coeffs, slopes):
         if s0 == 0.0:
             return float(coeffs[i])
         if s0 * s1 < 0:
-            return float(coeffs[i] - s0 * (coeffs[i + 1] - coeffs[i]) / (s1 - s0))
+            with np.errstate(over="ignore", invalid="ignore"):  # near the largest double
+                return float(coeffs[i] - s0 * (coeffs[i + 1] - coeffs[i]) / (s1 - s0))
     if slopes and slopes[-1] == 0.0:
         return float(coeffs[-1])
     return None

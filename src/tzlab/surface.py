@@ -10,13 +10,13 @@ forward transform unnormalized, inverse scaled by 1/n^2.
 Fields are real, so transforms are the real ones (``rfft2``/``irfft2``):
 the half spectrum keeps the x-modes 0..n/2 (axis 1) and every y-mode.
 The dropped x-modes n/2+1..n-1 are complex conjugates of columns
-1..n/2-1, so a Parseval sum over the half spectrum weights each mode by
-its multiplicity: 1 for columns 0 and n/2, 2 for all others.  The grid
-caches that multiplicity times |k|^2 as ``parseval_weight``, so the
-Dirichlet integral (``grad_norm_sq``) forms no weight per call.  Its
-transform and |f^|^2 are written into caller-owned buffers (``_dirichlet``),
-so a sweep's lambda rows share one half-spectrum buffer and one power
-buffer instead of allocating both per row.
+1..n/2-1, so columns 0 and n/2 stand for one mode of the full spectrum
+and every other column for two.  This module owns the library's one
+Parseval convention: a half spectrum is carried pre-weighted by
+sqrt(that multiplicity)/n^2 (``parseval_scale``, ``_half_spectrum``), so
+int f g is Re sum conj(f^) g^, ``_dot``, and the Dirichlet integral is
+``_dot(f^, |k|^2 f^)`` in caller-owned buffers that a sweep's lambda rows
+share (``_dirichlet``); the descent carries its spectra the same way.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class TorusGrid:
     ``n^2 * dx^2`` is exactly 1.  The grid owns one coordinate array,
     ``axis_points`` (``j / n`` for ``j = 0..n-1``), shared by both axes:
     axis 1 of a field is x (x fastest in C order), axis 0 is y.  It also
-    owns its spectral |k|^2 and Parseval weight.
+    owns its spectral |k|^2 and Parseval scale.
     """
 
     n: int
@@ -67,18 +67,13 @@ class TorusGrid:
         return kx[None, :] ** 2 + ky[:, None] ** 2
 
     @cached_property
-    def multiplicity(self) -> np.ndarray:
-        """How often each half-spectrum column occurs in the full spectrum:
-        1 for columns 0 and n/2, 2 for all others (shape (n/2 + 1,))."""
+    def parseval_scale(self) -> np.ndarray:
+        """sqrt(multiplicity) / n^2 per half-spectrum column, shape (n/2 + 1,):
+        1/n^2 for columns 0 and n/2, which stand for one mode of the full
+        spectrum, and sqrt(2)/n^2 for all others, which stand for two."""
         m = np.full(self.n // 2 + 1, 2.0)
         m[0] = m[-1] = 1.0
-        return m
-
-    @cached_property
-    def parseval_weight(self) -> np.ndarray:
-        """multiplicity * |k|^2 on the half spectrum, shape (n, n/2 + 1): the
-        Dirichlet integral's Parseval weight, formed once per grid."""
-        return self.multiplicity * self.k2_half
+        return np.sqrt(m) / float(self.n) ** 2
 
 
 def build_grid(n: int) -> TorusGrid:
@@ -179,34 +174,65 @@ def grad_norm_sq(f: ScalarField) -> float:
     Equals -integrate(f * laplacian(f)) to roundoff; always >= 0 and zero
     iff f is constant.
     """
-    return _dirichlet(f.values, f.grid, *_dirichlet_buffers(f.grid))
+    spectrum = np.empty((f.grid.n, f.grid.n // 2 + 1), dtype=complex)
+    scratch = np.empty(min(spectrum.size, _DOT_SLICE), dtype=complex)
+    return _dirichlet(f.values, f.grid, spectrum, scratch)
 
 
-def _dirichlet_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialized (spectrum, power) buffers for ``_dirichlet`` on grid:
-    complex and float64, each the (n, n/2 + 1) half spectrum."""
-    half = (grid.n, grid.n // 2 + 1)
-    return np.empty(half, dtype=complex), np.empty(half)
+# Longest slice ``_dot`` hands to one np.vdot: OpenBLAS runs a complex dot of
+# at most 10 000 elements on one thread.  The n = 128 half spectrum (8 320
+# elements) is one slice; n = 256 takes four.
+_DOT_SLICE = 10_000
+
+
+def _half_spectrum(values: np.ndarray, grid: TorusGrid, out=None) -> np.ndarray:
+    """The pre-weighted half spectrum of the (n, n) array ``values``: the two
+    transforms ``rfft2`` runs, times ``grid.parseval_scale``, written into
+    ``out`` (complex, (n, n/2 + 1)) when given.  The scale row is one number
+    on columns 0 and n/2 and another elsewhere, so two scalar products give
+    its bits with no broadcast buffer."""
+    spectrum = np.fft.rfft(values, axis=1, out=out)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    scale, edges = grid.parseval_scale, spectrum[:, ::grid.n // 2]
+    edge_values = edges * scale[0]
+    spectrum *= scale[1]
+    edges[...] = edge_values
+    return spectrum
+
+
+def _dot(f: np.ndarray, g: np.ndarray) -> float:
+    """Re sum conj(f) g of two pre-weighted half spectra, int f g.
+
+    One ``np.vdot`` when f fits in one slice of ``_DOT_SLICE`` elements;
+    otherwise the vdots of consecutive slices, summed in order, so each
+    runs on one BLAS thread and the result does not depend on the thread
+    count.
+    """
+    if f.size <= _DOT_SLICE:
+        return float(np.vdot(f, g).real)
+    f, g = f.ravel(), g.ravel()
+    total = 0.0
+    for i in range(0, f.size, _DOT_SLICE):
+        total += np.vdot(f[i:i + _DOT_SLICE], g[i:i + _DOT_SLICE]).real
+    return float(total)
 
 
 def _dirichlet(values: np.ndarray, grid: TorusGrid, spectrum: np.ndarray,
-               power: np.ndarray) -> float:
-    """``grad_norm_sq`` of the (n, n) array ``values``, with its half
-    spectrum written into ``spectrum`` (complex, (n, n/2 + 1)) and |f^|^2
-    into ``power`` (float64, same shape); ``values`` is not touched.
-
-    The two transforms are those ``rfft2`` runs (x-modes, then y-modes),
-    and |f^|^2 is formed as re^2, plus im^2 (squared in the spectrum's own
-    storage), times the weight, then one contiguous sum: the operations of
-    the plain expression, so the result is the same bit for bit whatever
-    the buffers held before.
-    """
-    np.fft.rfft(values, axis=1, out=spectrum)
-    np.fft.fft(spectrum, axis=0, out=spectrum)
-    np.square(spectrum.real, out=power)
-    power += np.square(spectrum.imag, out=spectrum.imag)
-    power *= grid.parseval_weight
-    return float(power.sum() / grid.n**4)
+               scratch: np.ndarray) -> float:
+    """``grad_norm_sq`` of the (n, n) array ``values``: ``_dot(f^, |k|^2 f^)``,
+    with f^ written into ``spectrum`` (complex, (n, n/2 + 1)) and |k|^2 f^
+    into ``scratch`` (complex, one ``_dot`` slice long) a slice at a time,
+    still in cache for its vdot.  |k|^2 is copied in complex and times f^ in
+    place: the complex product ``k2_half * f^``, with no cast buffer."""
+    f = _half_spectrum(values, grid, out=spectrum).ravel()
+    k2, total = grid.k2_half.ravel(), 0.0
+    for i in range(0, f.size, _DOT_SLICE):
+        j = min(i + _DOT_SLICE, f.size)
+        weighted = scratch[:j - i]
+        np.copyto(weighted, k2[i:j])
+        weighted *= f[i:j]
+        total += np.vdot(f[i:j], weighted).real
+    return float(total)
 
 
 def _axis_offsets(grid: TorusGrid, point) -> tuple[np.ndarray, np.ndarray]:

@@ -390,6 +390,26 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["checks"]["slope_matches"] is False
 
+    @pytest.mark.parametrize("argv,check", [
+        (["bubble-sweep", "--n", "8", "--lambdas", "1e-300,2e-300"], "slope_matches"),
+        (["asymptotics", "--n", "8", "--lambdas", "1e-300,2e-300"], "gradient_slope"),
+        (["mt-scan", "--n", "8", "--a1", "0,1e308"], "plus_crossing_at_sharp"),
+        # measured cells: the values, their fits and the crossing overflow too
+        (["mt-scan", "--n", "64", "--lambdas", "1,2", "--a1", "0,1e308"], None),
+    ], ids=["bubble-sweep-0/0", "asymptotics-0/0", "mt-scan-skipped", "mt-scan-measured"])
+    def test_nan_slope_or_crossing_fails_without_warning(self, tmp_path, capsys, argv, check):
+        # every log(lambda + 1) rounds to 0, so the fit is 0/0; or a
+        # coefficient near the largest double overflows J's slopes.  Under
+        # filterwarnings = error a numpy warning would raise; the command
+        # fails, stderr stays empty, and the NaN or inf value is null
+        rc = main(argv + ["--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
+        assert capsys.readouterr().err == ""
+        if check:
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["checks"][check] is False
+            assert summary["values"][check]["value"] is None
+
 
 class TestSolve:
     def test_documented_invocation(self, tmp_path):

@@ -8,6 +8,7 @@ from tzlab import (Params, ScalarField, build_grid, constant_field, energy_J,
                    residual_J)
 from tzlab import descent
 from tzlab.cli import _random_start
+from tzlab.surface import _half_spectrum
 
 from conftest import smooth_field
 
@@ -173,7 +174,9 @@ class TestSpectralIterate:
         assert sol.residual_norm == pytest.approx(np.sqrt(integrate(r * r)), rel=1e-12)
 
     def test_one_transform_pair_per_iteration(self, grid64, wavy_params, rng, monkeypatch):
-        counts = {"rfft2": 0, "irfft2": 0}
+        # a forward transform is surface._half_spectrum's rfft along x and
+        # fft along y; rfft2 itself is never called
+        counts = {"rfft": 0, "fft": 0, "rfft2": 0, "irfft2": 0}
 
         def counted(name):
             fn = getattr(np.fft, name)
@@ -193,7 +196,24 @@ class TestSpectralIterate:
         assert best.energy_evals == 1 + best.iterations + best.backtracks
         # set-up transforms u and the first density term; then one pair per
         # accepted step, none per backtrack
-        assert counts == {"rfft2": best.iterations + 2, "irfft2": best.iterations}
+        forward = best.iterations + 2
+        assert counts == {"rfft": forward, "fft": forward, "rfft2": 0,
+                          "irfft2": best.iterations}
+
+    @pytest.mark.parametrize("n", [8, 64, 128, 256, 512])
+    def test_start_energy_is_energy_j(self, n):
+        # the descent's Dirichlet term 1/2 _dot(u^, |k|^2 u^) and grad_norm_sq
+        # are one formula, so the start's energy is energy_J's bit for bit
+        grid = build_grid(n)
+        h1 = field_from_recipe("1+0.5*cos(2*pi*x)", grid)
+        h2 = field_from_recipe("1+0.5*sin(2*pi*y)", grid)
+        p = Params(6.0 * np.pi, 3.0 * np.pi, h1, h2)
+        for seed in range(4):
+            u0 = _random_start(grid, seed) + 0.25 * seed
+            sol = minimize(p, u0, max_iters=0)
+            assert sol.iterations == 0
+            u = ScalarField(grid, u0.values - integrate(u0))
+            assert np.float64(sol.energy).tobytes() == np.float64(energy_J(u, p)).tobytes()
 
     def test_coercive_grid_iteration_counts(self):
         # iteration counts of the 3x3 coercive grid at n=64 from one fixed
@@ -217,75 +237,6 @@ class TestSpectralIterate:
 def _inner(fh, gh):
     """int f g of two pre-weighted half spectra."""
     return float(np.vdot(fh, gh).real)
-
-
-class TestParsevalScale:
-    """Pre-weighted half spectra: int f g is a bare vdot."""
-
-    @pytest.mark.parametrize("n", [8, 64, 128])
-    def test_vdot_is_integral(self, n):
-        grid = build_grid(n)
-        rng = np.random.default_rng(n)
-        scale = descent._parseval_scale(grid)
-        for _ in range(5):
-            # white noise fills every column, 0 and n/2 included
-            f, g = (ScalarField(grid, rng.standard_normal((n, n))) for _ in range(2))
-            fh, gh = (np.fft.rfft2(v.values) * scale for v in (f, g))
-            bound = 1e-13 * np.sqrt(integrate(f * f) * integrate(g * g))
-            assert abs(_inner(fh, gh) - integrate(f * g)) <= bound
-
-
-class TestSlicedDot:
-    """``descent._dot``: one vdot per slice of at most _DOT_SLICE elements,
-    summed in order, so no dot is split across BLAS threads."""
-
-    @staticmethod
-    def spectra(n, seed=0):
-        rng = np.random.default_rng(seed)
-        scale = descent._parseval_scale(build_grid(n))
-        return [np.fft.rfft2(rng.standard_normal((n, n))) * scale for _ in range(2)]
-
-    @pytest.fixture
-    def vdot_calls(self, monkeypatch):
-        calls = []
-        vdot = np.vdot
-
-        def counted(f, g):
-            calls.append(f.size)
-            return vdot(f, g)
-
-        monkeypatch.setattr(np, "vdot", counted)
-        return calls
-
-    @pytest.mark.parametrize("n", [8, 64, 128])
-    def test_one_slice_is_one_vdot(self, n, vdot_calls):
-        # the n = 128 half spectrum (8 320 elements) still fits in one slice
-        fh, gh = self.spectra(n)
-        assert fh.size <= descent._DOT_SLICE
-        got = descent._dot(fh, gh)
-        assert vdot_calls == [fh.size]
-        assert np.float64(got).tobytes() == np.float64(np.vdot(fh, gh).real).tobytes()
-
-    @pytest.mark.parametrize("n", [256, 512])
-    def test_slices_summed_in_order(self, n, vdot_calls):
-        fh, gh = self.spectra(n)
-        f, g = fh.ravel(), gh.ravel()
-        step = descent._DOT_SLICE
-        total = 0.0
-        for i in range(0, f.size, step):
-            total += np.vdot(f[i:i + step], g[i:i + step]).real
-        vdot_calls.clear()
-        got = descent._dot(fh, gh)
-        assert vdot_calls == [min(step, f.size - i) for i in range(0, f.size, step)]
-        assert np.float64(got).tobytes() == np.float64(total).tobytes()
-        assert got == pytest.approx(float(np.vdot(fh, gh).real), rel=1e-12)
-
-    def test_slice_order_is_the_array_order(self):
-        # slice dots 1, 1e16, -1e16: in order 1 is absorbed, reversed it survives
-        step = descent._DOT_SLICE
-        f = np.zeros(3 * step, dtype=complex)
-        f[0], f[step], f[2 * step] = 1.0, 1e16, -1e16
-        assert descent._dot(f, np.ones_like(f)) == 0.0
 
 
 def _reference_steepest_descent(p, u0, tol_residual=1e-9, max_iters=4000):
@@ -355,7 +306,7 @@ class TestLBFGS:
     def spectrum(self, grid, seed):
         """A zero-mean pre-weighted half spectrum, as minimize carries them."""
         vals = smooth_field(grid, np.random.default_rng(seed)).values
-        vh = np.fft.rfft2(vals - vals.mean()) * descent._parseval_scale(grid)
+        vh = _half_spectrum(vals - vals.mean(), grid)
         vh[0, 0] = 0.0
         return vh
 

@@ -6,7 +6,8 @@ import pytest
 from tzlab import (GridError, ScalarField, build_grid, constant_field,
                    distance_field, field_from_function, grad_norm_sq,
                    integrate, laplacian)
-from tzlab.surface import _dirichlet, _dirichlet_buffers
+from tzlab import surface
+from tzlab.surface import _dirichlet, _dot, _half_spectrum
 
 from conftest import node_coordinates, random_trig_coeffs, sample_trig
 
@@ -278,12 +279,26 @@ class TestRealTransforms:
         g = build_grid(16)
         assert g.k2_half.shape == (16, 9)
         assert np.array_equal(g.k2_half, self.full_k2(g)[:, :9])
-        assert g.multiplicity.tolist() == [1.0] + [2.0] * 7 + [1.0]
+        # sqrt(multiplicity) / n^2: columns 0 and n/2 stand for one mode of
+        # the full spectrum, every other column for two
+        expected = [1.0 / 256] + [np.sqrt(2.0) / 256] * 7 + [1.0 / 256]
+        assert g.parseval_scale.tolist() == expected
 
     def test_parseval_with_multiplicities(self, noise):
-        full = np.sum(np.abs(np.fft.fft2(noise.values)) ** 2)
-        half = np.sum(noise.grid.multiplicity * np.abs(np.fft.rfft2(noise.values)) ** 2)
-        assert half == pytest.approx(full, rel=1e-12)
+        full = np.sum(np.abs(np.fft.fft2(noise.values)) ** 2) / 64**4
+        fh = _half_spectrum(noise.values, noise.grid)
+        assert _dot(fh, fh) == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_half_spectrum_bitwise_rfft2_times_scale(self, n, rng):
+        # in a fresh array and in a buffer another field has filled
+        g = build_grid(n)
+        values, other = rng.standard_normal((2, n, n))
+        ref = np.fft.rfft2(values) * g.parseval_scale
+        assert _half_spectrum(values, g).tobytes() == ref.tobytes()
+        out = _half_spectrum(other, g)
+        assert _half_spectrum(values, g, out=out) is out
+        assert out.tobytes() == ref.tobytes()
 
     def test_laplacian_matches_full_fft(self, noise):
         ref = np.fft.ifft2(-self.full_k2(noise.grid) * np.fft.fft2(noise.values)).real
@@ -292,15 +307,22 @@ class TestRealTransforms:
     @pytest.mark.parametrize("n", [8, 64, 256, 512])
     def test_grad_norm_sq_bitwise_equal_to_weighted_sum(self, n, rng):
         # grad_norm_sq, and _dirichlet in buffers another field has filled,
-        # against the plain rfft2 expression, temporaries and all
+        # against the plain pre-weighted expression, temporaries and all:
+        # vdots of k2_half times rfft2 * scale, slice by slice in order
         f, other = (ScalarField(build_grid(n), rng.standard_normal((n, n))) for _ in range(2))
         before = f.values.copy()
-        g, fh = f.grid, np.fft.rfft2(f.values)
-        ref = float(np.sum(g.multiplicity * g.k2_half * (fh.real**2 + fh.imag**2)) / g.n**4)
+        g = f.grid
+        fh = np.fft.rfft2(f.values) * g.parseval_scale
+        weighted = (g.k2_half * fh).ravel()
+        fh, step = fh.ravel(), surface._DOT_SLICE
+        ref = 0.0
+        for i in range(0, fh.size, step):
+            ref += np.vdot(fh[i:i + step], weighted[i:i + step]).real
         assert grad_norm_sq(f) == ref
-        spectrum, power = _dirichlet_buffers(g)
-        _dirichlet(other.values, g, spectrum, power)
-        assert _dirichlet(f.values, g, spectrum, power) == ref
+        spectrum = np.empty((n, n // 2 + 1), dtype=complex)
+        scratch = np.empty(surface._DOT_SLICE, dtype=complex)
+        _dirichlet(other.values, g, spectrum, scratch)
+        assert _dirichlet(f.values, g, spectrum, scratch) == ref
         assert f.values.tobytes() == before.tobytes()  # the field is not touched
 
     def test_dirichlet_in_caller_buffers_allocates_no_spectrum(self, rng):
@@ -308,23 +330,92 @@ class TestRealTransforms:
         n = 256
         grid = build_grid(n)
         values = rng.standard_normal((n, n))
-        spectrum, power = _dirichlet_buffers(grid)
-        _dirichlet(values, grid, spectrum, power)  # grid.parseval_weight is cached
+        spectrum = np.empty((n, n // 2 + 1), dtype=complex)
+        scratch = np.empty(surface._DOT_SLICE, dtype=complex)
+        _dirichlet(values, grid, spectrum, scratch)  # grid.parseval_scale is cached
         tracemalloc.start()
         try:
-            _dirichlet(values, grid, spectrum, power)
+            _dirichlet(values, grid, spectrum, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    def test_parseval_weight_is_cached_per_grid(self):
+    def test_parseval_scale_is_cached_per_grid(self):
         g = build_grid(16)
-        assert np.array_equal(g.parseval_weight, g.multiplicity * g.k2_half)
-        assert g.parseval_weight is g.parseval_weight
-        assert build_grid(16).parseval_weight is not g.parseval_weight
+        assert g.parseval_scale is g.parseval_scale
+        assert build_grid(16).parseval_scale is not g.parseval_scale
 
     def test_grad_norm_sq_matches_full_fft(self, noise):
         fh = np.fft.fft2(noise.values)
         ref = np.sum(self.full_k2(noise.grid) * np.abs(fh) ** 2) / 64**4
         assert grad_norm_sq(noise) == pytest.approx(ref, rel=1e-12)
+
+
+class TestParsevalScale:
+    """Pre-weighted half spectra: int f g is ``surface._dot``, a bare vdot."""
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_vdot_is_integral(self, n):
+        grid = build_grid(n)
+        rng = np.random.default_rng(n)
+        scale = grid.parseval_scale
+        for _ in range(5):
+            # white noise fills every column, 0 and n/2 included
+            f, g = (ScalarField(grid, rng.standard_normal((n, n))) for _ in range(2))
+            fh, gh = (np.fft.rfft2(v.values) * scale for v in (f, g))
+            bound = 1e-13 * np.sqrt(integrate(f * f) * integrate(g * g))
+            assert abs(_dot(fh, gh) - integrate(f * g)) <= bound
+
+
+class TestSlicedDot:
+    """``surface._dot``: one vdot per slice of at most _DOT_SLICE elements,
+    summed in order, so no dot is split across BLAS threads."""
+
+    @staticmethod
+    def spectra(n, seed=0):
+        rng = np.random.default_rng(seed)
+        scale = build_grid(n).parseval_scale
+        return [np.fft.rfft2(rng.standard_normal((n, n))) * scale for _ in range(2)]
+
+    @pytest.fixture
+    def vdot_calls(self, monkeypatch):
+        calls = []
+        vdot = np.vdot
+
+        def counted(f, g):
+            calls.append(f.size)
+            return vdot(f, g)
+
+        monkeypatch.setattr(np, "vdot", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_one_slice_is_one_vdot(self, n, vdot_calls):
+        # the n = 128 half spectrum (8 320 elements) still fits in one slice
+        fh, gh = self.spectra(n)
+        assert fh.size <= surface._DOT_SLICE
+        got = surface._dot(fh, gh)
+        assert vdot_calls == [fh.size]
+        assert np.float64(got).tobytes() == np.float64(np.vdot(fh, gh).real).tobytes()
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_slices_summed_in_order(self, n, vdot_calls):
+        fh, gh = self.spectra(n)
+        f, g = fh.ravel(), gh.ravel()
+        step = surface._DOT_SLICE
+        total = 0.0
+        for i in range(0, f.size, step):
+            total += np.vdot(f[i:i + step], g[i:i + step]).real
+        vdot_calls.clear()
+        got = surface._dot(fh, gh)
+        assert vdot_calls == [min(step, f.size - i) for i in range(0, f.size, step)]
+        assert np.float64(got).tobytes() == np.float64(total).tobytes()
+        assert got == pytest.approx(float(np.vdot(fh, gh).real), rel=1e-12)
+
+    def test_slice_order_is_the_array_order(self):
+        # slice dots 1, 1e16, -1e16: in order 1 is absorbed, reversed it survives
+        step = surface._DOT_SLICE
+        f = np.zeros(3 * step, dtype=complex)
+        f[0], f[step], f[2 * step] = 1.0, 1e16, -1e16
+        assert surface._dot(f, np.ones_like(f)) == 0.0
