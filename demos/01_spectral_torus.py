@@ -9,10 +9,18 @@ Fourier multipliers.
 
 import numpy as np
 
-from tzlab import (build_grid, constant_field, field_from_function,
-                   grad_norm_sq, integrate, laplacian)
+from tzlab import (Params, build_grid, constant_field, field_from_function,
+                   grad_norm_sq, integrate, residual_J)
 
 grid = build_grid(64)
+one = constant_field(grid, 1.0)
+
+
+def laplacian(f):
+    # residual_J is -Lap u + (the exp terms' gradient), which is exactly
+    # zero at rho = (0, 0)
+    return -residual_J(f, Params(0.0, 0.0, one, one))
+
 print(f"grid: n={grid.n}, dx=1/{grid.n}, total area = {grid.n**2 * grid.dx**2}")
 
 print("\n-- quadrature is exact below the Nyquist band --")

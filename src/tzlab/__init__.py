@@ -19,8 +19,7 @@ from .radial import (MassPair, TrajectoryOverflow, alpha_sweep,
                      pohozaev_residual_profile, quantization_table, shoot)
 from .recipes import RecipeError, field_from_recipe, parse_recipe
 from .surface import (GridError, ScalarField, build_grid, constant_field,
-                      distance_field, field_from_function, grad_norm_sq,
-                      integrate, laplacian)
+                      distance_field, field_from_function, grad_norm_sq, integrate)
 
 __all__ = [
     "ExpUnderflow", "GridError", "JoinConfig", "MassPair", "Params",
@@ -30,7 +29,7 @@ __all__ = [
     "component_asymptotics_sweep", "constant_field", "default_join_config",
     "dirichlet_alpha", "distance_field", "energy_J", "field_from_function",
     "field_from_recipe", "fit_slope", "grad_norm_sq", "integrate",
-    "laplacian", "limit_mass_relation", "liouville_bubble", "liouville_mass",
+    "limit_mass_relation", "liouville_bubble", "liouville_mass",
     "minimize", "mt_threshold_scan", "parse_recipe", "pohozaev_residual_profile",
     "quantization_table", "residual_J", "shoot",
 ]

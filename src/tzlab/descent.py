@@ -22,14 +22,14 @@ only removes the flat direction from the search.
 
 The iterate u is carried together with its half-spectrum transform u^, so
 one iteration costs one real transform pair: a forward transform of the
-density term g of the residual, r^ = |k|^2 u^ + g^, and an ``irfft2`` of the
-search direction d^.  Every half spectrum is pre-weighted in ``surface``'s
-one convention (``_half_spectrum``; d^ is divided by the grid's
-``parseval_scale`` before its ``irfft2``), so norms, the Armijo slope and
-the recursion's inner products are ``surface._dot``, and the start's
-1/2 _dot(u^, |k|^2 u^) is ``energy_J``'s Dirichlet term bit for bit.  The
-pairs are kept in the half spectrum, and the two-loop recursion updates
-its vectors in place.
+density term g of the residual ``energy._residual``, r^ = |k|^2 u^ + g^,
+and an ``irfft2`` of the search direction d^.  Every half spectrum is
+pre-weighted in ``surface``'s one convention (``_half_spectrum``; d^ is
+divided by the grid's ``parseval_scale`` before its ``irfft2``), so norms,
+the Armijo slope and the recursion's inner products are ``surface._dot``,
+and the start's 1/2 _dot(u^, |k|^2 u^) is ``energy_J``'s Dirichlet term
+bit for bit.  The pairs are kept in the half spectrum, and the two-loop
+recursion updates its vectors in place.
 Along u + t d the Dirichlet term 1/2 int |grad(u + t d)|^2 =
 1/2 (A + 2tB + t^2 C) is quadratic in t with coefficients from u^ and d^,
 so a trial step costs no transform, only the two exps of the energy's
@@ -41,13 +41,12 @@ potential, whose densities the accepted step hands on to the next residual.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Params, _potential
+from .energy import Params, _potential, _residual
 from .surface import ScalarField, _dot, _half_spectrum, integrate
 
 # Energy decrements below roundoff resolution cannot be certified by the
@@ -146,28 +145,13 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     """
     if not tol_residual > 0:
         raise ValueError("tol_residual must be positive")
-    if not p.coercive:
-        warnings.warn(
-            "rho outside the coercive region (rho1 < 8*pi, rho2 < 4*pi): "
-            "the energy may be unbounded below and descent may not converge",
-            stacklevel=2,
-        )
     grid = p.grid
     dx2 = grid.dx**2
     k2 = grid.k2_half
-
-    def residual(uh, g):
-        # the residual has zero mean; its zero mode is pure roundoff
-        k2uh = k2 * uh
-        rh = _half_spectrum(g, grid)
-        rh += k2uh
-        rh[0, 0] = 0.0
-        return k2uh, rh, float(np.sqrt(_dot(rh, rh)))
-
     u = u0.values - integrate(u0)
     uh = _half_spectrum(u, grid)
     pot, g = _potential(u, p, dx2)
-    k2uh, rh, rnorm = residual(uh, g)
+    k2uh, rh, rnorm = _residual(uh, g, grid)
     e = 0.5 * _dot(uh, k2uh) + pot
     hessian = _InverseHessian(k2, min(p.rho1 + 2.0 * p.rho2, _SHIFT_CAP))
     evals, backtracks = 1, 0
@@ -193,7 +177,7 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
             break  # the line search stalled; keep the last accepted iterate
         sh = t * dh
         u, uh, e, rh_old = u_new, uh + sh, e_new, rh
-        k2uh, rh, rnorm = residual(uh, g)
+        k2uh, rh, rnorm = _residual(uh, g, grid)
         hessian.update(sh, rh - rh_old)
     return Solution(ScalarField(grid, u), e, rnorm, iterations,
                     rnorm <= tol_residual, evals, backtracks)

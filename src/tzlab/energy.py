@@ -16,8 +16,10 @@ e^{u - ubar} - a2/2 log int e^{-2(u - ubar)}: bounded below iff a1 <= 8 pi
 and a2 <= 4 pi, and up to (8 k pi, 4 l pi) for mass spread over k and l
 regions.  Every exponential integral goes through ``_exp_integral``,
 stabilized by the max exponent since concentrating families push u
-to +-O(100), and the exp terms of J_rho and their gradient through
-``_potential``, which the energy, the residual and the descent share.
+to +-O(100); the exp terms of J_rho and their gradient g go through
+``_potential``, and the residual -Lap u + g through ``_residual``, its one
+formula: the descent evaluates it on its carried spectrum, ``residual_J``
+and solve's check on a fresh one.
 The additive constants of the inequalities are never estimated;
 sharpness is probed through slopes in log(lambda), which are
 constant-free.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import ScalarField, grad_norm_sq, laplacian
+from .surface import ScalarField, _dot, _half_spectrum, grad_norm_sq
 
 
 _TINY = float(np.finfo(float).tiny)
@@ -145,11 +147,29 @@ def energy_J(u: ScalarField, p: Params) -> float:
     return 0.5 * grad_norm_sq(u) + _potential(u.values, p, u.grid.dx**2)[0]
 
 
+def _residual(uh, g, grid):
+    """The library's one residual formula, r = -Lap u + g, in ``surface``'s
+    pre-weighted half spectrum: from u^ and the potential's gradient g,
+    |k|^2 u^, r^ = |k|^2 u^ + g^ and the L^2 norm of r."""
+    k2uh = grid.k2_half * uh
+    rh = _half_spectrum(g, grid)
+    rh += k2uh
+    rh[0, 0] = 0.0  # r has zero mean; its zero mode is pure roundoff
+    return k2uh, rh, float(np.sqrt(_dot(rh, rh)))
+
+
+def _fresh_residual(u: ScalarField, p: Params):
+    """``_residual`` at u, from a fresh half spectrum of u."""
+    g = _potential(u.values, p, u.grid.dx**2)[1]
+    return _residual(_half_spectrum(u.values, u.grid), g, u.grid)
+
+
 def residual_J(u: ScalarField, p: Params) -> ScalarField:
     """L^2 gradient of energy_J; zero exactly at discrete mean-field solutions.
 
-    Output has zero mean to roundoff (both normalized densities integrate
-    to 1 and the Laplacian kills the zero mode).
+    ``_fresh_residual``'s r^, inverted as the descent inverts its direction;
+    zero mean to roundoff.  At rho = (0, 0) the potential's gradient is
+    exactly zero, so this is -Lap u.
     """
-    grad = _potential(u.values, p, u.grid.dx**2)[1]
-    return ScalarField(u.grid, grad - laplacian(u).values)
+    rh = _fresh_residual(u, p)[1]
+    return ScalarField(u.grid, np.fft.irfft2(rh / u.grid.parseval_scale, s=u.values.shape))

@@ -234,8 +234,10 @@ def _sign_crossing(coeffs, slopes):
         if s0 == 0.0:
             return float(coeffs[i])
         if s0 * s1 < 0:
+            # s0 / (s0 - s1) is in [0, 1], so the crossing overflows only
+            # when the coefficient gap does
             with np.errstate(over="ignore", invalid="ignore"):  # near the largest double
-                return float(coeffs[i] - s0 * (coeffs[i + 1] - coeffs[i]) / (s1 - s0))
+                return float(coeffs[i] + (coeffs[i + 1] - coeffs[i]) * (s0 / (s0 - s1)))
     if slopes and slopes[-1] == 0.0:
         return float(coeffs[-1])
     return None

@@ -3,8 +3,8 @@
 The surface model throughout the library is the square torus [0,1)^2 with
 the flat metric, sampled on a uniform n-by-n grid.  Everything here is
 spectral: integrals are periodic trapezoid sums (exact for band-limited
-integrands), the Laplacian multiplies Fourier modes by -|k|^2, and the
-Dirichlet energy is a Parseval sum.  The FFT convention is numpy's:
+integrands), -Lap multiplies each Fourier mode by |k|^2 (``k2_half``), and
+the Dirichlet energy is a Parseval sum.  The FFT convention is numpy's:
 forward transform unnormalized, inverse scaled by 1/n^2.
 
 Fields are real, so transforms are the real ones (``rfft2``/``irfft2``):
@@ -158,21 +158,11 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum() * f.grid.dx**2)
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    """Spectral Laplacian: each Fourier mode multiplied by -|k|^2.
-
-    The zero mode is annihilated, so the output has zero mean to roundoff.
-    """
-    fh = np.fft.rfft2(f.values)
-    out = np.fft.irfft2(-f.grid.k2_half * fh, s=f.values.shape)
-    return ScalarField(f.grid, out)
-
-
 def grad_norm_sq(f: ScalarField) -> float:
     """Dirichlet integral int |grad f|^2 via Parseval.
 
-    Equals -integrate(f * laplacian(f)) to roundoff; always >= 0 and zero
-    iff f is constant.
+    Equals int f (-Lap f) to roundoff; always >= 0 and zero iff f is
+    constant.
     """
     spectrum = np.empty((f.grid.n, f.grid.n // 2 + 1), dtype=complex)
     scratch = np.empty(min(spectrum.size, _DOT_SLICE), dtype=complex)

@@ -394,7 +394,7 @@ class TestExitCodes:
         (["bubble-sweep", "--n", "8", "--lambdas", "1e-300,2e-300"], "slope_matches"),
         (["asymptotics", "--n", "8", "--lambdas", "1e-300,2e-300"], "gradient_slope"),
         (["mt-scan", "--n", "8", "--a1", "0,1e308"], "plus_crossing_at_sharp"),
-        # measured cells: the values, their fits and the crossing overflow too
+        # measured cells: the values and their fits overflow too, but not the crossing
         (["mt-scan", "--n", "64", "--lambdas", "1,2", "--a1", "0,1e308"], None),
     ], ids=["bubble-sweep-0/0", "asymptotics-0/0", "mt-scan-skipped", "mt-scan-measured"])
     def test_nan_slope_or_crossing_fails_without_warning(self, tmp_path, capsys, argv, check):
@@ -405,10 +405,15 @@ class TestExitCodes:
         rc = main(argv + ["--out", str(tmp_path)])
         assert rc == EXIT_CHECKFAIL
         assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "summary.json").read_text())
         if check:
-            summary = json.loads((tmp_path / "summary.json").read_text())
             assert summary["checks"][check] is False
             assert summary["values"][check]["value"] is None
+        else:
+            # the slopes 7.31 and -2.72e307 change sign inside [0, 1e308]:
+            # the crossing, 26.8566, is finite
+            offset = summary["values"]["plus_crossing_at_sharp"]["value"]
+            assert offset == pytest.approx(26.856620197063357 - 8.0 * np.pi, rel=1e-12)
 
 
 class TestSolve:
@@ -453,13 +458,14 @@ class TestSolve:
         assert xs[:8] == pytest.approx([i / 8 for i in range(8)])  # x varies first
         assert ys[:8] == pytest.approx([0.0] * 8)
 
-    def test_outside_coercive_region_fails(self, tmp_path):
+    def test_outside_coercive_region_fails(self, tmp_path, capsys):
         # a discrete minimizer exists at any rho, so convergence alone
-        # must not pass the command
-        with pytest.warns(UserWarning, match="coercive"):
-            rc = main(["solve", "--rho1", "2000", "--rho2", "0", "--n", "16",
-                       "--out", str(tmp_path)])
+        # must not pass the command; the check alone reports it, and under
+        # filterwarnings = error a warning would raise
+        rc = main(["solve", "--rho1", "2000", "--rho2", "0", "--n", "16",
+                   "--out", str(tmp_path)])
         assert rc == EXIT_CHECKFAIL
+        assert capsys.readouterr().err == ""
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["checks"]["coercive_regime"] is False
 
@@ -500,13 +506,27 @@ class TestSolve:
         # the CSV keeps the descent's own figure
         assert read_csv(tmp_path / "solve.csv")[1][4] == "0.0"
 
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_residual_check_uses_the_descent_formula(self, tmp_path, n):
+        # with no iteration the descent's spectrum is the start's fresh one,
+        # so the check's recomputed norm is the descent's, bit for bit
+        rc = main(["solve", "--n", str(n), "--rho1", repr(6.0 * np.pi),
+                   "--rho2", repr(3.0 * np.pi), "--seed", "0,1,2,3", "--max-iters", "0",
+                   "--h1", "1+0.5*cos(2*pi*x)", "--h2", "1+0.5*sin(2*pi*y)",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        norms = [float(row[4]) for row in read_csv(tmp_path / "solve.csv")[1:]]
+        assert len(norms) == 4
+        assert summary["values"]["residual_below_tol"]["value"] == max(norms)
+
     @pytest.mark.parametrize("rho1,rho2", [("2000,1", "1"), ("1,2000", "1"), ("1", "1,20,2")],
                              ids=["rho1-first", "rho1-last", "rho2-middle"])
-    def test_one_noncoercive_pair_fails_the_list(self, tmp_path, rho1, rho2):
-        with pytest.warns(UserWarning, match="coercive"):
-            rc = main(["solve", "--rho1", rho1, "--rho2", rho2, "--n", "16",
-                       "--max-iters", "50", "--out", str(tmp_path)])
+    def test_one_noncoercive_pair_fails_the_list(self, tmp_path, capsys, rho1, rho2):
+        rc = main(["solve", "--rho1", rho1, "--rho2", rho2, "--n", "16",
+                   "--max-iters", "50", "--out", str(tmp_path)])
         assert rc == EXIT_CHECKFAIL
+        assert capsys.readouterr().err == ""
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["checks"]["coercive_regime"] is False
 

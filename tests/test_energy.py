@@ -8,7 +8,7 @@ from tzlab import (ExpUnderflow, JoinConfig, Params, ScalarField, build_grid,
                    build_bubble, constant_field, default_join_config, energy_J,
                    field_from_function, fit_slope, grad_norm_sq, integrate,
                    residual_J)
-from tzlab.energy import _exp_integral
+from tzlab.energy import _exp_integral, _potential
 
 from conftest import node_coordinates, smooth_field
 
@@ -121,6 +121,18 @@ class TestResidualJ:
         for _ in range(5):
             u = smooth_field(grid64, rng, amplitude=1.5)
             assert abs(integrate(residual_J(u, unit_params))) < 1e-10
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_zero_rho_is_minus_laplacian(self, n, rng):
+        # at rho = (0, 0) every entry of the potential's gradient is +-0.0,
+        # so residual_J is the spectral -Lap u that the Laplacian tests read
+        grid = build_grid(n)
+        u = smooth_field(grid, rng, amplitude=3.0)
+        h1, h2 = (smooth_field(grid, rng, amplitude=0.3) + 1.5 for _ in range(2))
+        p = Params(0.0, 0.0, h1, h2)
+        assert not np.any(_potential(u.values, p, grid.dx**2)[1])
+        ref = np.fft.irfft2(grid.k2_half * np.fft.rfft2(u.values), s=(n, n))
+        assert np.abs(residual_J(u, p).values - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_shift_invariance(self, grid64, unit_params, rng):
         u = smooth_field(grid64, rng)

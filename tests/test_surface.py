@@ -3,13 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tzlab import (GridError, ScalarField, build_grid, constant_field,
+from tzlab import (GridError, Params, ScalarField, build_grid, constant_field,
                    distance_field, field_from_function, grad_norm_sq,
-                   integrate, laplacian)
+                   integrate, residual_J)
 from tzlab import surface
 from tzlab.surface import _dirichlet, _dot, _half_spectrum
 
 from conftest import node_coordinates, random_trig_coeffs, sample_trig
+
+
+def laplacian(f):
+    """-residual_J at rho = (0, 0), where the exp terms' gradient is exactly
+    zero: the spectral Laplacian."""
+    one = constant_field(f.grid, 1.0)
+    return -residual_J(f, Params(0.0, 0.0, one, one))
 
 
 class TestBuildGrid:
