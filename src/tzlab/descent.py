@@ -139,9 +139,10 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     first step.  The energy sequence is nonincreasing
     (Armijo-enforced, up to roundoff resolution), so the last accepted
     iterate is the best.  The descent stops when the residual norm is at
-    most tol_residual, after max_iters iterations, or when the line search
-    finds no decrease above the minimal step; ``converged`` tells whether
-    the residual met tol_residual.
+    most tol_residual, from the carried spectrum and from a fresh one of the
+    iterate (it reports the carried figure), after max_iters iterations, or
+    when the line search finds no decrease above the minimal step;
+    ``converged`` tells whether the residual met tol_residual.
     """
     if not tol_residual > 0:
         raise ValueError("tol_residual must be positive")
@@ -156,7 +157,16 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     hessian = _InverseHessian(k2, min(p.rho1 + 2.0 * p.rho2, _SHIFT_CAP))
     evals, backtracks = 1, 0
     iterations = 0
-    while rnorm > tol_residual and iterations < max_iters:
+    while iterations < max_iters:
+        if rnorm <= tol_residual:
+            # the carried u^ drifts from u's spectrum by roundoff, so a stop
+            # is confirmed on a fresh one; a fresh figure above tol goes on
+            # from the fresh spectrum
+            fresh_uh = _half_spectrum(u, grid)
+            fresh = _residual(fresh_uh, g, grid)
+            if fresh[2] <= tol_residual:
+                break
+            uh, (k2uh, rh, rnorm) = fresh_uh, fresh
         iterations += 1
         dh, slope = hessian.direction(rh)
         d = np.fft.irfft2(dh / grid.parseval_scale, s=u.shape)

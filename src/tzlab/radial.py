@@ -10,15 +10,16 @@ masses
 
     sigma1(r) = int_0^r h1 e^{u} s ds,   sigma2(r) = int_0^r h2 e^{-2u} s ds
 
-are accumulated with the same integrator, so the exact identities of the
-continuum equation -- w + sigma1 - sigma2 = 0 with w = r u', and the
-constant-h Pohozaev identity
+are accumulated with the same integrator.  Of the continuum equation's
+identities, w + sigma1 - sigma2 = 0 with w = r u' is linear, so RK4 keeps
+it in exact arithmetic and shoot by construction; the residual of the
+constant-h Pohozaev identity, pure integration error, is the oracle:
 
     2 pi (2 sigma1(r) + sigma2(r))
-        = pi w(r)^2 + 2 pi r^2 (h1 e^{u(r)} + h2 e^{-2u(r)} / 2)
+        = pi w(r)^2 + 2 pi r^2 (h1 e^{u(r)} + h2 e^{-2u(r)} / 2).
 
--- serve as correctness oracles.  The integrator is classical RK4 in
-t = log r on the (u, w, sigma1, sigma2) that a profile keeps:
+The integrator is classical RK4 in t = log r on the (u, w, sigma1, sigma2)
+that a profile keeps:
 
     u' = w,   w' = e^{2t} (h2 e^{-2u} - h1 e^u),
     sigma1' = e^{2t} h1 e^u,   sigma2' = e^{2t} h2 e^{-2u}.
@@ -28,16 +29,15 @@ core scale (h1 e^alpha)^{-1/2}, or (h2 e^{-2 alpha})^{-1/2}, or inside
 r_max, and takes round(r_max / step) equal steps in t, at most _MAX_STEPS,
 to log r_max exactly.  The core is then a fixed distance from the start,
 so no step is too coarse for a large |alpha| or weight; the later bubbles
-of a tower are sharper in t, and the Pohozaev residual, pure integration
-error, shows whether a step follows them.  The first identity is linear
-in (w, sigma1, sigma2), so RK4 keeps it to roundoff.  The RK4 loop is
-written out on float locals in the operation order of its vector form
-k = f(t, y), so trajectories are bit for bit those of the vector form.
-The step is chosen by h2: at h2 = 0 a Liouville step leaves out the
-e^{-2u} terms, which the vector form adds as signed zeros, and stores
-only u and sigma1: w equals 0.0 - sigma1 bit for bit and sigma2 stays
-0.0, so both are formed after the loop; for h2 > 0 the step carries and
-stores all four equations.  Both loops read the node times from one
+of a tower are sharper in t, and the Pohozaev residual shows whether a
+step follows them.  The RK4 loop is written out on float locals in the
+operation order of its vector form k = f(t, y), followed by the
+projection w = sigma2 - sigma1 onto the first identity, so trajectories
+are bit for bit those of the vector form so projected.  The step is
+chosen by h2: at h2 = 0 a Liouville step leaves out the e^{-2u} terms,
+which the vector form adds as signed zeros, and sigma2 stays 0.0.  Each
+loop stores u and the masses it integrates, and w = sigma2 - sigma1 is
+formed after either loop.  Both loops read the node times from one
 array, which then becomes r in place.
 
 dirichlet_alpha solves the zero-boundary problem on the unit disk for the
@@ -139,9 +139,10 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     _CORE_MARGIN e-folds inside min(r_max, core scale), where the core scale
     is exp(-max(log h1 + alpha, log h2 - 2 alpha)/2), the h2 term only when
     h2 > 0.  The nodes' times t2 = log r^2 are one array that the loop reads
-    and that then becomes r in place.  The profile keeps the integrated
-    w = r u' as it stands; at h2 = 0 only u and sigma1 are stored per step,
-    and w = 0.0 - sigma1 and sigma2 = 0.0 are formed after the loop."""
+    and that then becomes r in place.  A step stores u and the masses it
+    integrates (sigma1 alone at h2 = 0, where sigma2 stays 0.0), and
+    w = r u' = sigma2 - sigma1, the w each step carries, is formed after
+    the loop."""
     if not 0 < h1 < math.inf:
         raise ValueError(f"h1 must be finite and positive, got {h1!r}")
     if not 0 <= h2 < math.inf:
@@ -176,16 +177,16 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
         # with the operation order of the vector form k = f(t2, y):
         # a = h1 e^{u + t2}, b = h2 e^{t2 - 2u}, f = (w, b - a, a, b), stage
         # times t2, t2 + dt (the half step in t) and the next node, stage
-        # arguments y + dt/2 k and y + dt k, update y += dt/6 (k1 + 2 k2 + 2 k3 + k4).
-        # f does not read sigma1, sigma2, so their stage arguments are not formed.
+        # arguments y + dt/2 k and y + dt k, update y += dt/6 (k1 + 2 k2 + 2 k3 + k4),
+        # then w = sigma2 - sigma1.  f does not read sigma1, sigma2, so their
+        # stage arguments are not formed, nor k4's w, which the update drops.
         exp = math.exp
         dt_2, dt_6 = dt / 2, dt / 6
         if h2 == 0.0:
             # Liouville: the vector form's k_w = 0.0 - a is -a up to the sign
             # of a zero, so w takes exactly the negated sigma1 increment.  w
             # starts as 0.0 - sigma1, and sigma1 is never -0.0, so w stays
-            # 0.0 - sigma1 bit for bit and only u and sigma1 are stored;
-            # sigma2 stays 0.0.
+            # sigma2 - sigma1 = 0.0 - sigma1 bit for bit without the projection.
             cols = [array("d", (v,)) for v in (u, s1)]
             put_u, put_s1 = (col.append for col in cols)
             for te in next_times:
@@ -210,8 +211,8 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
                 put_u(u)
                 put_s1(s1)
         else:
-            cols = [array("d", (v,)) for v in (u, w, s1, s2)]
-            put_u, put_w, put_s1, put_s2 = (col.append for col in cols)
+            cols = [array("d", (v,)) for v in (u, s1, s2)]
+            put_u, put_s1, put_s2 = (col.append for col in cols)
             for te in next_times:
                 a1 = h1 * exp(u + t2)
                 b1 = h2 * exp(t2 - 2.0 * u)
@@ -231,16 +232,14 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
                 w4 = w + dt * k3w
                 a4 = h1 * exp(u4 + te)
                 b4 = h2 * exp(te - 2.0 * u4)
-                k4w = b4 - a4
                 u += dt_6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
-                w += dt_6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
                 s1 += dt_6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
                 s2 += dt_6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                w = s2 - s1
                 t2 = te
                 if not _U_MIN <= u <= _U_MAX:
                     raise _left_window(t2, u)
                 put_u(u)
-                put_w(w)
                 put_s1(s1)
                 put_s2(s2)
     except OverflowError:
@@ -254,9 +253,10 @@ def shoot(alpha: float, h1: float = 1.0, h2: float = 1.0,
     r[-1] = r_max
     if h2 == 0.0:
         u, sigma1 = (np.frombuffer(col, dtype=np.float64) for col in cols)
-        w, sigma2 = np.subtract(0.0, sigma1), np.zeros(n_total + 1)
+        sigma2 = np.zeros(n_total + 1)
     else:
-        u, w, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
+        u, sigma1, sigma2 = (np.frombuffer(col, dtype=np.float64) for col in cols)
+    w = np.subtract(sigma2, sigma1)
     return RadialProfile(
         r=r, u=u, w=w, sigma1=sigma1, sigma2=sigma2,
         alpha=alpha, h1=h1, h2=h2, step=float(step),

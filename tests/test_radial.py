@@ -17,8 +17,11 @@ def _reference_rk4(alpha, h1, h2, r_max, step):
     """(u, w, sigma1, sigma2) of shoot's scheme in vector form: RK4 in
     t = log r on y = (u, w = r u', sigma1, sigma2) with a tuple-returning
     right-hand side f of t2 = 2t and one numpy row per step, from the
-    leading series term 8 e-folds inside the core scale.  shoot must
-    reproduce it bit for bit."""
+    leading series term 8 e-folds inside the core scale.  After each step
+    w is projected onto the linear invariant w + sigma1 - sigma2 = 0, which
+    RK4 keeps in exact arithmetic, as w = sigma2 - sigma1 (at h2 = 0, where
+    sigma2 stays 0.0, that is the w the step computes, bit for bit).  shoot
+    must reproduce it bit for bit."""
     log_rate = math.log(h1) + alpha
     if h2 > 0.0:
         log_rate = max(log_rate, math.log(h2) - 2.0 * alpha)
@@ -45,6 +48,7 @@ def _reference_rk4(alpha, h1, h2, r_max, step):
         k4 = f(t2[j + 1], tuple(v + dt * k for v, k in zip(y, k3)))
         out[j + 1] = tuple(v + dt / 6 * (p + 2 * q + 2 * s + z)
                            for v, p, q, s, z in zip(y, k1, k2, k3, k4))
+        out[j + 1, 1] = out[j + 1, 3] - out[j + 1, 2]
     return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
 
 
@@ -78,10 +82,11 @@ class TestShoot:
             assert got.dtype == ref.dtype == np.float64
             assert np.array_equal(got, ref), name
             assert got.tobytes() == ref.tobytes(), name
+        # w = r u' is sigma2 - sigma1 bit for bit, at h2 = 0 (where sigma2
+        # is 0.0) to the sign of a zero
+        assert p.w.tobytes() == np.subtract(p.sigma2, p.sigma1).tobytes()
         if h2 == 0.0:
             assert np.all(p.sigma2 == 0.0)
-            # w = r u' is 0.0 - sigma1 to the sign of a zero
-            assert p.w.tobytes() == np.subtract(0.0, p.sigma1).tobytes()
 
     def test_constant_solution(self):
         # h1 = h2 = 1, alpha = 0: the forcing vanishes identically, so u and
@@ -110,8 +115,8 @@ class TestShoot:
         assert p.sigma1[-1] == pytest.approx(liouville_mass(10.0, 1.0), abs=1e-6)
 
     def test_radial_average_derivative_identity(self):
-        # r u' + sigma1 - sigma2 = 0 is linear in (w, sigma1, sigma2), so RK4
-        # keeps it to roundoff, through every bubble of a tower too
+        # r u' + sigma1 - sigma2 = 0 holds by construction: shoot forms w as
+        # sigma2 - sigma1 after every step, through every bubble of a tower too
         for alpha, h2 in ((8.0, 1.0), (20.0, 1.0), (20.0, 0.0), (-5.0, 1.0)):
             p = shoot(alpha, 1.0, h2, 1.0, 1e-4)
             assert np.abs(p.w + p.sigma1 - p.sigma2).max() <= 1e-10
