@@ -21,22 +21,23 @@ The iterate is kept at zero mean -- the energy is shift invariant, so this
 only removes the flat direction from the search.
 
 The iterate u is carried together with its half-spectrum transform u^, so
-one iteration costs one real transform pair: a forward transform of the
-density term g of the residual ``energy._residual``, r^ = |k|^2 u^ + g^,
-and an ``irfft2`` of the search direction d^.  Every half spectrum is
-pre-weighted in ``surface``'s one convention (``_half_spectrum``; d^ is
-divided by the grid's ``parseval_scale`` before its ``irfft2``), so norms,
-the Armijo slope and the recursion's inner products are ``surface._dot``,
-and the start's 1/2 _dot(u^, |k|^2 u^) is ``energy_J``'s Dirichlet term
-bit for bit.  The pairs are kept in the half spectrum, and the two-loop
-recursion updates its vectors in place.
+one iteration costs one real transform pair, both ``surface``'s: a forward
+one (``_half_spectrum``) of the density term g of the residual
+``energy._residual``, r^ = |k|^2 u^ + g^, and an inverse one
+(``_from_half_spectrum``) of the search direction d^.  Every half spectrum
+is pre-weighted in ``surface``'s one convention, so norms, the Armijo
+slope and the recursion's inner products are ``surface._dot``, and the
+start's 1/2 _dot(u^, |k|^2 u^) is ``energy_J``'s Dirichlet term bit for
+bit.  The pairs are kept in the half spectrum, and the two-loop recursion
+updates its vectors in place.
 Along u + t d the Dirichlet term 1/2 int |grad(u + t d)|^2 =
 1/2 (A + 2tB + t^2 C) is quadratic in t with coefficients from u^ and d^,
 so a trial step costs no transform, only the two exps of the energy's
 potential, whose densities the accepted step hands on to the next residual.
 
-``minimize`` always returns its last accepted iterate, the best one;
-``Solution.converged`` tells whether it met the residual tolerance.
+``minimize`` returns its last accepted iterate, the best one.  Its loop
+condition is its one stop rule: a carried residual norm at or below tol is
+replaced at once by a fresh spectrum's, on which ``converged`` is decided.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Params, _potential, _residual
-from .surface import ScalarField, _dot, _half_spectrum, integrate
+from .energy import ExpUnderflow, Params, _potential, _residual
+from .surface import ScalarField, _dot, _from_half_spectrum, _half_spectrum, integrate
 
 # Energy decrements below roundoff resolution cannot be certified by the
 # Armijo test; steps predicted to decrease by less than this slack are
@@ -139,44 +140,44 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     first step.  The energy sequence is nonincreasing
     (Armijo-enforced, up to roundoff resolution), so the last accepted
     iterate is the best.  The descent stops when the residual norm is at
-    most tol_residual, from the carried spectrum and from a fresh one of the
-    iterate (it reports the carried figure), after max_iters iterations, or
-    when the line search finds no decrease above the minimal step;
-    ``converged`` tells whether the residual met tol_residual.
+    most tol_residual on a fresh spectrum of the iterate (the figure it
+    reports), after max_iters iterations, or when the line search finds no
+    decrease above the minimal step; ``converged`` tells whether the
+    residual met tol_residual.  A floating-point overflow, invalid value or
+    division by zero in the descent (at a huge rho, say) raises ExpUnderflow.
     """
     if not tol_residual > 0:
         raise ValueError("tol_residual must be positive")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _descend(p, u0, max_iters, tol_residual)
+    except FloatingPointError as exc:
+        raise ExpUnderflow(f"descent: {exc}") from exc
+
+
+def _descend(p: Params, u0: ScalarField, max_iters: int, tol_residual: float) -> Solution:
+    """``minimize``'s descent, under its floating-point error state."""
     grid = p.grid
-    dx2 = grid.dx**2
     k2 = grid.k2_half
     u = u0.values - integrate(u0)
     uh = _half_spectrum(u, grid)
-    pot, g = _potential(u, p, dx2)
+    pot, g = _potential(u, p)
     k2uh, rh, rnorm = _residual(uh, g, grid)
     e = 0.5 * _dot(uh, k2uh) + pot
     hessian = _InverseHessian(k2, min(p.rho1 + 2.0 * p.rho2, _SHIFT_CAP))
     evals, backtracks = 1, 0
     iterations = 0
-    while iterations < max_iters:
-        if rnorm <= tol_residual:
-            # the carried u^ drifts from u's spectrum by roundoff, so a stop
-            # is confirmed on a fresh one; a fresh figure above tol goes on
-            # from the fresh spectrum
-            fresh_uh = _half_spectrum(u, grid)
-            fresh = _residual(fresh_uh, g, grid)
-            if fresh[2] <= tol_residual:
-                break
-            uh, (k2uh, rh, rnorm) = fresh_uh, fresh
+    while rnorm > tol_residual and iterations < max_iters:
         iterations += 1
         dh, slope = hessian.direction(rh)
-        d = np.fft.irfft2(dh / grid.parseval_scale, s=u.shape)
+        d = _from_half_spectrum(dh, grid)
         a, b, c = _dot(uh, k2uh), _dot(k2uh, dh), _dot(dh, k2 * dh)
         t = _STEP0
         guard = _ROUNDOFF_SLACK * (1.0 + abs(e))
         while t >= _MIN_STEP:
             u_new = t * d
             u_new += u
-            pot, g = _potential(u_new, p, dx2)
+            pot, g = _potential(u_new, p)
             evals += 1
             e_new = 0.5 * (a + t * (2.0 * b + t * c)) + pot
             if e_new <= e + _ARMIJO_C * t * slope + guard:
@@ -189,5 +190,9 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
         u, uh, e, rh_old = u_new, uh + sh, e_new, rh
         k2uh, rh, rnorm = _residual(uh, g, grid)
         hessian.update(sh, rh - rh_old)
+        if rnorm <= tol_residual:
+            # the carried u^ drifts by roundoff: decide on a fresh spectrum, go on from it
+            uh = _half_spectrum(u, grid)
+            k2uh, rh, rnorm = _residual(uh, g, grid)
     return Solution(ScalarField(grid, u), e, rnorm, iterations,
                     rnorm <= tol_residual, evals, backtracks)

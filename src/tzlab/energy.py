@@ -19,7 +19,7 @@ stabilized by the max exponent since concentrating families push u
 to +-O(100); the exp terms of J_rho and their gradient g go through
 ``_potential``, and the residual -Lap u + g through ``_residual``, its one
 formula: the descent evaluates it on its carried spectrum, ``residual_J``
-and solve's check on a fresh one.
+(inverted by ``surface._from_half_spectrum``) and solve's check on a fresh one.
 The additive constants of the inequalities are never estimated;
 sharpness is probed through slopes in log(lambda), which are
 constant-free.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import ScalarField, _dot, _half_spectrum, grad_norm_sq
+from .surface import ScalarField, _dot, _from_half_spectrum, _half_spectrum, grad_norm_sq
 
 
 _TINY = float(np.finfo(float).tiny)
@@ -39,7 +39,7 @@ _HUGE = float(np.finfo(float).max)
 
 
 class ExpUnderflow(ArithmeticError):
-    """A stabilized exponential integral underflowed to zero or overflowed."""
+    """An exponential integral underflowed to zero or overflowed, or a descent met a NaN or inf."""
 
 
 def _checked_integral(total):
@@ -72,7 +72,7 @@ def _j_from_parts(dirichlet, log1, log2, ubar, rho1, rho2):
     return dirichlet - rho1 * (log1 - ubar) - 0.5 * rho2 * (log2 + 2.0 * ubar)
 
 
-def _potential(values: np.ndarray, p: Params, dx2: float):
+def _potential(values: np.ndarray, p: Params):
     """The exp terms of J_rho at u = values and their L^2 gradient:
 
         -rho1 (log int h1 e^u - ubar) - rho2/2 (log int h2 e^{-2u} + 2 ubar),
@@ -83,6 +83,7 @@ def _potential(values: np.ndarray, p: Params, dx2: float):
     the gradient, which accumulates in the first species' array.  The
     energy, the residual and the descent all evaluate through here.
     """
+    dx2 = p.grid.dx**2
     ubar = float(values.sum() * dx2)
     log1, grad, total1 = _exp_integral(values.copy(), p.h1.values, dx2)
     log2, f2, total2 = _exp_integral(-2.0 * values, p.h2.values, dx2)
@@ -144,7 +145,7 @@ def energy_J(u: ScalarField, p: Params) -> float:
     Shift invariant: constants added to u cancel between the log-integral
     and the average terms.
     """
-    return 0.5 * grad_norm_sq(u) + _potential(u.values, p, u.grid.dx**2)[0]
+    return 0.5 * grad_norm_sq(u) + _potential(u.values, p)[0]
 
 
 def _residual(uh, g, grid):
@@ -160,16 +161,15 @@ def _residual(uh, g, grid):
 
 def _fresh_residual(u: ScalarField, p: Params):
     """``_residual`` at u, from a fresh half spectrum of u."""
-    g = _potential(u.values, p, u.grid.dx**2)[1]
+    g = _potential(u.values, p)[1]
     return _residual(_half_spectrum(u.values, u.grid), g, u.grid)
 
 
 def residual_J(u: ScalarField, p: Params) -> ScalarField:
     """L^2 gradient of energy_J; zero exactly at discrete mean-field solutions.
 
-    ``_fresh_residual``'s r^, inverted as the descent inverts its direction;
-    zero mean to roundoff.  At rho = (0, 0) the potential's gradient is
-    exactly zero, so this is -Lap u.
+    ``_fresh_residual``'s r^, inverted by ``surface._from_half_spectrum`` as
+    the descent inverts its direction; zero mean to roundoff.  At
+    rho = (0, 0) the potential's gradient is exactly zero, so this is -Lap u.
     """
-    rh = _fresh_residual(u, p)[1]
-    return ScalarField(u.grid, np.fft.irfft2(rh / u.grid.parseval_scale, s=u.values.shape))
+    return ScalarField(u.grid, _from_half_spectrum(_fresh_residual(u, p)[1], u.grid))

@@ -12,11 +12,11 @@ the half spectrum keeps the x-modes 0..n/2 (axis 1) and every y-mode.
 The dropped x-modes n/2+1..n-1 are complex conjugates of columns
 1..n/2-1, so columns 0 and n/2 stand for one mode of the full spectrum
 and every other column for two.  This module owns the library's one
-Parseval convention: a half spectrum is carried pre-weighted by
-sqrt(that multiplicity)/n^2 (``parseval_scale``, ``_half_spectrum``), so
-int f g is Re sum conj(f^) g^, ``_dot``, and the Dirichlet integral is
-``_dot(f^, |k|^2 f^)`` in caller-owned buffers that a sweep's lambda rows
-share (``_dirichlet``); the descent carries its spectra the same way.
+Parseval convention and both directions of the transform (no other module
+calls ``np.fft``): a half spectrum is carried pre-weighted by sqrt(that
+multiplicity)/n^2 (``parseval_scale``; ``_half_spectrum``, inverted by
+``_from_half_spectrum``), so int f g is Re sum conj(f^) g^, ``_dot``, and
+the Dirichlet integral is ``_dot(f^, |k|^2 f^)``, ``_dirichlet``.
 """
 
 from __future__ import annotations
@@ -188,6 +188,11 @@ def _half_spectrum(values: np.ndarray, grid: TorusGrid, out=None) -> np.ndarray:
     spectrum *= scale[1]
     edges[...] = edge_values
     return spectrum
+
+
+def _from_half_spectrum(spectrum: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The (n, n) array whose ``_half_spectrum`` is ``spectrum``."""
+    return np.fft.irfft2(spectrum / grid.parseval_scale, s=(grid.n, grid.n))
 
 
 def _dot(f: np.ndarray, g: np.ndarray) -> float:

@@ -238,6 +238,23 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("tzlab: ")
         assert "underflowed" in err[0]
 
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("rho", ["1e307", "1e308"])
+    @pytest.mark.parametrize("species", ["rho1", "rho2"])
+    def test_huge_rho_solve_is_a_failed_check_or_one_numerical_failure(
+            self, tmp_path, capsys, n, rho, species):
+        # finite rho that overflows the descent's arithmetic: with every
+        # warning an error, a leaked numpy warning would be a traceback here
+        rhos = {"rho1": "1", "rho2": "1", species: rho}
+        rc = main(["solve", "--n", str(n), "--rho1", rhos["rho1"], "--rho2", rhos["rho2"],
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc in (EXIT_CHECKFAIL, EXIT_NUMERIC)
+        if rc == EXIT_CHECKFAIL:
+            assert err == []
+        else:
+            assert len(err) == 1 and err[0].startswith("tzlab: numerical failure: ")
+
     @pytest.mark.parametrize("argv", [
         ["asymptotics", "--n", "64", "--lambdas", "400,25"],
         ["asymptotics", "--n", "256", "--lambdas", "400,25"],
@@ -533,6 +550,33 @@ class TestSolve:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["values"]["residual_below_tol"]["value"] <= 1e-9
         assert all(summary["checks"].values())
+
+    def test_the_iteration_cap_decides_convergence_on_a_fresh_residual(self, tmp_path):
+        # after 11 iterations the carried norm 9.9993e-10 meets tol but a
+        # fresh spectrum of the field reads 1.00002e-9: at the cap the solve
+        # is not converged, and the CSV reports the fresh figure
+        rc = main(["solve", "--n", "128", "--rho1", "12.566370614359172",
+                   "--rho2", "6.283185307179586", "--h1", "1+0.5*cos(2*pi*x)",
+                   "--h2", "1+0.5*sin(2*pi*y)", "--seed", "1257425741",
+                   "--max-iters", "11", "--out", str(tmp_path)])
+        assert rc == EXIT_CHECKFAIL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"]["converged"] is False
+        row = read_csv(tmp_path / "solve.csv")[1]
+        assert row[3:5] == ["false", "1.0000198153656791e-09"]
+        assert row[6] == "11"
+
+    def test_residual_check_is_the_worst_reported_residual(self, tmp_path):
+        # a converged stop reports the fresh figure that the check recomputes
+        rc = main(["solve", "--n", "64", "--rho1", "6.283185307179586,12.566370614359172",
+                   "--rho2", "3.141592653589793,9.42477796076938", "--seed", "0,1",
+                   "--h1", "1+0.5*cos(2*pi*x)", "--h2", "1+0.5*sin(2*pi*y)",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        norms = [float(row[4]) for row in read_csv(tmp_path / "solve.csv")[1:]]
+        assert len(norms) == 8
+        assert summary["values"]["residual_below_tol"]["value"] == max(norms)
 
     @pytest.mark.parametrize("rho1,rho2", [("2000,1", "1"), ("1,2000", "1"), ("1", "1,20,2")],
                              ids=["rho1-first", "rho1-last", "rho2-middle"])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from tzlab import (Params, ScalarField, build_grid, constant_field, energy_J,
+from tzlab import (ExpUnderflow, Params, ScalarField, build_grid, constant_field, energy_J,
                    field_from_function, field_from_recipe, integrate, minimize,
                    residual_J)
 from tzlab import descent
 from tzlab.cli import _random_start
+from tzlab.energy import _fresh_residual
 from tzlab.surface import _half_spectrum
 
 from conftest import smooth_field
@@ -100,6 +101,32 @@ class TestMinimize:
         assert best.iterations == 2
         assert not best.converged
         assert np.isfinite(best.energy)
+
+    def test_converged_is_decided_on_a_fresh_residual(self):
+        # at 11 iterations the carried norm of this solve meets tol while a
+        # fresh spectrum of the field reads above it; at every iteration cap
+        # the verdict, and a converged stop's reported figure, are the fresh
+        # residual's
+        grid = build_grid(128)
+        p = Params(4.0 * np.pi, 2.0 * np.pi, field_from_recipe("1+0.5*cos(2*pi*x)", grid),
+                   field_from_recipe("1+0.5*sin(2*pi*y)", grid))
+        u0 = _random_start(grid, 1257425741)
+        stop = minimize(p, u0).iterations
+        for k in range(stop + 1):
+            sol = minimize(p, u0, max_iters=k)
+            fresh = _fresh_residual(sol.u, p)[2]
+            assert sol.converged == (fresh <= 1e-9), k
+            if sol.converged:
+                assert sol.residual_norm == fresh
+        assert sol.converged and sol.iterations == stop
+
+    @pytest.mark.parametrize("rho1,rho2", [(1.0, 1e308), (1e308, 1.0)])
+    def test_floating_point_failure_is_exp_underflow(self, grid64, rho1, rho2):
+        # a huge but finite rho overflows the gradient's scale factor or a
+        # transform; the descent raises its typed error, not a numpy warning
+        one = constant_field(grid64, 1.0)
+        with pytest.raises(ExpUnderflow, match="^descent: "):
+            minimize(Params(rho1, rho2, one, one), _random_start(grid64, 0))
 
     def test_line_search_stall(self, grid64, rng, monkeypatch):
         one = constant_field(grid64, 1.0)

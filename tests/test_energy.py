@@ -130,7 +130,7 @@ class TestResidualJ:
         u = smooth_field(grid, rng, amplitude=3.0)
         h1, h2 = (smooth_field(grid, rng, amplitude=0.3) + 1.5 for _ in range(2))
         p = Params(0.0, 0.0, h1, h2)
-        assert not np.any(_potential(u.values, p, grid.dx**2)[1])
+        assert not np.any(_potential(u.values, p)[1])
         ref = np.fft.irfft2(grid.k2_half * np.fft.rfft2(u.values), s=(n, n))
         assert np.abs(residual_J(u, p).values - ref).max() <= 1e-12 * np.abs(ref).max()
 

@@ -7,7 +7,7 @@ from tzlab import (GridError, Params, ScalarField, build_grid, constant_field,
                    distance_field, field_from_function, grad_norm_sq,
                    integrate, residual_J)
 from tzlab import surface
-from tzlab.surface import _dirichlet, _dot, _half_spectrum
+from tzlab.surface import _dirichlet, _dot, _from_half_spectrum, _half_spectrum
 
 from conftest import node_coordinates, random_trig_coeffs, sample_trig
 
@@ -306,6 +306,14 @@ class TestRealTransforms:
         out = _half_spectrum(other, g)
         assert _half_spectrum(values, g, out=out) is out
         assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_from_half_spectrum_inverts_half_spectrum(self, n, rng):
+        g = build_grid(n)
+        values = rng.standard_normal((n, n))
+        back = _from_half_spectrum(_half_spectrum(values, g), g)
+        assert back.shape == (n, n)
+        assert np.abs(back - values).max() <= 1e-14 * np.abs(values).max()
 
     def test_laplacian_matches_full_fft(self, noise):
         ref = np.fft.ifft2(-self.full_k2(noise.grid) * np.fft.fft2(noise.values)).real
