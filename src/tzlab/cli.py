@@ -17,11 +17,14 @@ Each command and each oracle returns one ``_Check`` list, from which alone
 are strict: a NaN or infinite value or bound is written as null.
 
 Outputs are deterministic for a fixed config and seed: CSV floats use the
-shortest round-trip decimal representation and summaries echo the full
-config.  Exit status: 0 all checks passed, 1 usage or configuration
-error, 2 at least one check failed, 3 a numerical failure (an
-exponential integral underflowed or overflowed, or a radial trajectory
-overflowed).  The output directory is created at the first file written.
+shortest round-trip decimal representation, except solution.csv's field
+column, which is written at 17 significant digits (exact for every double,
+and cheaper than the shortest search), and summaries echo the full config.
+Exit status: 0 all checks passed, 1 usage or configuration error, 2 at
+least one check failed, 3 a numerical failure (an exponential integral
+underflowed or overflowed, a descent met a non-finite value, or a radial
+trajectory overflowed).  The output directory is created at the first file
+written.
 
 A rule on one flag's value is the flag's argparse type, checked as the
 flag or its config-file key is parsed, before anything runs or is written.
@@ -226,15 +229,17 @@ def _write_solution(outdir: Path, args, sol, **echo):
     whose config is that of ``args`` with ``echo``'s values in place.
 
     The dump is streamed one grid row at a time, each row one ``join`` of
-    the x reprs and one ``%`` of its values; its bytes are those of
-    ``_write_csv(path, ["x", "y", "u"], rows)``.
+    the x reprs and one ``%`` of its values.  Its header, x and y text are
+    those of ``_write_csv(path, ["x", "y", "u"], rows)``; u is ``%.17g``,
+    17 significant digits, which give every double back exactly and format
+    faster than the shortest repr, whose search dominates the dump.
     """
     grid = sol.u.grid
     xs = [repr(x) for x in grid.axis_points.tolist()]
     with _create(outdir / "solution.csv", newline="") as fh:
         fh.write("x,y,u\r\n")
         for y, row in zip(grid.axis_points.tolist(), sol.u.values):
-            cell = f",{y!r},%r\r\n"
+            cell = f",{y!r},%.17g\r\n"
             fh.write((cell.join(xs) + cell) % tuple(row.tolist()))
     _write_json(outdir / "solution.json", {
         "config": {**_config_echo(args), **echo},

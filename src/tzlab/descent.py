@@ -6,11 +6,14 @@ finds it by a quasi-Newton descent with an Armijo line search.  The
 search direction is -H r, where H is the L-BFGS inverse Hessian built by
 the two-loop recursion from the last few steps s and residual changes y.
 Its initial inverse Hessian H0 is (-Lap + 1 - theta)^{-1}, applied
-spectrally as 1/(|k|^2 + 1 - theta).  At constant weights the Hessian of
-J_rho on zero-mean fields is -Lap - rho1 - 2 rho2, so theta is the
-mean-field curvature shift rho1 + 2 rho2, capped at half the first
-eigenvalue 4 pi^2 of -Lap on the unit torus: off the zero mode the symbol
-stays at least 2 pi^2 + 1 for every rho.  The unshifted H^1 preconditioner
+spectrally as a product with the reciprocal symbol 1/(|k|^2 + 1 - theta),
+kept once per descent (numpy divides a complex by a real as a product with
+the real's reciprocal, so the product has the quotient's bits).  At
+constant weights the Hessian of J_rho on zero-mean fields is
+-Lap - rho1 - 2 rho2, so theta is the mean-field curvature shift
+rho1 + 2 rho2, capped at half the first eigenvalue 4 pi^2 of -Lap on the
+unit torus: off the zero mode the symbol stays at least 2 pi^2 + 1 for
+every rho.  The unshifted H^1 preconditioner
 (-Lap + I)^{-1} overstates the curvature of the first Fourier shell
 |k|^2 = 4 pi^2 by the factor (4 pi^2 + 1)/(4 pi^2 - rho1 - 2 rho2), about
 23 at rho = (6 pi, 3 pi), and L-BFGS would spend iterations unlearning it.
@@ -42,6 +45,7 @@ replaced at once by a fresh spectrum's, on which ``converged`` is decided.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -84,21 +88,30 @@ class Solution:
     backtracks: int
 
 
+def _negate(spectrum):
+    """-spectrum, in place, on its float64 view: numpy's complex negative
+    has no SIMD loop, the real one does, and the bits are the same."""
+    values = spectrum.view(np.float64)
+    np.negative(values, out=values)
+    return spectrum
+
+
 class _InverseHessian:
     """L-BFGS inverse Hessian H of J_rho over the pre-weighted half spectrum.
 
     Keeps the last ``_MEMORY`` curvature pairs s^ = t d^, y^ = r^_new - r^_old
     of accepted steps; the L^2 inner product of two pre-weighted spectra is
-    ``_dot(f, g)``.  The initial inverse Hessian H0 divides by the
-    Fourier symbol |k|^2 + 1 - theta of -Lap + 1 - theta, where theta is
-    the curvature shift, so with no pairs the direction is
-    -r^/(|k|^2 + 1 - theta).
+    ``_dot(f, g)``.  The initial inverse Hessian H0 multiplies by
+    ``inverse``, the reciprocal of the Fourier symbol |k|^2 + 1 - theta
+    (``symbol``) of -Lap + 1 - theta, where theta is the curvature shift, so
+    with no pairs the direction is -r^/(|k|^2 + 1 - theta).
     """
 
     def __init__(self, k2, theta):
         self.symbol = k2 + (1.0 - theta)
         # r^ has no zero mode; a unit symbol there keeps 0/0 out at theta = 1
         self.symbol[0, 0] = 1.0
+        self.inverse = 1.0 / self.symbol
         self.pairs = deque(maxlen=_MEMORY)  # (s^, y^, 1/(s.y)), oldest first
 
     def direction(self, rh):
@@ -113,14 +126,14 @@ class _InverseHessian:
             q -= np.multiply(yh, a, out=scaled)
             alphas.append(a)
         z = q
-        z /= self.symbol
+        z *= self.inverse
         for (sh, yh, rho), a in zip(self.pairs, reversed(alphas)):
             z += np.multiply(sh, a - rho * _dot(yh, z), out=scaled)
-        dh = np.negative(z, out=z)
+        dh = _negate(z)
         slope = _dot(rh, dh)
         if not slope < 0.0:
             self.pairs.clear()
-            dh = -rh / self.symbol
+            dh = _negate(rh * self.inverse)
             slope = _dot(rh, dh)
         return dh, slope
 
@@ -144,7 +157,8 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
     reports), after max_iters iterations, or when the line search finds no
     decrease above the minimal step; ``converged`` tells whether the
     residual met tol_residual.  A floating-point overflow, invalid value or
-    division by zero in the descent (at a huge rho, say) raises ExpUnderflow.
+    division by zero in the descent, or a residual norm that is not finite
+    (at a huge rho, say), raises ExpUnderflow.
     """
     if not tol_residual > 0:
         raise ValueError("tol_residual must be positive")
@@ -155,6 +169,16 @@ def minimize(p: Params, u0: ScalarField, max_iters: int = 2000,
         raise ExpUnderflow(f"descent: {exc}") from exc
 
 
+def _checked_residual(uh, g, grid):
+    """``_residual``, raising ExpUnderflow when its norm is not finite.  The
+    norm's ``_dot`` runs in BLAS, which raises no floating-point flag, and a
+    NaN norm would fail the loop condition and stop the descent quietly."""
+    k2uh, rh, rnorm = _residual(uh, g, grid)
+    if not math.isfinite(rnorm):
+        raise ExpUnderflow(f"descent: residual norm is {rnorm}")
+    return k2uh, rh, rnorm
+
+
 def _descend(p: Params, u0: ScalarField, max_iters: int, tol_residual: float) -> Solution:
     """``minimize``'s descent, under its floating-point error state."""
     grid = p.grid
@@ -162,7 +186,7 @@ def _descend(p: Params, u0: ScalarField, max_iters: int, tol_residual: float) ->
     u = u0.values - integrate(u0)
     uh = _half_spectrum(u, grid)
     pot, g = _potential(u, p)
-    k2uh, rh, rnorm = _residual(uh, g, grid)
+    k2uh, rh, rnorm = _checked_residual(uh, g, grid)
     e = 0.5 * _dot(uh, k2uh) + pot
     hessian = _InverseHessian(k2, min(p.rho1 + 2.0 * p.rho2, _SHIFT_CAP))
     evals, backtracks = 1, 0
@@ -188,11 +212,11 @@ def _descend(p: Params, u0: ScalarField, max_iters: int, tol_residual: float) ->
             break  # the line search stalled; keep the last accepted iterate
         sh = t * dh
         u, uh, e, rh_old = u_new, uh + sh, e_new, rh
-        k2uh, rh, rnorm = _residual(uh, g, grid)
+        k2uh, rh, rnorm = _checked_residual(uh, g, grid)
         hessian.update(sh, rh - rh_old)
         if rnorm <= tol_residual:
             # the carried u^ drifts by roundoff: decide on a fresh spectrum, go on from it
             uh = _half_spectrum(u, grid)
-            k2uh, rh, rnorm = _residual(uh, g, grid)
+            k2uh, rh, rnorm = _checked_residual(uh, g, grid)
     return Solution(ScalarField(grid, u), e, rnorm, iterations,
                     rnorm <= tol_residual, evals, backtracks)

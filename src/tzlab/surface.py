@@ -191,8 +191,10 @@ def _half_spectrum(values: np.ndarray, grid: TorusGrid, out=None) -> np.ndarray:
 
 
 def _from_half_spectrum(spectrum: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The (n, n) array whose ``_half_spectrum`` is ``spectrum``."""
-    return np.fft.irfft2(spectrum / grid.parseval_scale, s=(grid.n, grid.n))
+    """The (n, n) array whose ``_half_spectrum`` is ``spectrum``.  The
+    spectrum is multiplied by 1/``parseval_scale``: numpy divides a complex
+    by a real as that product, so the bits are the quotient's."""
+    return np.fft.irfft2(spectrum * (1.0 / grid.parseval_scale), s=(grid.n, grid.n))
 
 
 def _dot(f: np.ndarray, g: np.ndarray) -> float:

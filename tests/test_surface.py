@@ -315,6 +315,18 @@ class TestRealTransforms:
         assert back.shape == (n, n)
         assert np.abs(back - values).max() <= 1e-14 * np.abs(values).max()
 
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_from_half_spectrum_bitwise_irfft2_of_quotient(self, n, rng):
+        # the product with 1/parseval_scale gives the quotient's bits, so a
+        # descent's directions are those of irfft2(d^ / parseval_scale)
+        g = build_grid(n)
+        shape = (n, n // 2 + 1)
+        for scale in (1.0, 1e-300, 1e300):
+            spectrum = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            spectrum[0, 0] = 0.0  # as a residual's and a direction's
+            ref = np.fft.irfft2(spectrum / g.parseval_scale, s=(n, n))
+            assert _from_half_spectrum(spectrum, g).tobytes() == ref.tobytes()
+
     def test_laplacian_matches_full_fft(self, noise):
         ref = np.fft.ifft2(-self.full_k2(noise.grid) * np.fft.fft2(noise.values)).real
         assert np.abs(laplacian(noise).values - ref).max() <= 1e-12 * np.abs(ref).max()
