@@ -14,10 +14,12 @@ at s = 1: the join equivalence is built into the formula.
 
 Each mixture M = sum_i w_i q_i^-2, q_i = 1 + lambda_s^2 d(x, p_i)^2, is
 sampled as a rational sum: d^2 splits into per-axis squares, so q_i is a
-row plus a column and no point costs a square root, log or exp.  With M+
-and M- the plus and minus mixtures, e^phi = M+ / sqrt(M-) and
-e^{-2 phi} = M- / M+^2 come straight off them, and phi is one log of
-e^phi.
+row plus a column and no point costs a square root, log or exp.  The
+per-axis distances depend on the points alone (``_join_sides``), so a
+lambda sweep computes them once.  With M+ and M- the plus and minus
+mixtures, e^phi = M+ / sqrt(M-); a side of one point of weight 1 enters
+through its q alone (M+ = q+^-2, M-^{-1/2} = q-), with no square root.
+e^{-2 phi} = (e^phi)^-2 on every join, and phi is one log of e^phi.
 
 Also provides the explicit entire Liouville profile solving
 u'' + u'/r + e^u = 0 at given radii, the exact oracle of the radial
@@ -91,58 +93,87 @@ class JoinConfig:
         )
 
 
-def _mixture(grid: TorusGrid, lam_s: float, points, out: np.ndarray,
-             scratch: np.ndarray) -> np.ndarray | None:
+def _join_sides(zeta: JoinConfig, grid: TorusGrid):
+    """Both sides of zeta, plus then minus, as (lambda factor, points): the
+    factor is 1 - s or s, and each point of nonzero weight is (w, dx, dy)
+    with its per-axis torus distances from the nodes (``_axis_offsets``),
+    so a sweep wraps and folds them once, not once per lambda."""
+    return tuple(
+        (factor, tuple((w, *_axis_offsets(grid, p)) for w, p in points if w != 0.0))
+        for factor, points in ((1.0 - zeta.s, zeta.plus_points), (zeta.s, zeta.minus_points))
+    )
+
+
+def _q(lam_s: float, dxv: np.ndarray, dyv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """q = (1 + (lam_s dx)^2) + (lam_s dy)^2 into ``out``: the column
+    (lam_s dy)^2 copied into every column, then the row added in place,
+    which costs less than a two-dimensional broadcast and, the sum
+    commuting, gives its bits."""
+    np.copyto(out, ((lam_s * dyv) ** 2)[:, None])
+    out += 1.0 + (lam_s * dxv) ** 2
+    return out
+
+
+def _mixture(lam_s: float, points, out: np.ndarray, scratch: np.ndarray) -> np.ndarray | None:
     """Write sum_i w_i / q_i^2, q_i = 1 + lam_s^2 d(x, p_i)^2, into ``out``.
 
-    q_i is (1 + (lam_s dx_i)^2)[None, :] + ((lam_s dy_i)^2)[:, None] from
-    the per-axis torus distances, so no square root is taken.  Points of
-    zero weight are skipped; ``scratch`` is overwritten.  Returns ``out``,
-    or None on a dead side (lam_s = 0), where the mixture is identically
-    sum w_i = 1.
+    ``points`` are one side of ``_join_sides``, (w, dx, dy) of nonzero
+    weight; q_i is a row plus a column (``_q``), so no square root is
+    taken.  ``scratch`` is overwritten.  Returns ``out``, or None on a dead
+    side (lam_s = 0), where the mixture is identically sum w_i = 1.
     """
     if lam_s == 0.0:
         return None
-    first = True
-    for w, p in points:
-        if w == 0.0:
-            continue
-        dxv, dyv = _axis_offsets(grid, p)
-        np.add(1.0 + (lam_s * dxv) ** 2, ((lam_s * dyv) ** 2)[:, None], out=scratch)
-        np.square(scratch, out=scratch)
-        if first:
+    for i, (w, dxv, dyv) in enumerate(points):
+        np.square(_q(lam_s, dxv, dyv, scratch), out=scratch)
+        if i == 0:
             np.divide(w, scratch, out=out)
-            first = False
         else:
             out += np.divide(w, scratch, out=scratch)
     return out
 
 
-def _bubble_exps(zeta: JoinConfig, lam: float, grid: TorusGrid, work: np.ndarray):
-    """(e^phi, e^{-2 phi}) of the bubble phi_{lambda, zeta}, written into two
-    of the three n-by-n buffers of ``work``.
+def _one_point(lam_s: float, points) -> bool:
+    """A live side of one point of weight 1, whose mixture is q^-2."""
+    return lam_s != 0.0 and len(points) == 1 and points[0][0] == 1.0
 
-    e^phi = M+ / sqrt(M-) and e^{-2 phi} = M- / M+^2, where a dead side's
-    mixture is 1 and drops out.
+
+def _bubble_exps(sides, lam: float, work: np.ndarray):
+    """(e^phi, e^{-2 phi}) of the bubble phi_{lambda, zeta}, zeta's sides
+    given by ``_join_sides``, written into two of the three n-by-n buffers
+    of ``work``.
+
+    e^phi = M+ / sqrt(M-), where a dead side's mixture is 1 and drops out.
+    A live side of one point of weight 1 enters through its q alone:
+    M+ = q+^-2 and M-^{-1/2} = q-, so e^phi is q- / q+^2 or M+ q-, with no
+    square root.  e^{-2 phi} = (e^phi)^-2 on every join.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    lam1, lam2 = (1.0 - zeta.s) * lam, zeta.s * lam
     a, b, c = work
-    plus = _mixture(grid, lam1, zeta.plus_points, a, c)
-    minus = _mixture(grid, lam2, zeta.minus_points, b, c)
-    if minus is None:
-        return plus, np.divide(1.0, np.square(plus, out=b), out=b)
-    np.sqrt(minus, out=c)
-    if plus is None:
-        return np.divide(1.0, c, out=c), minus
-    np.divide(plus, c, out=c)
-    return c, np.divide(minus, np.square(plus, out=a), out=b)
+    (f1, plus_points), (f2, minus_points) = sides
+    num, den = [], []  # e^phi = prod(num) / prod(den), one factor per live side
+    lam1, lam2 = f1 * lam, f2 * lam
+    if _one_point(lam1, plus_points):
+        den.append(np.square(_q(lam1, *plus_points[0][1:], a), out=a))
+    elif (plus := _mixture(lam1, plus_points, a, c)) is not None:
+        num.append(plus)
+    if _one_point(lam2, minus_points):
+        num.append(_q(lam2, *minus_points[0][1:], b))
+    elif (minus := _mixture(lam2, minus_points, b, c)) is not None:
+        den.append(np.sqrt(minus, out=b))
+    if not den:
+        e_phi = num[0] if len(num) == 1 else np.multiply(*num, out=c)
+    else:
+        bottom = den[0] if len(den) == 1 else np.multiply(*den, out=c)
+        e_phi = np.divide(num[0] if num else 1.0, bottom, out=c)
+    spare = a if e_phi is b else b
+    return e_phi, np.divide(1.0, np.square(e_phi, out=spare), out=spare)
 
 
 def build_bubble(zeta: JoinConfig, lam: float, grid: TorusGrid) -> ScalarField:
     """Sample the two-species bubble phi_{lambda, zeta} on the grid."""
-    e_phi, _ = _bubble_exps(zeta, lam, grid, np.empty((3, grid.n, grid.n)))
+    e_phi, _ = _bubble_exps(_join_sides(zeta, grid), lam, np.empty((3, grid.n, grid.n)))
     return ScalarField(grid, np.log(e_phi))
 
 

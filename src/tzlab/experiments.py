@@ -22,7 +22,9 @@ bubbles locate the sharp constants 8 pi and 4 pi.  Every sweep measures
 its bubbles through one primitive, ``_bubble_components``;
 ``_energy_sweep`` assembles J_rho from its columns.  The primitive reads
 e^phi and e^{-2 phi} off the bubble's rational mixtures (see ``bubbles``),
-so a lambda row takes one log and no exp, and the rows run one after
+so a lambda row takes one log and no exp; the points' per-axis distances
+are taken once per sweep, and a row's mean is ``integrate``'s sum times
+dx^2, whose finiteness stands for the field's.  The rows run one after
 another in one three-buffer workspace and share the half-spectrum and
 scratch buffers of the Dirichlet integral (``surface._dirichlet``, in the
 Parseval convention ``surface`` owns).  Sweeps fit ordinary
@@ -44,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubbles import JoinConfig, _bubble_exps
+from .bubbles import JoinConfig, _bubble_exps, _join_sides
 from .energy import Params, _checked_integral, _j_from_parts
-from .surface import _DOT_SLICE, ScalarField, TorusGrid, _dirichlet, integrate
+from .surface import _DOT_SLICE, TorusGrid, _dirichlet
 
 DEFAULT_LAMBDAS = (25.0, 50.0, 100.0, 200.0, 400.0)
 
@@ -155,17 +157,22 @@ def _bubble_components(zeta: JoinConfig, grid: TorusGrid, lambdas,
     if not _lambda_dx(grid, lambdas) <= _MAX_LAMBDA_DX:
         return None
     dx2 = grid.dx**2
+    sides = _join_sides(zeta, grid)
     work = np.empty((3, grid.n, grid.n))
     spectrum = np.empty((grid.n, grid.n // 2 + 1), dtype=complex)
     scratch = np.empty(_DOT_SLICE, dtype=complex)
     rows = []
     for lam in lambdas:
-        e_phi, e_minus_2phi = _bubble_exps(zeta, lam, grid, work)
+        e_phi, e_minus_2phi = _bubble_exps(sides, lam, work)
         log_plus = _log_weighted_integral(e_phi, h1, dx2)
         log_minus = _log_weighted_integral(e_minus_2phi, h2, dx2)
-        phi = ScalarField(grid, np.log(e_phi, out=e_phi))
-        gradient = 0.5 * _dirichlet(phi.values, grid, spectrum, scratch)
-        rows.append((gradient, log_plus, log_minus, integrate(phi)))
+        phi = np.log(e_phi, out=e_phi)
+        # integrate's sum, which a non-finite value leaves non-finite
+        total = phi.sum()
+        if not np.isfinite(total):
+            raise ValueError("field values must be finite")
+        gradient = 0.5 * _dirichlet(phi, grid, spectrum, scratch)
+        rows.append((gradient, log_plus, log_minus, float(total * dx2)))
     return np.array(rows)
 
 

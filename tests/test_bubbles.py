@@ -4,7 +4,8 @@ import pytest
 from tzlab import (JoinConfig, ScalarField, build_bubble,
                    build_grid, default_join_config, distance_field, integrate,
                    liouville_bubble, liouville_mass)
-from tzlab.bubbles import _mixture
+from tzlab.bubbles import _bubble_exps, _join_sides, _mixture
+from tzlab.surface import _axis_offsets
 
 from conftest import node_coordinates
 
@@ -162,9 +163,14 @@ def _reference_mixture(grid, lam_s, points):
     return total
 
 
+def _side(grid, points):
+    """The plus side of a join on ``points``, as _mixture takes it."""
+    return _join_sides(JoinConfig(points, points), grid)[0][1]
+
+
 def _run_mixture(grid, lam_s, points):
     out = np.full((grid.n, grid.n), np.nan)
-    return _mixture(grid, lam_s, points, out, np.full((grid.n, grid.n), np.nan))
+    return _mixture(lam_s, _side(grid, points), out, np.full((grid.n, grid.n), np.nan))
 
 
 class TestLogMixture:
@@ -204,9 +210,10 @@ class TestLogMixture:
 
     @pytest.mark.parametrize("points", POINT_SETS)
     def test_mixture_is_the_rational_sum(self, grid64, points):
-        for lam in self.LAMBDAS:
-            self._assert_same_bytes(_run_mixture(grid64, lam, points),
-                                    _reference_mixture(grid64, lam, points))
+        for grid in (grid64, build_grid(256), build_grid(512)):
+            for lam in self.LAMBDAS:
+                self._assert_same_bytes(_run_mixture(grid, lam, points),
+                                        _reference_mixture(grid, lam, points))
 
     @pytest.mark.parametrize("points", POINT_SETS)
     def test_mixture_is_the_logsumexp(self, grid64, points):
@@ -215,8 +222,47 @@ class TestLogMixture:
 
     def test_dead_side_writes_nothing(self, grid64):
         out = np.full((grid64.n, grid64.n), 7.0)
-        assert _mixture(grid64, 0.0, ((1.0, (0.3, 0.6)),), out, np.empty_like(out)) is None
+        assert _mixture(0.0, _side(grid64, ((1.0, (0.3, 0.6)),)), out, np.empty_like(out)) is None
         assert np.all(out == 7.0)
+
+
+def _long_double_mixture(grid, lam_s, points):
+    """sum w / q^2 in long double from the float64 axis offsets and lam_s,
+    every operation after them rounded to the wider format; 1 on a dead side."""
+    if lam_s == 0.0:
+        return np.longdouble(1.0)
+    lam, total = np.longdouble(lam_s), np.longdouble(0.0)
+    for w, p in points:
+        dxv, dyv = (v.astype(np.longdouble) for v in _axis_offsets(grid, p))
+        q = 1 + (lam * dxv[None, :]) ** 2 + (lam * dyv[:, None]) ** 2
+        total = total + np.longdouble(w) / q**2
+    return total
+
+
+class TestBubbleExps:
+    # the six joins perfbench sweeps, then both endpoints of the join
+    JOINS = [(1, 1, 0.5), (1, 1, 0.3), (1, 1, 0.7), (2, 1, 0.5), (2, 2, 0.5), (1, 2, 0.5),
+             (1, 1, 0.0), (1, 1, 1.0), (2, 2, 0.0), (2, 2, 1.0)]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("k,l,s", JOINS)
+    def test_within_8_eps_of_long_double(self, n, k, l, s):
+        """e^phi = M+ / sqrt(M-) and e^{-2 phi} = M- / M+^2 against their
+        long-double values, to 8 * 2^-52 relative.  Where a one-point side
+        is read off q, a misread q (q- squared, or q+ left unsquared) is off
+        by O(1), far outside the bound."""
+        grid = build_grid(n)
+        zeta = default_join_config(grid, k, l, s)
+        for lam in (25.0, 100.0, 400.0):
+            e_phi, e_minus_2phi = _bubble_exps(_join_sides(zeta, grid), lam,
+                                               np.empty((3, n, n)))
+            plus = _long_double_mixture(grid, (1.0 - s) * lam, zeta.plus_points)
+            minus = _long_double_mixture(grid, s * lam, zeta.minus_points)
+            for got, ref in ((e_phi, plus / np.sqrt(minus)), (e_minus_2phi, minus / plus**2)):
+                rel = np.abs(got.astype(np.longdouble) - ref) / ref
+                assert float(rel.max()) <= 8.0 * np.finfo(np.float64).eps, (lam, float(rel.max()))
 
 
 class TestLiouvilleBubble:

@@ -290,6 +290,32 @@ class TestComponentPrimitive:
             # integral and the mean are still those of a fresh per-row call
             assert (row[0], row[3]) == (ref[0], ref[3])
 
+    @pytest.mark.parametrize("k,l,s", [
+        (1, 1, 0.5), (1, 1, 0.3), (1, 1, 0.7), (2, 1, 0.5), (2, 2, 0.5), (1, 2, 0.5),
+        (1, 1, 0.0), (1, 1, 1.0), (2, 2, 0.0), (2, 2, 1.0),
+    ])
+    def test_row_mean_is_integrate_of_build_bubble(self, k, l, s):
+        g = build_grid(256)
+        zeta = default_join_config(g, k, l, s)
+        rows = _bubble_components(zeta, g, experiments.DEFAULT_LAMBDAS)
+        means = [integrate(build_bubble(zeta, lam, g)) for lam in experiments.DEFAULT_LAMBDAS]
+        assert rows[:, 3].tobytes() == np.array(means).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0], ids=["minus-inf", "nan"])
+    def test_non_finite_phi_is_rejected(self, monkeypatch, bad):
+        g = build_grid(16)
+
+        def broken(*args):
+            e_phi = np.ones((g.n, g.n))
+            e_phi[3, 5] = bad  # log gives -inf or NaN there
+            return e_phi, np.ones((g.n, g.n))
+
+        monkeypatch.setattr(experiments, "_bubble_exps", broken)
+        zeta = default_join_config(g, 1, 1, 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^field values must be finite$"):
+                _bubble_components(zeta, g, (1.0, 2.0))
+
     @pytest.mark.parametrize("n", [8, 128, 512])
     def test_weighted_integral_matches_exact_sum(self, n, rng):
         # the einsum reduction against a correctly rounded sum of products,
